@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import os
 import sys
 
 from . import __version__
@@ -31,6 +32,7 @@ from .search import (
     SearchConfig,
     confirm_nonexistence,
     generate,
+    nonexistence_lambda,
 )
 
 EXIT_OK = 0
@@ -65,6 +67,17 @@ def _read_inputs(source: str) -> list[tuple[str, Graph]]:
         except (Graph6Error, ValueError) as exc:
             raise Graph6Error(f"{label}:{lineno}: {exc}") from exc
     return graphs
+
+
+def _too_many_workers(command: str, workers: int) -> bool:
+    """Report a worker count above the machine's CPU count, which would
+    only oversubscribe it; True means the command must refuse to run."""
+    cpus = os.cpu_count() or 1
+    if workers <= cpus:
+        return False
+    print(f"{command}: --workers {workers} exceeds the {cpus} CPUs of this machine",
+          file=sys.stderr)
+    return True
 
 
 def _emit(report: dict, args) -> None:
@@ -189,6 +202,8 @@ def _audit_dict(report: AuditReport, full: bool) -> dict:
 
 
 def cmd_audit(args) -> int:
+    if _too_many_workers("audit", args.workers):
+        return EXIT_INPUT
     try:
         graphs = _read_inputs(args.input)
     except (GirthLabError, ValueError) as exc:
@@ -235,11 +250,21 @@ def cmd_audit(args) -> int:
 
 
 def cmd_search(args) -> int:
+    if _too_many_workers("search", args.workers):
+        return EXIT_INPUT
     mode = GIRTH_EXACT if args.girth_mode == "exact" else GIRTH_AT_LEAST
+    parameters = {
+        "k": args.k, "g": args.g, "max_n": args.max_n,
+        "girth_mode": args.girth_mode, "lambda": args.lambda_filter,
+        "epsilon2": args.epsilon2, "workers": args.workers,
+    }
     try:
         if args.epsilon2 is not None:
             if args.lambda_filter is not None:
                 raise ValueError("--lambda and --epsilon2 are mutually exclusive")
+            # report the girth-5 exact search that actually runs
+            parameters.update({"g": 5, "girth_mode": "exact",
+                               "lambda": nonexistence_lambda(args.k, args.epsilon2)})
             outcome = confirm_nonexistence(
                 args.k, args.epsilon2, args.max_n,
                 worker_count=args.workers, node_budget=args.node_budget,
@@ -260,11 +285,7 @@ def cmd_search(args) -> int:
     report = {
         "tool_version": __version__,
         "command": "search",
-        "parameters": {
-            "k": args.k, "g": args.g, "max_n": args.max_n,
-            "girth_mode": args.girth_mode, "lambda": args.lambda_filter,
-            "epsilon2": args.epsilon2, "workers": args.workers,
-        },
+        "parameters": parameters,
         "per_n_classes": {str(n): c for n, c in outcome.per_n_classes.items()},
         "per_n_hits": {str(n): c for n, c in outcome.per_n_hits.items()},
         "hits_graph6": outcome.hits_graph6,
@@ -334,7 +355,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scope", default="all", help="all or sample:<n>,<seed>")
     p.add_argument("--lambda", dest="forced_lambda", type=int, default=None,
                    help="claimed per-vertex cycle count (forging this flips records)")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="worker processes, at most the CPU count")
     p.add_argument("--full-records", action="store_true",
                    help="emit every record, not only failing ones")
     add_common(p)
@@ -349,8 +371,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon2", type=int, default=None,
                    help="confirm nonexistence for deficit 2e (implies girth 5 exact)")
     p.add_argument("--girth-mode", choices=["exact", "at-least"], default="at-least")
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--node-budget", type=int, default=None)
+    p.add_argument("--workers", type=int, default=1,
+                   help="worker processes, at most the CPU count")
+    p.add_argument("--node-budget", type=int, default=None,
+                   help="nodes to expand in this invocation before suspending")
     p.add_argument("--checkpoint", default=None,
                    help="frontier file: resumed when present, written on suspension")
     p.add_argument("--cap", type=int, default=None,

@@ -4,17 +4,27 @@ filtering on the common per-vertex girth-cycle count.
 
 Growth strategy: complete the lowest-index unsaturated vertex in one step,
 choosing a set of existing girth-compatible partners plus a block of fresh
-vertices that take the next unused indices.  Every connected target graph
-admits exactly one construction-consistent labelling per rooted breadth
-ordering, so the tree reaches every isomorphism class and never revisits a
-labelled graph; emitted complete graphs are deduplicated through the
-canonical-form registry.  Girth pruning rejects an edge (a, b) whenever the
-current distance between a and b is below g - 1.
+vertices that take the next unused indices.  Girth pruning rejects an edge
+(a, b) whenever the current distance between a and b is below g - 1.
+
+Isomorph rejection on partial states: the complete graphs reachable from a
+partial state are all k-regular girth-compatible supergraphs that add edges
+only at its unsaturated vertices, and neither the pivot order nor the labels
+of fresh vertices restricts which those are.  They therefore depend only on
+the isomorphism class of the state.  The depth-first search keys every
+popped state on its uncoloured canonical graph6 and expands only the first
+state of each class, so every class of complete graphs is met at exactly one
+leaf.  The memo lives for one call of `_run_frontier`: it is shared neither
+between workers nor through checkpoints, so a split or resumed run may
+repeat work but never loses a class.  A complete graph is emitted as its
+canonical graph6 coloured by per-vertex girth-cycle counts; that string is
+the class in outputs and checkpoints.
 """
 from __future__ import annotations
 
 import json
 import os
+import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -29,7 +39,7 @@ from .classify import vertex_cycle_bound
 GIRTH_EXACT = "exact"
 GIRTH_AT_LEAST = "at_least"
 
-CHECKPOINT_MAGIC = "#girthlab-checkpoint 1"
+CHECKPOINT_MAGIC = "#girthlab-checkpoint 2"
 
 
 def default_order_cap(k: int) -> int:
@@ -40,9 +50,10 @@ def default_order_cap(k: int) -> int:
 class SearchConfig:
     """Enumeration parameters.
 
-    `seed` is reserved for randomised work-splitting strategies; the
-    current fixed-depth round-robin split is deterministic without it.
-    `output_path`, when set, receives the graph6 lines of all hits."""
+    `node_budget` caps the nodes expanded by one call of `generate`; a run
+    that exhausts it writes its open frontier to `checkpoint_path` (resumed
+    from there when the file exists).  `output_path`, when set, receives
+    the graph6 lines of all hits."""
 
     k: int
     g: int
@@ -50,11 +61,8 @@ class SearchConfig:
     girth_mode: str = GIRTH_AT_LEAST
     lambda_filter: int | None = None
     worker_count: int = 1
-    seed: int = 0
     node_budget: int | None = None
-    split_depth: int = 3
     cap: int | None = None
-    ordered_growth: bool = True
     checkpoint_path: str | None = None
     output_path: str | None = None
 
@@ -77,7 +85,6 @@ class SearchConfig:
         return {
             "k": self.k, "g": self.g, "n_max": self.n_max,
             "girth_mode": self.girth_mode, "lambda_filter": self.lambda_filter,
-            "ordered_growth": self.ordered_growth,
         }
 
 
@@ -120,7 +127,7 @@ def _near_mask(rows: list[int], src: int, limit: int) -> int:
     return seen
 
 
-def _children(state: Rows, k: int, g: int, n_max: int, ordered: bool) -> list[Rows] | None:
+def _children(state: Rows, k: int, g: int, n_max: int) -> list[Rows] | None:
     """Expand one pivot-completion step; None means the state is complete
     (every vertex saturated)."""
     t = len(state)
@@ -132,32 +139,30 @@ def _children(state: Rows, k: int, g: int, n_max: int, ordered: bool) -> list[Ro
     if t == n_max and sum(k - deg[v] for v in unsaturated) % 2:
         return []
     children: list[Rows] = []
-    pivots = unsaturated[:1] if ordered else unsaturated
-    for p in pivots:
-        rows = list(state)
-        need = k - deg[p]
+    p = unsaturated[0]
+    rows = list(state)
 
-        def choose(remaining: int, min_w: int) -> None:
-            if remaining == 0:
-                children.append(tuple(rows))
-                return
-            # fill the rest with fresh vertices attached to the pivot
-            if t + remaining <= n_max:
-                child = rows + [1 << p] * remaining
-                child[p] |= ((1 << remaining) - 1) << t
-                children.append(tuple(child))
-            blocked = _near_mask(rows, p, g - 2)
-            for w in range(min_w, t):
-                if deg[w] < k and not blocked >> w & 1:
-                    rows[p] |= 1 << w
-                    rows[w] |= 1 << p
-                    deg[w] += 1
-                    choose(remaining - 1, w + 1)
-                    rows[p] &= ~(1 << w)
-                    rows[w] &= ~(1 << p)
-                    deg[w] -= 1
+    def choose(remaining: int, min_w: int) -> None:
+        if remaining == 0:
+            children.append(tuple(rows))
+            return
+        # fill the rest with fresh vertices attached to the pivot
+        if t + remaining <= n_max:
+            child = rows + [1 << p] * remaining
+            child[p] |= ((1 << remaining) - 1) << t
+            children.append(tuple(child))
+        blocked = _near_mask(rows, p, g - 2)
+        for w in range(min_w, t):
+            if deg[w] < k and not blocked >> w & 1:
+                rows[p] |= 1 << w
+                rows[w] |= 1 << p
+                deg[w] += 1
+                choose(remaining - 1, w + 1)
+                rows[p] &= ~(1 << w)
+                rows[w] &= ~(1 << p)
+                deg[w] -= 1
 
-        choose(need, p + 1)
+    choose(k - deg[p], p + 1)
     return children
 
 
@@ -189,20 +194,9 @@ def _assert_girth_at_least_5(rows: Rows) -> None:
                 raise InternalInconsistency("girth pruning admitted a 4-cycle")
 
 
-def _root_is_minimal(rows: Rows, counts: list[int]) -> bool:
-    """Sound duplicate filter: keep only labellings whose vertex 0 minimises
-    an isomorphism-invariant key.  Every class retains at least one copy
-    because the growth can start from any vertex."""
-    def key(v):
-        return (counts[v], sorted(counts[w] for w in bits(rows[v])))
-
-    k0 = key(0)
-    return all(k0 <= key(v) for v in range(1, len(rows)))
-
-
 def _evaluate_complete(state: Rows, cfg_key: dict) -> tuple[int, str, bool] | None:
-    """Classify a saturated graph: (order, canonical graph6, passes filter),
-    or None for duplicates and exact-girth rejections."""
+    """Classify a saturated graph: (order, count-coloured canonical graph6,
+    passes filter), or None for exact-girth rejections."""
     n = len(state)
     target = cfg_key["g"]
     if target == 5:
@@ -215,8 +209,6 @@ def _evaluate_complete(state: Rows, cfg_key: dict) -> tuple[int, str, bool] | No
             return _evaluate_general(state, cfg_key)
     else:
         return _evaluate_general(state, cfg_key)
-    if not _root_is_minimal(state, counts):
-        return None
     g = Graph(n, state)
     if not is_connected(g):
         raise InternalInconsistency("grown graph is disconnected")
@@ -237,8 +229,6 @@ def _evaluate_general(state: Rows, cfg_key: dict) -> tuple[int, str, bool] | Non
         return None
     profile = girth_profile(g)
     counts = list(profile.per_vertex)
-    if not _root_is_minimal(state, counts):
-        return None
     cert = canonical_graph6(g, colors=counts)
     lam = cfg_key["lambda_filter"]
     hit = False
@@ -248,28 +238,43 @@ def _evaluate_general(state: Rows, cfg_key: dict) -> tuple[int, str, bool] | Non
     return g.n, cert, hit
 
 
-def _run_frontier(frontier: list[Rows], cfg_key: dict, budget: int | None) -> dict:
-    """Depth-first processing of a frontier of partial graphs.
+def _state_key(state: Rows) -> str:
+    """Uncoloured canonical graph6 of a partial state (degrees are its
+    colours): equal keys mean equal sets of completions."""
+    return canonical_graph6(Graph(len(state), state))
 
-    Returns per-class sets plus any unexpanded leftover when the node
-    budget runs out.  Pure function of its arguments: safe as a worker.
+
+def _run_frontier(frontier: list[Rows], cfg_key: dict, budget: int | None) -> dict:
+    """Depth-first processing of a frontier of partial graphs that expands
+    only the first state of each isomorphism class.
+
+    Returns per-class sets, the number of first-seen states expanded, and
+    any unexpanded leftover when the node budget runs out.  Pure function
+    of its arguments: safe as a worker.
     """
     k, g, n_max = cfg_key["k"], cfg_key["g"], cfg_key["n_max"]
-    ordered = cfg_key["ordered_growth"]
     classes: set[tuple[int, str]] = set()
     hits: set[tuple[int, str]] = set()
+    seen: set[str] = set()
     stack = list(frontier)
     nodes = 0
     while stack:
         if budget is not None and nodes >= budget:
             return {"classes": classes, "hits": hits, "nodes": nodes, "leftover": stack}
         state = stack.pop()
+        key = _state_key(state)
+        if key in seen:
+            continue
+        seen.add(key)
         nodes += 1
-        kids = _children(state, k, g, n_max, ordered)
+        kids = _children(state, k, g, n_max)
         if kids is None:
             result = _evaluate_complete(state, cfg_key)
             if result is not None:
                 n, cert, hit = result
+                if (n, cert) in classes:
+                    raise InternalInconsistency(
+                        "two non-isomorphic leaves share a class certificate")
                 classes.add((n, cert))
                 if hit:
                     hits.add((n, cert))
@@ -278,39 +283,57 @@ def _run_frontier(frontier: list[Rows], cfg_key: dict, budget: int | None) -> di
     return {"classes": classes, "hits": hits, "nodes": nodes, "leftover": []}
 
 
-def _split_frontier(cfg_key: dict, target: int) -> tuple[list[Rows], list[Rows]]:
-    """Breadth-expand from the root until at least `target` open states
-    exist; complete states met on the way are returned separately."""
+def _split_frontier(cfg_key: dict, target: int,
+                    budget: int | None) -> tuple[list[Rows], list[Rows], int]:
+    """Breadth-expand from the root, one state per isomorphism class, until
+    at least `target` open states exist or `budget` nodes are expanded.
+    Returns the open states, the complete states met on the way, and the
+    number of nodes expanded."""
     open_states: list[Rows] = [(0,)]
     complete: list[Rows] = []
+    seen = {_state_key((0,))}
+    nodes = 0
     while open_states and len(open_states) < target:
+        if budget is not None and nodes >= budget:
+            break
         open_states.sort(key=len)
         state = open_states.pop(0)
-        kids = _children(state, cfg_key["k"], cfg_key["g"], cfg_key["n_max"],
-                         cfg_key["ordered_growth"])
+        nodes += 1
+        kids = _children(state, cfg_key["k"], cfg_key["g"], cfg_key["n_max"])
         if kids is None:
             complete.append(state)
-            if not open_states:
-                break
             continue
-        open_states.extend(kids)
-        if not open_states:
-            break
-    return open_states, complete
+        for kid in kids:
+            key = _state_key(kid)
+            if key not in seen:
+                seen.add(key)
+                open_states.append(kid)
+    return open_states, complete, nodes
 
 
 def _write_checkpoint(path: str, cfg_key: dict, classes, hits, nodes, frontier) -> None:
-    with open(path, "w") as fh:
-        fh.write(CHECKPOINT_MAGIC + "\n")
-        fh.write("#config " + json.dumps(cfg_key, sort_keys=True) + "\n")
-        fh.write(f"#nodes {nodes}\n")
-        for n, cert in sorted(classes):
-            fh.write(f"#seen {cert}\n")
-        for n, cert in sorted(hits):
-            fh.write(f"#hit {cert}\n")
-        for state in frontier:
-            depth = sum(1 for r in state if r.bit_count() >= cfg_key["k"])
-            fh.write(f"{write_graph6(Graph(len(state), state))} {depth}\n")
+    """Write the checkpoint to a temporary file beside `path` and move it
+    into place, so a crash part-way leaves any previous checkpoint intact."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                               prefix=os.path.basename(path) + ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(CHECKPOINT_MAGIC + "\n")
+            fh.write("#config " + json.dumps(cfg_key, sort_keys=True) + "\n")
+            fh.write(f"#nodes {nodes}\n")
+            for n, cert in sorted(classes):
+                fh.write(f"#seen {cert}\n")
+            for n, cert in sorted(hits):
+                fh.write(f"#hit {cert}\n")
+            for state in frontier:
+                depth = sum(1 for r in state if r.bit_count() >= cfg_key["k"])
+                fh.write(f"{write_graph6(Graph(len(state), state))} {depth}\n")
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _read_checkpoint(path: str, cfg_key: dict):
@@ -347,12 +370,12 @@ def _read_checkpoint(path: str, cfg_key: dict):
     return classes, hits, nodes, frontier
 
 
-def generate(config: SearchConfig, visit=None) -> SearchOutcome:
+def generate(config: SearchConfig) -> SearchOutcome:
     """Run the enumeration described by `config`.
 
-    `visit`, when given, is called once per isomorphism class with
-    (Graph, canonical_graph6, passes_filter) in canonical order after the
-    tree is exhausted; counts are independent of the worker schedule.
+    A run resumed from `checkpoint_path` reports the nodes of every run
+    since the first in `nodes_expanded`, but `node_budget` applies to this
+    call alone.  A resumed run that completes removes its checkpoint.
     """
     config.validate()
     cfg_key = config._key()
@@ -361,45 +384,42 @@ def generate(config: SearchConfig, visit=None) -> SearchOutcome:
     classes: set[tuple[int, str]] = set()
     hits: set[tuple[int, str]] = set()
     nodes = 0
-    if config.checkpoint_path and os.path.exists(config.checkpoint_path):
+    budget = config.node_budget
+    resumed = bool(config.checkpoint_path) and os.path.exists(config.checkpoint_path)
+    if resumed:
         classes, hits, nodes, frontier = _read_checkpoint(config.checkpoint_path, cfg_key)
-        pre_complete: list[Rows] = []
+    elif config.worker_count > 1:
+        frontier, complete, spent = _split_frontier(cfg_key, config.worker_count * 16, budget)
+        nodes += spent
+        if budget is not None:
+            budget -= spent
+        for state in complete:
+            result = _evaluate_complete(state, cfg_key)
+            if result is not None:
+                n, cert, hit = result
+                classes.add((n, cert))
+                if hit:
+                    hits.add((n, cert))
     else:
-        if config.worker_count > 1:
-            frontier, pre_complete = _split_frontier(cfg_key, config.worker_count * 16)
-        else:
-            frontier, pre_complete = [(0,)], []
+        frontier = [(0,)]
 
-    for state in pre_complete:
-        result = _evaluate_complete(state, cfg_key)
-        if result is not None:
-            n, cert, hit = result
-            classes.add((n, cert))
-            if hit:
-                hits.add((n, cert))
-
-    leftover: list[Rows] = []
-    if config.worker_count == 1 or len(frontier) <= 1:
-        budget = None if config.node_budget is None else config.node_budget - nodes
-        part = _run_frontier(frontier, cfg_key, budget)
-        classes |= part["classes"]
-        hits |= part["hits"]
-        nodes += part["nodes"]
-        leftover = part["leftover"]
+    # budget == 0: the split used the whole budget, so its frontier is left over
+    if config.worker_count == 1 or len(frontier) <= 1 or budget == 0:
+        parts = [_run_frontier(frontier, cfg_key, budget)]
     else:
         shares = [frontier[i::config.worker_count] for i in range(config.worker_count)]
         shares = [s for s in shares if s]
-        budget = None
-        if config.node_budget is not None:
-            budget = max(1, (config.node_budget - nodes) // len(shares))
+        if budget is not None:
+            budget = max(1, budget // len(shares))
         with ProcessPoolExecutor(max_workers=config.worker_count) as pool:
             parts = list(pool.map(_run_frontier, shares,
                                   [cfg_key] * len(shares), [budget] * len(shares)))
-        for part in parts:
-            classes |= part["classes"]
-            hits |= part["hits"]
-            nodes += part["nodes"]
-            leftover.extend(part["leftover"])
+    leftover: list[Rows] = []
+    for part in parts:
+        classes |= part["classes"]
+        hits |= part["hits"]
+        nodes += part["nodes"]
+        leftover.extend(part["leftover"])
 
     outcome = SearchOutcome(nodes_expanded=nodes)
     if leftover:
@@ -407,6 +427,8 @@ def generate(config: SearchConfig, visit=None) -> SearchOutcome:
         path = config.checkpoint_path or f"girthlab-checkpoint-k{config.k}g{config.g}.txt"
         _write_checkpoint(path, cfg_key, classes, hits, nodes, leftover)
         outcome.checkpoint_path = path
+    elif resumed:
+        os.remove(config.checkpoint_path)
 
     for n in sorted({n for n, _ in classes}):
         certs = sorted(cert for m, cert in classes if m == n)
@@ -417,12 +439,6 @@ def generate(config: SearchConfig, visit=None) -> SearchOutcome:
             outcome.per_n_hits[n] = len(hit_certs)
             outcome.hits_graph6.extend(hit_certs)
 
-    if visit is not None:
-        hit_set = {cert for _, cert in hits}
-        for n in sorted(outcome.classes_graph6):
-            for cert in outcome.classes_graph6[n]:
-                visit(parse_graph6(cert), cert, cert in hit_set)
-
     if config.output_path:
         with open(config.output_path, "w") as fh:
             for cert in outcome.hits_graph6:
@@ -432,18 +448,24 @@ def generate(config: SearchConfig, visit=None) -> SearchOutcome:
     return outcome
 
 
-def confirm_nonexistence(k: int, epsilon2: int, n_max: int, **kwargs) -> SearchOutcome:
-    """Exhaustively verify that no connected k-regular girth-5 graph with
-    n <= n_max has every vertex on exactly (k(k-1)^2 - epsilon2)/2 shortest
-    cycles, for 0 < epsilon2 <= k-1.  A hit sets `contradiction` and would
-    mean an engine bug."""
+def nonexistence_lambda(k: int, epsilon2: int) -> int:
+    """Per-vertex girth-cycle count (k(k-1)^2 - epsilon2)/2 that
+    `confirm_nonexistence` filters on, for 0 < epsilon2 <= k-1."""
     if not 0 < epsilon2 <= k - 1:
         raise ValueError(f"epsilon2 must lie in (0, k-1], got {epsilon2}")
     lam2 = k * (k - 1) ** 2 - epsilon2
     if lam2 % 2:
         raise ValueError(f"epsilon2 = {epsilon2} makes the target count non-integral")
+    return lam2 // 2
+
+
+def confirm_nonexistence(k: int, epsilon2: int, n_max: int, **kwargs) -> SearchOutcome:
+    """Exhaustively verify that no connected k-regular girth-5 graph with
+    n <= n_max has every vertex on exactly (k(k-1)^2 - epsilon2)/2 shortest
+    cycles, for 0 < epsilon2 <= k-1.  A hit sets `contradiction` and would
+    mean an engine bug."""
     config = SearchConfig(k=k, g=5, n_max=n_max, girth_mode=GIRTH_EXACT,
-                          lambda_filter=lam2 // 2, **kwargs)
+                          lambda_filter=nonexistence_lambda(k, epsilon2), **kwargs)
     outcome = generate(config)
     outcome.contradiction = outcome.total_hits > 0
     return outcome

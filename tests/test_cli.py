@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -156,7 +157,7 @@ def test_search_contradiction_exit_1(capsys, monkeypatch):
 def test_search_suspension_exit_4(capsys, tmp_path):
     path = str(tmp_path / "frontier.txt")
     code, out, err = run_cli(capsys, "search", "--k", "3", "--g", "5",
-                             "--max-n", "12", "--node-budget", "100",
+                             "--max-n", "12", "--node-budget", "20",
                              "--checkpoint", path)
     assert code == 4
     assert json.loads(out)["suspended"]
@@ -165,6 +166,40 @@ def test_search_suspension_exit_4(capsys, tmp_path):
                            "--max-n", "12", "--checkpoint", path)
     assert code == 0
     assert json.loads(out)["per_n_classes"] == {"10": 1, "12": 2}
+
+
+def test_resume_chain_with_fixed_budget_completes(capsys, tmp_path):
+    path = str(tmp_path / "frontier.txt")
+    args = ("search", "--k", "3", "--g", "5", "--max-n", "12",
+            "--node-budget", "20", "--checkpoint", path)
+    codes = []
+    while not codes or codes[-1] == 4:
+        assert len(codes) < 200, "resuming with a fixed budget makes no progress"
+        code, out, _ = run_cli(capsys, *args)
+        codes.append(code)
+    assert codes[-1] == 0 and 4 in codes
+    report = json.loads(out)
+    assert report["per_n_classes"] == {"10": 1, "12": 2}
+    assert not os.path.exists(path)
+
+
+@pytest.mark.parametrize("command", [
+    ("search", "--k", "3", "--max-n", "10"),
+    ("audit", "named:petersen"),
+])
+def test_workers_above_cpu_count_rejected(capsys, monkeypatch, command):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    code, out, err = run_cli(capsys, *command, "--workers", "3")
+    assert code == 2 and out == "" and "--workers 3" in err
+
+
+def test_search_epsilon2_reports_the_search_it_ran(capsys):
+    code, out, _ = run_cli(capsys, "search", "--k", "3", "--g", "7",
+                           "--girth-mode", "at-least", "--max-n", "10", "--epsilon2", "2")
+    assert code == 0
+    params = json.loads(out)["parameters"]
+    assert params["g"] == 5 and params["girth_mode"] == "exact"
+    assert params["lambda"] == 5 and params["epsilon2"] == 2
 
 
 def test_oracle_lines(capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import os
 
 import pytest
@@ -17,9 +18,14 @@ from girthlab import (
     petersen_graph,
     regularity,
 )
+from girthlab import search
 from girthlab.core import Graph
 
 from naive_oracles import naive_labeled_regular_graphs
+
+
+# OEIS A014372: connected cubic graphs of girth >= 5 on n vertices
+CUBIC_GIRTH5 = {10: 1, 12: 2, 14: 9, 16: 49, 18: 455, 20: 5783}
 
 
 def _normalized_classes(outcome, n):
@@ -72,19 +78,53 @@ def test_visited_set_is_isomorph_free():
             assert regularity(g) == (True, 3) and girth(g) >= 4
 
 
-def test_disabling_ordered_growth_gives_same_classes():
-    for kwargs in (dict(k=3, g=3, n_max=8), dict(k=3, g=5, n_max=10), dict(k=2, g=4, n_max=6)):
-        fast = generate(SearchConfig(**kwargs))
-        slow = generate(SearchConfig(**kwargs, ordered_growth=False))
-        assert fast.classes_graph6 == slow.classes_graph6
-
-
 def test_worker_counts_identical():
-    single = generate(SearchConfig(k=3, g=5, n_max=12, worker_count=1))
-    quad = generate(SearchConfig(k=3, g=5, n_max=12, worker_count=4))
-    assert single.per_n_classes == quad.per_n_classes
-    assert single.classes_graph6 == quad.classes_graph6
-    assert single.per_n_hits == quad.per_n_hits
+    single = generate(SearchConfig(k=3, g=5, n_max=14, lambda_filter=6, worker_count=1))
+    for workers in (2, 4):
+        split = generate(SearchConfig(k=3, g=5, n_max=14, lambda_filter=6,
+                                      worker_count=workers))
+        assert single.per_n_classes == split.per_n_classes
+        assert single.classes_graph6 == split.classes_graph6
+        assert single.hits_graph6 == split.hits_graph6
+
+
+def test_published_counts():
+    out = generate(SearchConfig(k=3, g=5, n_max=16))
+    assert out.per_n_classes == {n: c for n, c in CUBIC_GIRTH5.items() if n <= 16}
+    # OEIS A033886: connected quartic graphs of girth >= 4
+    out = generate(SearchConfig(k=4, g=4, n_max=12))
+    assert out.per_n_classes == {8: 1, 10: 2, 11: 2, 12: 12}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("n_max", [18, 20])  # n <= 20: about ten minutes on one core
+def test_published_counts_cubic_slow(n_max):
+    out = generate(SearchConfig(k=3, g=5, n_max=n_max))
+    assert out.per_n_classes == {n: c for n, c in CUBIC_GIRTH5.items() if n <= n_max}
+
+
+def _digest(outcome):
+    cls = outcome.classes_graph6
+    lines = [f"{n} {c}" for n in sorted(cls) for c in cls[n]] + ["hits"] + outcome.hits_graph6
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("kwargs, digest", [
+    (dict(k=3, g=5, n_max=14), "f62ecedb0822f501"),
+    (dict(k=4, g=4, n_max=11), "83e88028414e2dd4"),
+    (dict(k=3, g=5, n_max=12, girth_mode=GIRTH_EXACT, lambda_filter=6), "237042f006a074e6"),
+])
+def test_emitted_classes_are_byte_stable(kwargs, digest):
+    # pinned digests of the emitted class and hit strings: the partial-state
+    # memo changes the work of a search, never its output bytes
+    assert _digest(generate(SearchConfig(**kwargs))) == digest
+
+
+def test_node_count_of_memoised_tree():
+    # the machine-independent cost of a search: it moves only when the
+    # growth rule or the partial-state memo changes
+    out = generate(SearchConfig(k=3, g=5, n_max=14))
+    assert out.nodes_expanded == 378 and out.total_classes == 12
 
 
 def test_exact_mode_excludes_higher_girth():
@@ -146,13 +186,63 @@ def test_order_cap_and_validation():
 
 def test_checkpoint_suspend_and_resume(tmp_path):
     path = str(tmp_path / "frontier.txt")
-    first = generate(SearchConfig(k=3, g=5, n_max=12, node_budget=150,
+    first = generate(SearchConfig(k=3, g=5, n_max=12, node_budget=20,
                                   checkpoint_path=path))
     assert first.suspended and os.path.exists(path)
     full = generate(SearchConfig(k=3, g=5, n_max=12))
     resumed = generate(SearchConfig(k=3, g=5, n_max=12, checkpoint_path=path))
     assert not resumed.suspended
     assert resumed.classes_graph6 == full.classes_graph6
+    # a completed resume removes the checkpoint it consumed
+    assert resumed.checkpoint_path is None and not os.path.exists(path)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("budget", [1, 7, 40])
+def test_budgeted_resume_chain_matches_uninterrupted_run(tmp_path, budget, workers):
+    # the memo is not checkpointed: a resume may repeat work but must
+    # neither lose nor duplicate a class
+    path = str(tmp_path / "frontier.txt")
+    kwargs = dict(k=3, g=5, n_max=12, lambda_filter=6)
+    full = generate(SearchConfig(**kwargs))
+    for runs in range(1, 2000):
+        out = generate(SearchConfig(**kwargs, node_budget=budget, worker_count=workers,
+                                    checkpoint_path=path))
+        if not out.suspended:
+            break
+    assert not out.suspended and runs > 1
+    assert out.classes_graph6 == full.classes_graph6
+    assert out.hits_graph6 == full.hits_graph6 == [full.classes_graph6[10][0]]
+    assert not os.path.exists(path)
+
+
+def test_checkpoint_survives_crash_during_write(tmp_path, monkeypatch):
+    ck = tmp_path / "frontier.txt"
+    path = str(ck)
+    config = SearchConfig(k=3, g=5, n_max=12, node_budget=5, checkpoint_path=path)
+    assert generate(config).suspended
+    before = ck.read_text()
+
+    real_write = search.write_graph6
+    written = []
+
+    def failing_write(g):
+        if written:
+            raise OSError("disk full")
+        written.append(g)
+        return real_write(g)
+
+    monkeypatch.setattr(search, "write_graph6", failing_write)
+    with pytest.raises(OSError):
+        generate(config)
+    assert written  # the failure came part-way through the frontier
+    assert ck.read_text() == before
+    assert os.listdir(tmp_path) == ["frontier.txt"]
+
+    monkeypatch.setattr(search, "write_graph6", real_write)
+    resumed = generate(SearchConfig(k=3, g=5, n_max=12, checkpoint_path=path))
+    assert not resumed.suspended
+    assert resumed.classes_graph6 == generate(SearchConfig(k=3, g=5, n_max=12)).classes_graph6
 
 
 def test_output_path_receives_hits(tmp_path):
@@ -166,6 +256,6 @@ def test_checkpoint_rejects_mismatched_config(tmp_path):
     from girthlab import GirthLabError
 
     path = str(tmp_path / "frontier.txt")
-    generate(SearchConfig(k=3, g=5, n_max=12, node_budget=150, checkpoint_path=path))
+    generate(SearchConfig(k=3, g=5, n_max=12, node_budget=20, checkpoint_path=path))
     with pytest.raises(GirthLabError):
         generate(SearchConfig(k=3, g=5, n_max=14, checkpoint_path=path))
