@@ -16,7 +16,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from .classify import classify
-from .core import Graph, bit_list, bits, is_connected, regularity
+from .core import Graph, bit_list, bits, edges_inside, is_connected, regularity
 from .errors import (
     CaseMismatch,
     InternalInconsistency,
@@ -25,11 +25,6 @@ from .errors import (
 )
 from .formats import write_graph6
 from .girth import girth, girth_profile, shell_decompose
-
-
-def _inside(g: Graph, mask: int) -> int:
-    """Edges with both endpoints in `mask`."""
-    return sum((g.rows[v] & mask).bit_count() for v in bits(mask)) // 2
 
 
 def _between(g: Graph, a: int, b: int) -> int:
@@ -91,7 +86,7 @@ def audit_outer_edges(g: Graph, u: int, lam: int) -> OuterEdgeAudit:
     k = _require_girth5_regular(g)
     shells = shell_decompose(g, u)
     outer = _between(g, shells.n2, shells.n3plus)
-    inner = _inside(g, shells.n2)
+    inner = edges_inside(g.rows, shells.n2)
     if (k - 1) * shells.n2.bit_count() != 2 * inner + outer:
         raise InternalInconsistency(
             f"second-shell degree identity failed at root {u}"
@@ -209,15 +204,15 @@ def audit_case_a(g: Graph, u: int, v: int, lam: int) -> CaseAPartition:
     if sum(a) != sa:
         raise InternalInconsistency("branch indicators disagree with |V_A|")
 
-    e_aa = _inside(g, va)
+    e_aa = edges_inside(g.rows, va)
     e_ac = _between(g, va, vc)
     if e_aa or e_ac:
         raise InternalInconsistency("edges at V_A that the girth forbids")
     e_ab = _between(g, va, vb)
-    e_bb = _inside(g, vb)
+    e_bb = edges_inside(g.rows, vb)
     e_bc = _between(g, vb, vc)
-    e_cc = _inside(g, vc)
-    y = _inside(g, n2v)
+    e_cc = edges_inside(g.rows, vc)
+    y = edges_inside(g.rows, n2v)
     if y != e_ab + e_bb + e_bc + e_cc:
         raise InternalInconsistency("5-cycle count of v disagrees with the partition")
 
@@ -345,7 +340,7 @@ def audit_case_b(g: Graph, u: int, v: int, lam: int) -> CaseBPartition:
         if li & union:
             raise InternalInconsistency("leaf sets overlap")
         union |= li
-        if _inside(g, li):
+        if edges_inside(g.rows, li):
             raise InternalInconsistency("edge inside a leaf set")
     if union != vc2:
         raise InternalInconsistency("leaf sets do not cover V_C''")
@@ -372,10 +367,10 @@ def audit_case_b(g: Graph, u: int, v: int, lam: int) -> CaseBPartition:
         raise InternalInconsistency("count of minimum leaf sets differs from |V_B''|")
 
     e_ab = _between(g, va, vb)
-    e_bb = _inside(g, vb)
+    e_bb = edges_inside(g.rows, vb)
     e_bc = _between(g, vb, vc)
-    e_cc = _inside(g, vc)
-    y = _inside(g, n2v)
+    e_cc = edges_inside(g.rows, vc)
+    y = edges_inside(g.rows, n2v)
     if y != e_ab + e_bb + e_bc + e_cc:
         raise InternalInconsistency("5-cycle count of v disagrees with the partition")
 
@@ -477,7 +472,7 @@ def audit_gprime_degree(g: Graph, u: int, u1_index: int, lam: int) -> GPrimeAudi
     branches = [g.rows[ui] & ~(1 << u) for ui in nbrs]
     matrix = [[0] * k for _ in range(k)]
     for i in range(k):
-        if _inside(g, branches[i]):
+        if edges_inside(g.rows, branches[i]):
             raise InternalInconsistency("edge inside a branch set")
         for j in range(i + 1, k):
             m = _between(g, branches[i], branches[j])

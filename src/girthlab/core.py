@@ -10,7 +10,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterator
+from typing import Iterator, Sequence
 
 DEFAULT_MAX_VERTICES = 64
 HARD_MAX_VERTICES = 256
@@ -140,6 +140,12 @@ def graph_from_rows(rows) -> Graph:
 def degree_sequence(g: Graph) -> tuple[int, ...]:
     """Degrees sorted ascending."""
     return tuple(sorted(r.bit_count() for r in g.rows))
+
+
+def edges_inside(rows: Sequence[int], mask: VertexSet) -> int:
+    """Edges with both endpoints in `mask`, over adjacency rows: the
+    girth-5 shell kernel (edges inside a second shell)."""
+    return sum((rows[v] & mask).bit_count() for v in bits(mask)) // 2
 
 
 def regularity(g: Graph) -> tuple[bool, int | None]:

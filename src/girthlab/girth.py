@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .core import Graph, VertexSet, bits, regularity
+from .core import Graph, VertexSet, bits, edges_inside, regularity
 from .errors import InternalInconsistency
 
 Edge = tuple[int, int]
@@ -167,10 +167,6 @@ def _profile_by_paths(g: Graph, length: int) -> GirthProfile:
     return GirthProfile(length, total, tuple(per_vertex), per_edge)
 
 
-def _edges_inside(g: Graph, mask: VertexSet) -> int:
-    return sum((g.rows[v] & mask).bit_count() for v in bits(mask)) // 2
-
-
 def _profile_girth5_regular(g: Graph) -> GirthProfile:
     """Fast counter for regular graphs of girth 5.
 
@@ -183,7 +179,7 @@ def _profile_girth5_regular(g: Graph) -> GirthProfile:
     per_vertex = []
     for v in range(n):
         shells = shell_decompose(g, v)
-        per_vertex.append(_edges_inside(g, shells.n2))
+        per_vertex.append(edges_inside(g.rows, shells.n2))
     per_edge: dict[Edge, int] = {}
     for a, b in g.edges():
         abits = ~(1 << a) & ~(1 << b)

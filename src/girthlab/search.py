@@ -14,11 +14,15 @@ of fresh vertices restricts which those are.  They therefore depend only on
 the isomorphism class of the state.  The depth-first search keys every
 popped state on its uncoloured canonical graph6 and expands only the first
 state of each class, so every class of complete graphs is met at exactly one
-leaf.  The memo lives for one call of `_run_frontier`: it is shared neither
-between workers nor through checkpoints, so a split or resumed run may
-repeat work but never loses a class.  A complete graph is emitted as its
-canonical graph6 coloured by per-vertex girth-cycle counts; that string is
-the class in outputs and checkpoints.
+leaf.  The memo holds the keys of expanded states only, and every child of
+an expanded state is either processed or still open, so the memo stays
+valid across a suspension: checkpoints store it next to the open frontier,
+and a resumed run skips what earlier runs expanded.  Workers start from the
+memo of the split phase (or of the checkpoint) and each grow their own copy,
+so a split run may repeat work but never loses a class; their memos are
+merged when the run is checkpointed.  A complete
+graph is emitted as its canonical graph6 coloured by per-vertex girth-cycle
+counts; that string is the class in outputs and checkpoints.
 """
 from __future__ import annotations
 
@@ -30,7 +34,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 from .canon import canonical_graph6
-from .core import Graph, bits, is_connected, regularity
+from .core import Graph, bits, edges_inside, is_connected
 from .errors import GirthLabError, InternalInconsistency
 from .formats import parse_graph6, write_graph6
 from .girth import girth, girth_profile
@@ -39,7 +43,7 @@ from .classify import vertex_cycle_bound
 GIRTH_EXACT = "exact"
 GIRTH_AT_LEAST = "at_least"
 
-CHECKPOINT_MAGIC = "#girthlab-checkpoint 2"
+CHECKPOINT_MAGIC = "#girthlab-checkpoint 3"
 
 
 def default_order_cap(k: int) -> int:
@@ -174,11 +178,7 @@ def _second_shell_counts(rows: Rows) -> list[int]:
         n2 = 0
         for w in bits(n1):
             n2 |= rows[w]
-        n2 &= ~n1 & ~(1 << v)
-        inner = 0
-        for w in bits(n2):
-            inner += (rows[w] & n2).bit_count()
-        counts.append(inner // 2)
+        counts.append(edges_inside(rows, n2 & ~n1 & ~(1 << v)))
     return counts
 
 
@@ -244,23 +244,26 @@ def _state_key(state: Rows) -> str:
     return canonical_graph6(Graph(len(state), state))
 
 
-def _run_frontier(frontier: list[Rows], cfg_key: dict, budget: int | None) -> dict:
+def _run_frontier(frontier: list[Rows], cfg_key: dict, budget: int | None,
+                  seen: set[str]) -> dict:
     """Depth-first processing of a frontier of partial graphs that expands
     only the first state of each isomorphism class.
 
-    Returns per-class sets, the number of first-seen states expanded, and
-    any unexpanded leftover when the node budget runs out.  Pure function
-    of its arguments: safe as a worker.
+    `seen` is the memo: the keys of states already expanded, by this call
+    or by the runs before it; this call adds the keys it expands.  Returns
+    per-class sets, the number of first-seen states expanded, the memo, and
+    any unexpanded leftover when the node budget runs out.  Changes nothing
+    but `seen`: safe as a worker.
     """
     k, g, n_max = cfg_key["k"], cfg_key["g"], cfg_key["n_max"]
     classes: set[tuple[int, str]] = set()
     hits: set[tuple[int, str]] = set()
-    seen: set[str] = set()
     stack = list(frontier)
     nodes = 0
     while stack:
         if budget is not None and nodes >= budget:
-            return {"classes": classes, "hits": hits, "nodes": nodes, "leftover": stack}
+            return {"classes": classes, "hits": hits, "nodes": nodes, "memo": seen,
+                    "leftover": stack}
         state = stack.pop()
         key = _state_key(state)
         if key in seen:
@@ -280,25 +283,26 @@ def _run_frontier(frontier: list[Rows], cfg_key: dict, budget: int | None) -> di
                     hits.add((n, cert))
             continue
         stack.extend(kids)
-    return {"classes": classes, "hits": hits, "nodes": nodes, "leftover": []}
+    return {"classes": classes, "hits": hits, "nodes": nodes, "memo": seen, "leftover": []}
 
 
 def _split_frontier(cfg_key: dict, target: int,
-                    budget: int | None) -> tuple[list[Rows], list[Rows], int]:
+                    budget: int | None) -> tuple[list[Rows], list[Rows], set[str]]:
     """Breadth-expand from the root, one state per isomorphism class, until
     at least `target` open states exist or `budget` nodes are expanded.
     Returns the open states, the complete states met on the way, and the
-    number of nodes expanded."""
-    open_states: list[Rows] = [(0,)]
+    memo: the keys of the expanded states, one per node."""
+    root = (0,)
+    open_states: list[tuple[Rows, str]] = [(root, _state_key(root))]
     complete: list[Rows] = []
-    seen = {_state_key((0,))}
-    nodes = 0
+    seen = {open_states[0][1]}
+    memo: set[str] = set()
     while open_states and len(open_states) < target:
-        if budget is not None and nodes >= budget:
+        if budget is not None and len(memo) >= budget:
             break
-        open_states.sort(key=len)
-        state = open_states.pop(0)
-        nodes += 1
+        open_states.sort(key=lambda entry: len(entry[0]))
+        state, key = open_states.pop(0)
+        memo.add(key)
         kids = _children(state, cfg_key["k"], cfg_key["g"], cfg_key["n_max"])
         if kids is None:
             complete.append(state)
@@ -307,11 +311,12 @@ def _split_frontier(cfg_key: dict, target: int,
             key = _state_key(kid)
             if key not in seen:
                 seen.add(key)
-                open_states.append(kid)
-    return open_states, complete, nodes
+                open_states.append((kid, key))
+    return [state for state, _ in open_states], complete, memo
 
 
-def _write_checkpoint(path: str, cfg_key: dict, classes, hits, nodes, frontier) -> None:
+def _write_checkpoint(path: str, cfg_key: dict, classes, hits, nodes, memo,
+                      frontier) -> None:
     """Write the checkpoint to a temporary file beside `path` and move it
     into place, so a crash part-way leaves any previous checkpoint intact."""
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
@@ -325,6 +330,8 @@ def _write_checkpoint(path: str, cfg_key: dict, classes, hits, nodes, frontier) 
                 fh.write(f"#seen {cert}\n")
             for n, cert in sorted(hits):
                 fh.write(f"#hit {cert}\n")
+            for key in sorted(memo):
+                fh.write(f"#memo {key}\n")
             for state in frontier:
                 depth = sum(1 for r in state if r.bit_count() >= cfg_key["k"])
                 fh.write(f"{write_graph6(Graph(len(state), state))} {depth}\n")
@@ -339,6 +346,7 @@ def _write_checkpoint(path: str, cfg_key: dict, classes, hits, nodes, frontier) 
 def _read_checkpoint(path: str, cfg_key: dict):
     classes: set[tuple[int, str]] = set()
     hits: set[tuple[int, str]] = set()
+    memo: set[str] = set()
     frontier: list[Rows] = []
     nodes = 0
     with open(path) as fh:
@@ -364,10 +372,12 @@ def _read_checkpoint(path: str, cfg_key: dict):
             elif line.startswith("#hit "):
                 cert = line.split(" ", 1)[1]
                 hits.add((parse_graph6(cert).n, cert))
+            elif line.startswith("#memo "):
+                memo.add(line.split(" ", 1)[1])
             else:
                 g6 = line.split()[0]
                 frontier.append(parse_graph6(g6).rows)
-    return classes, hits, nodes, frontier
+    return classes, hits, nodes, memo, frontier
 
 
 def generate(config: SearchConfig) -> SearchOutcome:
@@ -383,13 +393,16 @@ def generate(config: SearchConfig) -> SearchOutcome:
 
     classes: set[tuple[int, str]] = set()
     hits: set[tuple[int, str]] = set()
+    memo: set[str] = set()
     nodes = 0
     budget = config.node_budget
     resumed = bool(config.checkpoint_path) and os.path.exists(config.checkpoint_path)
     if resumed:
-        classes, hits, nodes, frontier = _read_checkpoint(config.checkpoint_path, cfg_key)
+        classes, hits, nodes, memo, frontier = _read_checkpoint(config.checkpoint_path,
+                                                                cfg_key)
     elif config.worker_count > 1:
-        frontier, complete, spent = _split_frontier(cfg_key, config.worker_count * 16, budget)
+        frontier, complete, memo = _split_frontier(cfg_key, config.worker_count * 16, budget)
+        spent = len(memo)
         nodes += spent
         if budget is not None:
             budget -= spent
@@ -405,27 +418,28 @@ def generate(config: SearchConfig) -> SearchOutcome:
 
     # budget == 0: the split used the whole budget, so its frontier is left over
     if config.worker_count == 1 or len(frontier) <= 1 or budget == 0:
-        parts = [_run_frontier(frontier, cfg_key, budget)]
+        parts = [_run_frontier(frontier, cfg_key, budget, memo)]
     else:
         shares = [frontier[i::config.worker_count] for i in range(config.worker_count)]
         shares = [s for s in shares if s]
         if budget is not None:
             budget = max(1, budget // len(shares))
         with ProcessPoolExecutor(max_workers=config.worker_count) as pool:
-            parts = list(pool.map(_run_frontier, shares,
-                                  [cfg_key] * len(shares), [budget] * len(shares)))
+            parts = list(pool.map(_run_frontier, shares, [cfg_key] * len(shares),
+                                  [budget] * len(shares), [memo] * len(shares)))
     leftover: list[Rows] = []
     for part in parts:
         classes |= part["classes"]
         hits |= part["hits"]
         nodes += part["nodes"]
+        memo |= part["memo"]
         leftover.extend(part["leftover"])
 
     outcome = SearchOutcome(nodes_expanded=nodes)
     if leftover:
         outcome.suspended = True
         path = config.checkpoint_path or f"girthlab-checkpoint-k{config.k}g{config.g}.txt"
-        _write_checkpoint(path, cfg_key, classes, hits, nodes, leftover)
+        _write_checkpoint(path, cfg_key, classes, hits, nodes, memo, leftover)
         outcome.checkpoint_path = path
     elif resumed:
         os.remove(config.checkpoint_path)

@@ -302,3 +302,23 @@ def naive_labeled_regular_graphs(n, k, min_girth):
 
     fill(0)
     return results
+
+
+def naive_refine(adj, cells) -> list[list[int]]:
+    """Equitable refinement by full recount, the reference for
+    `canon._refine`: every pass keys each vertex on its neighbour counts
+    into every cell, splits each cell into buckets in ascending key order,
+    and the passes stop once one splits nothing."""
+    cells = [list(cell) for cell in cells]
+    while True:
+        members = [set(cell) for cell in cells]
+        new_cells = []
+        for cell in cells:
+            buckets: dict[tuple[int, ...], list[int]] = {}
+            for v in cell:
+                key = tuple(len(adj[v] & m) for m in members)
+                buckets.setdefault(key, []).append(v)
+            new_cells.extend(buckets[key] for key in sorted(buckets))
+        if len(new_cells) == len(cells):
+            return cells
+        cells = new_cells

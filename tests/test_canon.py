@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import permutations
 
@@ -12,12 +13,15 @@ from girthlab import (
     complete_graph,
     cycle_graph,
     dodecahedron_graph,
+    graph_from_edges,
     heawood_graph,
     petersen_graph,
     relabel,
     write_graph6,
 )
-from girthlab.canon import canonize
+from girthlab.canon import _refine, canonize
+
+from naive_oracles import naive_refine, to_adj
 
 
 def _random_graph(rng, n, p):
@@ -117,3 +121,60 @@ def test_isomorphic_named_constructions():
     rot = _permuted(g, [(i + 7) % 20 for i in range(20)])
     assert are_isomorphic(g, rot)
     assert not are_isomorphic(g, petersen_graph())
+
+
+def test_refine_matches_full_recount():
+    # the splitter refinement gives the all-cells partition, cell order
+    # included, from the root and after every individualisation below it
+    rng = random.Random(41)
+    for trial in range(1000):
+        n = rng.randrange(1, 17)
+        g = _random_graph(rng, n, rng.random())
+        adj = to_adj(g)
+        nbrs = [sorted(adj[v]) for v in range(n)]
+        if trial % 2:
+            colors = [rng.randrange(3) for _ in range(n)]
+        else:
+            colors = [len(adj[v]) for v in range(n)]
+        start = [[v for v in range(n) if colors[v] == c] for c in sorted(set(colors))]
+        cells = _refine(nbrs, start, list(range(len(start))))
+        assert cells == naive_refine(adj, start)
+        while len(cells) < n:
+            target = rng.choice([i for i, cell in enumerate(cells) if len(cell) > 1])
+            v = rng.choice(cells[target])
+            child = (cells[:target] + [[v], [w for w in cells[target] if w != v]]
+                     + cells[target + 1:])
+            cells = _refine(nbrs, child, [target])
+            assert cells == naive_refine(adj, child)
+
+
+def test_graph6_is_read_off_the_certificate():
+    rng = random.Random(5)
+    for trial in range(400):
+        n = rng.randrange(0, 17)
+        g = _random_graph(rng, n, rng.random())
+        colors = [rng.randrange(2) for _ in range(n)] if trial % 2 else None
+        order, _ = canonize(g.rows, colors)
+        assert canonical_graph6(g, colors) == write_graph6(relabel(g, order))
+
+
+def _random_cubic(rng, n):
+    # pairing model, rejecting loops and parallel edges
+    while True:
+        stubs = [v for v in range(n) for _ in range(3)]
+        rng.shuffle(stubs)
+        pairs = list(zip(stubs[::2], stubs[1::2]))
+        if all(a != b for a, b in pairs) and len({frozenset(p) for p in pairs}) == len(pairs):
+            return graph_from_edges(n, pairs)
+
+
+def test_canonical_form_is_pinned():
+    # digest of the uncoloured canonical forms as first pinned: a change of
+    # the canonical form changes search output and checkpoint bytes, so it
+    # must be deliberate
+    rng = random.Random(2014)
+    graphs = [petersen_graph(), dodecahedron_graph(), heawood_graph(), complete_graph(6),
+              complete_bipartite_graph(3, 4), cycle_graph(9)]
+    graphs += [_random_cubic(rng, rng.randrange(4, 25, 2)) for _ in range(40)]
+    lines = "\n".join(canonical_graph6(g) for g in graphs)
+    assert hashlib.sha256(lines.encode()).hexdigest()[:16] == "78c45e49c21443fd"

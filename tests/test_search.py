@@ -97,7 +97,7 @@ def test_published_counts():
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("n_max", [18, 20])  # n <= 20: about ten minutes on one core
+@pytest.mark.parametrize("n_max", [18, 20])  # n <= 20: about 3.5 minutes on one core
 def test_published_counts_cubic_slow(n_max):
     out = generate(SearchConfig(k=3, g=5, n_max=n_max))
     assert out.per_n_classes == {n: c for n, c in CUBIC_GIRTH5.items() if n <= n_max}
@@ -200,8 +200,8 @@ def test_checkpoint_suspend_and_resume(tmp_path):
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("budget", [1, 7, 40])
 def test_budgeted_resume_chain_matches_uninterrupted_run(tmp_path, budget, workers):
-    # the memo is not checkpointed: a resume may repeat work but must
-    # neither lose nor duplicate a class
+    # a resume must neither lose nor duplicate a class, whatever the budget
+    # and however the memo was split between workers
     path = str(tmp_path / "frontier.txt")
     kwargs = dict(k=3, g=5, n_max=12, lambda_filter=6)
     full = generate(SearchConfig(**kwargs))
@@ -214,6 +214,37 @@ def test_budgeted_resume_chain_matches_uninterrupted_run(tmp_path, budget, worke
     assert out.classes_graph6 == full.classes_graph6
     assert out.hits_graph6 == full.hits_graph6 == [full.classes_graph6[10][0]]
     assert not os.path.exists(path)
+
+
+def test_checkpointed_memo_repeats_no_work(tmp_path):
+    # the memo travels through the checkpoint, so a chain of one-worker
+    # resumes expands exactly the nodes of the uninterrupted run
+    path = str(tmp_path / "frontier.txt")
+    config = SearchConfig(k=3, g=5, n_max=14, node_budget=100, checkpoint_path=path)
+    first = generate(config)
+    with open(path) as fh:
+        assert sum(line.startswith("#memo ") for line in fh) == 100
+    for calls in range(2, 100):
+        out = generate(config)
+        if not out.suspended:
+            break
+    assert first.suspended and calls == 4
+    assert out.nodes_expanded == 378
+    assert out.classes_graph6 == generate(SearchConfig(k=3, g=5, n_max=14)).classes_graph6
+
+
+def test_checkpoint_rejects_older_format(tmp_path):
+    from girthlab import GirthLabError
+
+    path = tmp_path / "frontier.txt"
+    generate(SearchConfig(k=3, g=5, n_max=12, node_budget=20, checkpoint_path=str(path)))
+    lines = path.read_text().splitlines()
+    assert lines[0] == search.CHECKPOINT_MAGIC
+    # a format-2 file: the same lines without the memo
+    path.write_text("\n".join(["#girthlab-checkpoint 2"]
+                              + [l for l in lines[1:] if not l.startswith("#memo ")]) + "\n")
+    with pytest.raises(GirthLabError):
+        generate(SearchConfig(k=3, g=5, n_max=12, checkpoint_path=str(path)))
 
 
 def test_checkpoint_survives_crash_during_write(tmp_path, monkeypatch):
