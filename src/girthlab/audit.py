@@ -12,7 +12,6 @@ bug, not an interesting finding.
 from __future__ import annotations
 
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from .classify import classify
@@ -84,7 +83,7 @@ def audit_outer_edges(g: Graph, u: int, lam: int) -> OuterEdgeAudit:
     asserted as well; it cannot fail on a regular girth-5 graph.
     """
     k = _require_girth5_regular(g)
-    shells = shell_decompose(g, u)
+    shells = shell_decompose(g, u, k * (k - 1))
     outer = _between(g, shells.n2, shells.n3plus)
     inner = edges_inside(g.rows, shells.n2)
     if (k - 1) * shells.n2.bit_count() != 2 * inner + outer:
@@ -110,8 +109,8 @@ class MainPropertyAudit:
 
 
 def audit_main_property(g: Graph, u: int) -> MainPropertyAudit:
-    _require_girth5_regular(g)
-    shells = shell_decompose(g, u)
+    k = _require_girth5_regular(g)
+    shells = shell_decompose(g, u, k * (k - 1))
     n2 = bit_list(shells.n2)
     found = []
     for i, v1 in enumerate(n2):
@@ -175,7 +174,7 @@ def audit_case_a(g: Graph, u: int, v: int, lam: int) -> CaseAPartition:
     the two-endpoint maximum form.
     """
     k = _require_girth5_regular(g)
-    shells_u = shell_decompose(g, u)
+    shells_u = shell_decompose(g, u, k * (k - 1))
     _check_v_exterior(g, shells_u, v)
     if (g.rows[v] & shells_u.n2).bit_count() < 2:
         raise CaseMismatch(
@@ -183,7 +182,7 @@ def audit_case_a(g: Graph, u: int, v: int, lam: int) -> CaseAPartition:
         )
     two_eps = k * (k - 1) ** 2 - 2 * lam
 
-    shells_v = shell_decompose(g, v)
+    shells_v = shell_decompose(g, v, k * (k - 1))
     n2v = shells_v.n2
     if n2v >> u & 1:
         raise InternalInconsistency("root inside N2(v) for an exterior v")
@@ -296,7 +295,7 @@ def audit_case_b(g: Graph, u: int, v: int, lam: int) -> CaseBPartition:
     (k-2)-sized leaf sets equalling |V_B''|) are asserted outright.
     """
     k = _require_girth5_regular(g)
-    shells_u = shell_decompose(g, u)
+    shells_u = shell_decompose(g, u, k * (k - 1))
     _check_v_exterior(g, shells_u, v)
     contacts = g.rows[v] & shells_u.n2
     if contacts.bit_count() == 0:
@@ -318,7 +317,7 @@ def audit_case_b(g: Graph, u: int, v: int, lam: int) -> CaseBPartition:
     u1 = u1_mask.bit_length() - 1
     v_rest = bit_list(g.rows[v] & ~(1 << v_prime))
 
-    shells_v = shell_decompose(g, v)
+    shells_v = shell_decompose(g, v, k * (k - 1))
     n2v = shells_v.n2
     va = n2v & shells_u.n1
     if va != 1 << u1:
@@ -465,7 +464,7 @@ def audit_gprime_degree(g: Graph, u: int, u1_index: int, lam: int) -> GPrimeAudi
     multiplicity = k(k-1)^2/2 - e, every entry at most k-1, and the row sum
     of the selected branch at least (k-1)^2 - e.  `u1_index` is 1-based."""
     k = _require_girth5_regular(g)
-    shells = shell_decompose(g, u)
+    shells = shell_decompose(g, u, k * (k - 1))
     nbrs = bit_list(shells.n1)
     if not 1 <= u1_index <= k:
         raise ValueError(f"u1_index must be in 1..{k}, got {u1_index}")
@@ -520,8 +519,8 @@ class AuditReport:
 
 
 def _audit_at_root(args) -> tuple:
-    g, u, lam, pair_filter = args
-    shells = shell_decompose(g, u)
+    g, k, u, lam, pair_filter = args
+    shells = shell_decompose(g, u, k * (k - 1))
     outer = audit_outer_edges(g, u, lam)
     mp = audit_main_property(g, u)
     case_a: list[CaseAPartition] = []
@@ -585,14 +584,16 @@ def audit_graph(
             raise ValueError(f"scope must be 'all' or ('sample', count, seed), got {scope!r}")
         pairs = []
         for u in range(g.n):
-            shells = shell_decompose(g, u)
+            shells = shell_decompose(g, u, k * (k - 1))
             pairs.extend((u, v) for v in bit_list(shells.n3plus))
         rng = random.Random(seed)
         pair_filter = set(pairs if count >= len(pairs) else rng.sample(pairs, count))
 
     report = AuditReport(graph6=write_graph6(g), n=g.n, k=k, lam=lam)
-    tasks = [(g, u, lam, pair_filter) for u in range(g.n)]
+    tasks = [(g, k, u, lam, pair_filter) for u in range(g.n)]
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_audit_at_root, tasks))
     else:

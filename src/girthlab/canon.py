@@ -5,7 +5,12 @@ The certificate is the lexicographically minimal adjacency bitstring over
 all labellings consistent with the refinement tree; equal certificates
 characterise isomorphic graphs because the certificate reconstructs the
 graph.  Discovered automorphisms prune branches that fix the current
-individualisation prefix.
+individualisation prefix.  So do twins, vertices with equal rows: two twins
+in one cell are swapped by an automorphism that fixes every other vertex,
+so a candidate with the row of a candidate already tried or reached is
+skipped.  Whether any twins exist is decided once per call, so twin-free
+graphs (every regular graph of girth at least 5) pay nothing for it; the
+fresh vertices of a partial search state are twins.
 
 Refinement splits every cell by each vertex's neighbour counts into the
 other cells, ordering the fragments by their count vectors, until no cell
@@ -119,6 +124,8 @@ def canonize(
         groups.setdefault(colors[v], []).append(v)
     cells = [groups[c] for c in sorted(groups)]
     nbrs = [list(bits(r)) for r in rows]
+    # decided once per call: twin-free graphs skip the row check below
+    twins = len(set(rows)) < n
 
     best_cert: int | None = None
     best_order: tuple[int, ...] | None = None
@@ -148,10 +155,12 @@ def canonize(
         cell = cells[target]
         tried: list[int] = []
         reached: set[int] = set()
+        reached_rows: set[int] = set()
         for v in cell:
             # Orbit pruning: v equivalent to an already-tried candidate
-            # under automorphisms that fix the individualisation prefix.
-            if v in reached:
+            # under automorphisms that fix the individualisation prefix;
+            # a twin of such a candidate is one too.
+            if v in reached or twins and rows[v] in reached_rows:
                 continue
             child = (
                 cells[:target]
@@ -171,6 +180,8 @@ def canonize(
                         if gamma[u] not in reached:
                             reached.add(gamma[u])
                             grew = True
+            if twins:
+                reached_rows = {rows[u] for u in reached}
 
     # colour classes promise nothing about counts: every cell is a splitter
     descend(cells, (), list(range(len(cells))))

@@ -66,11 +66,14 @@ class ShellDecomposition:
         return (self.n1.bit_count(), self.n2.bit_count(), self.n3plus.bit_count())
 
 
-def shell_decompose(g: Graph, u: int) -> ShellDecomposition:
+def shell_decompose(g: Graph, u: int, second_shell: int | None = None) -> ShellDecomposition:
     """Shells by breadth-first distance from u.
 
     For a k-regular graph of girth at least 5 the second shell must have
     exactly k(k-1) vertices; that is asserted whenever the hypotheses hold.
+    A caller that has already established them passes `second_shell` =
+    k(k-1), so the per-root path does not recompute the regularity and
+    girth of g; otherwise they are worked out here.
     """
     if not 0 <= u < g.n:
         raise ValueError(f"vertex {u} outside 0..{g.n - 1}")
@@ -80,16 +83,25 @@ def shell_decompose(g: Graph, u: int) -> ShellDecomposition:
         n2 |= g.rows[v]
     n2 &= ~n1 & ~(1 << u)
     n3plus = g.vertex_mask() & ~n1 & ~n2 & ~(1 << u)
-    shells = ShellDecomposition(u, n1, n2, n3plus)
+    if second_shell is None:
+        second_shell = second_shell_size(g)
+    if second_shell is not None and n2.bit_count() != second_shell:
+        raise InternalInconsistency(
+            f"second shell of {u} has {n2.bit_count()} vertices, "
+            f"expected k(k-1) = {second_shell}"
+        )
+    return ShellDecomposition(u, n1, n2, n3plus)
+
+
+def second_shell_size(g: Graph) -> int | None:
+    """k(k-1) when g is k-regular (k >= 2) with girth at least 5, the size
+    of every second shell; None when those hypotheses fail."""
     is_reg, k = regularity(g)
     if is_reg and k is not None and k >= 2:
         gr = girth(g)
-        if gr is not None and gr >= 5 and n2.bit_count() != k * (k - 1):
-            raise InternalInconsistency(
-                f"second shell of {u} has {n2.bit_count()} vertices, "
-                f"expected k(k-1) = {k * (k - 1)}"
-            )
-    return shells
+        if gr is not None and gr >= 5:
+            return k * (k - 1)
+    return None
 
 
 @dataclass
@@ -177,8 +189,9 @@ def _profile_girth5_regular(g: Graph) -> GirthProfile:
     n = g.n
     rows = g.rows
     per_vertex = []
+    second_shell = second_shell_size(g)
     for v in range(n):
-        shells = shell_decompose(g, v)
+        shells = shell_decompose(g, v, second_shell)
         per_vertex.append(edges_inside(g.rows, shells.n2))
     per_edge: dict[Edge, int] = {}
     for a, b in g.edges():

@@ -7,6 +7,21 @@ choosing a set of existing girth-compatible partners plus a block of fresh
 vertices that take the next unused indices.  Girth pruning rejects an edge
 (a, b) whenever the current distance between a and b is below g - 1.
 
+Two cuts run before a child is emitted, so neither costs a canonical
+labelling.  The lookahead degree check (`_viable`) drops a child with no
+completion: no fresh slot left and an odd number of missing stubs, or an
+unsaturated vertex with fewer open partners (fresh slots plus unsaturated
+vertices at distance >= g-1) than missing edges.  The twin rule
+(`_one_per_row`) tries only the first of the candidate partners that share
+a row: swapping two such twins is an automorphism of the partial graph that
+fixes the pivot and the partners already chosen, so their children are
+isomorphic.  Both are sound under the memo below: a dropped child has no
+completion, or has the completions of an emitted sibling up to isomorphism,
+so every class is still met, and the memo only ever holds keys of states
+that were expanded.  Neither cut changes the canonical form or what a memo
+key means, so the frontier and memo of a format-3 checkpoint written before
+them are still valid input and `CHECKPOINT_MAGIC` stays at 3.
+
 Isomorph rejection on partial states: the complete graphs reachable from a
 partial state are all k-regular girth-compatible supergraphs that add edges
 only at its unsaturated vertices, and neither the pivot order nor the labels
@@ -30,7 +45,6 @@ import json
 import os
 import tempfile
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 from .canon import canonical_graph6
@@ -131,40 +145,76 @@ def _near_mask(rows: list[int], src: int, limit: int) -> int:
     return seen
 
 
+def _viable(rows: list[int], k: int, g: int, n_max: int) -> bool:
+    """Lookahead degree check: False only when the partial graph has no
+    completion.  It has none when no fresh slot is left and the number of
+    missing stubs is odd, or when some unsaturated vertex v has fewer open
+    partners than missing edges.  Every new neighbour of v in a completion
+    is a fresh vertex or an unsaturated vertex already at distance >= g-1
+    (distances only shrink as edges are added), so the open partners of v
+    are the `n_max - t` fresh slots and the unsaturated vertices outside
+    `_near_mask(rows, v, g-2)`.  With k fresh slots left every vertex has
+    enough of them."""
+    fresh = n_max - len(rows)
+    if fresh >= k:
+        return True
+    missing = [k - r.bit_count() for r in rows]
+    if not fresh and sum(missing) % 2:
+        return False
+    unsaturated = [v for v, m in enumerate(missing) if m]
+    open_mask = sum(1 << v for v in unsaturated)
+    for v in unsaturated:
+        if missing[v] > fresh and (
+                open_mask & ~_near_mask(rows, v, g - 2)).bit_count() + fresh < missing[v]:
+            return False
+    return True
+
+
+def _one_per_row(rows: list[int], candidates: list[int]) -> list[int]:
+    """Twin rule: the first candidate of each distinct row.  Two candidates
+    with equal rows are non-adjacent twins; swapping them is an automorphism
+    of the partial graph that fixes the pivot and every partner chosen
+    before them, so their branches give isomorphic children."""
+    first: dict[int, int] = {}
+    for w in candidates:
+        first.setdefault(rows[w], w)
+    return list(first.values())
+
+
 def _children(state: Rows, k: int, g: int, n_max: int) -> list[Rows] | None:
     """Expand one pivot-completion step; None means the state is complete
-    (every vertex saturated)."""
+    (every vertex saturated).  Children that fail `_viable` are dropped,
+    and of twin partners only the first is tried (`_one_per_row`)."""
     t = len(state)
     deg = [r.bit_count() for r in state]
     unsaturated = [v for v in range(t) if deg[v] < k]
     if not unsaturated:
         return None
-    # dead branch: no fresh capacity left and an odd number of missing stubs
-    if t == n_max and sum(k - deg[v] for v in unsaturated) % 2:
-        return []
     children: list[Rows] = []
     p = unsaturated[0]
     rows = list(state)
 
     def choose(remaining: int, min_w: int) -> None:
         if remaining == 0:
-            children.append(tuple(rows))
+            if _viable(rows, k, g, n_max):
+                children.append(tuple(rows))
             return
         # fill the rest with fresh vertices attached to the pivot
         if t + remaining <= n_max:
             child = rows + [1 << p] * remaining
             child[p] |= ((1 << remaining) - 1) << t
-            children.append(tuple(child))
+            if _viable(child, k, g, n_max):
+                children.append(tuple(child))
         blocked = _near_mask(rows, p, g - 2)
-        for w in range(min_w, t):
-            if deg[w] < k and not blocked >> w & 1:
-                rows[p] |= 1 << w
-                rows[w] |= 1 << p
-                deg[w] += 1
-                choose(remaining - 1, w + 1)
-                rows[p] &= ~(1 << w)
-                rows[w] &= ~(1 << p)
-                deg[w] -= 1
+        for w in _one_per_row(rows, [w for w in range(min_w, t)
+                                     if deg[w] < k and not blocked >> w & 1]):
+            rows[p] |= 1 << w
+            rows[w] |= 1 << p
+            deg[w] += 1
+            choose(remaining - 1, w + 1)
+            rows[p] &= ~(1 << w)
+            rows[w] &= ~(1 << p)
+            deg[w] -= 1
 
     choose(k - deg[p], p + 1)
     return children
@@ -424,6 +474,8 @@ def generate(config: SearchConfig) -> SearchOutcome:
         shares = [s for s in shares if s]
         if budget is not None:
             budget = max(1, budget // len(shares))
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=config.worker_count) as pool:
             parts = list(pool.map(_run_frontier, shares, [cfg_key] * len(shares),
                                   [budget] * len(shares), [memo] * len(shares)))

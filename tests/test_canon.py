@@ -101,7 +101,8 @@ def test_partition_agrees_with_global_minimum_certificate():
 
 def test_symmetric_graphs_terminate_quickly():
     for g in (complete_graph(12), complete_bipartite_graph(6, 6), cycle_graph(24),
-              petersen_graph(), dodecahedron_graph(), heawood_graph()):
+              petersen_graph(), dodecahedron_graph(), heawood_graph(),
+              GraphBuilder(40).freeze()):  # all twins: one branch per level
         s = canonical_graph6(g)
         assert len(s) >= 1
 
@@ -178,3 +179,42 @@ def test_canonical_form_is_pinned():
     graphs += [_random_cubic(rng, rng.randrange(4, 25, 2)) for _ in range(40)]
     lines = "\n".join(canonical_graph6(g) for g in graphs)
     assert hashlib.sha256(lines.encode()).hexdigest()[:16] == "78c45e49c21443fd"
+
+
+def _twin_rich_graphs(rng):
+    # complete bipartite graphs, the quartic girth-4 classes, and random
+    # graphs with planted twins: groups of leaves on one vertex, and copies
+    # of a vertex's neighbourhood
+    from girthlab import SearchConfig, generate, parse_graph6
+
+    graphs = [complete_bipartite_graph(a, b) for a in range(1, 6) for b in range(a, 7)]
+    out = generate(SearchConfig(k=4, g=4, n_max=12))
+    graphs += [parse_graph6(s) for n in sorted(out.classes_graph6)
+               for s in out.classes_graph6[n]]
+    for _ in range(60):
+        n = rng.randrange(3, 11)
+        edges = {(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.4}
+        for _ in range(rng.randrange(1, 4)):
+            anchor = rng.randrange(n)
+            for _ in range(rng.randrange(2, 4)):
+                edges.add((anchor, n))
+                n += 1
+        for _ in range(rng.randrange(0, 3)):
+            v = rng.randrange(n)
+            edges |= {(w, n) for w in range(n) if (min(v, w), max(v, w)) in edges}
+            n += 1
+        graphs.append(graph_from_edges(n, sorted(edges)))
+    return graphs
+
+
+def test_canonical_form_of_twin_rich_graphs_is_pinned():
+    # digest as first pinned, before canonize skipped twin branches: twins
+    # are swapped by an automorphism, so skipping them keeps every form
+    rng = random.Random(2099)
+    lines = []
+    for g in _twin_rich_graphs(rng):
+        lines.append(canonical_graph6(g))
+        lines.append(canonical_graph6(g, colors=[rng.randrange(2) for _ in range(g.n)]))
+        lines.append(canonical_graph6(g, colors=[r.bit_count() % 3 for r in g.rows]))
+    assert len(lines) == 3 * 97
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16] == "0ff649b07e32ffa0"

@@ -61,6 +61,19 @@ def test_shell_sizes():
     assert shell_decompose(cycle_graph(5), 2).sizes() == (2, 2, 0)
 
 
+def test_second_shell_size_is_asserted_on_every_call():
+    from girthlab.girth import second_shell_size
+
+    assert second_shell_size(petersen_graph()) == 6
+    assert second_shell_size(heawood_graph()) == 6
+    assert second_shell_size(complete_graph(4)) is None  # girth 3
+    assert second_shell_size(path_graph(5)) is None  # not regular
+    # a size the caller worked out is still checked against the shell
+    assert shell_decompose(petersen_graph(), 0, 6).sizes() == (3, 6, 0)
+    with pytest.raises(InternalInconsistency):
+        shell_decompose(petersen_graph(), 0, 5)
+
+
 def test_shells_partition_and_match_bfs_oracle():
     rng = random.Random(4)
     from naive_oracles import exterior, shell

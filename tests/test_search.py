@@ -92,8 +92,8 @@ def test_published_counts():
     out = generate(SearchConfig(k=3, g=5, n_max=16))
     assert out.per_n_classes == {n: c for n, c in CUBIC_GIRTH5.items() if n <= 16}
     # OEIS A033886: connected quartic graphs of girth >= 4
-    out = generate(SearchConfig(k=4, g=4, n_max=12))
-    assert out.per_n_classes == {8: 1, 10: 2, 11: 2, 12: 12}
+    out = generate(SearchConfig(k=4, g=4, n_max=13))
+    assert out.per_n_classes == {8: 1, 10: 2, 11: 2, 12: 12, 13: 31}
 
 
 @pytest.mark.slow
@@ -124,7 +124,51 @@ def test_node_count_of_memoised_tree():
     # the machine-independent cost of a search: it moves only when the
     # growth rule or the partial-state memo changes
     out = generate(SearchConfig(k=3, g=5, n_max=14))
-    assert out.nodes_expanded == 378 and out.total_classes == 12
+    assert out.nodes_expanded == 291 and out.total_classes == 12
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(k=3, g=5, n_max=14),
+    dict(k=4, g=4, n_max=12),
+    dict(k=3, g=6, n_max=16),
+    dict(k=3, g=5, n_max=12, girth_mode=GIRTH_EXACT, lambda_filter=6),
+])
+def test_pruning_keeps_every_class(monkeypatch, kwargs):
+    # the lookahead check and the twin rule only drop branches without a
+    # new class: switched off, the search emits the same bytes
+    pruned = generate(SearchConfig(**kwargs))
+    monkeypatch.setattr(search, "_viable", lambda rows, k, g, n_max: True)
+    monkeypatch.setattr(search, "_one_per_row", lambda rows, candidates: candidates)
+    plain = generate(SearchConfig(**kwargs))
+    assert pruned.classes_graph6 == plain.classes_graph6
+    assert pruned.hits_graph6 == plain.hits_graph6
+    assert pruned.nodes_expanded < plain.nodes_expanded
+
+
+def test_viability_check_on_small_states():
+    # cubic; a path on 4 vertices plus an isolated vertex misses 9 stubs,
+    # an odd number, which no fresh slot can fix when n_max = 5
+    path4 = [0b0010, 0b0101, 0b1010, 0b0100]
+    assert search._viable(path4, 3, 3, 8)
+    assert not search._viable(path4 + [0], 3, 3, 5)
+    # the leaves of a claw each miss 2 edges; at girth 4 they lie too close
+    # to one another, so one fresh slot is too few and two are enough
+    claw = [0b1110, 0b0001, 0b0001, 0b0001]
+    assert search._viable(claw, 3, 3, 5)
+    assert not search._viable(claw, 3, 4, 5)
+    assert search._viable(claw, 3, 4, 6)
+
+
+def test_import_does_not_load_the_process_pool():
+    # worker pools are imported only by runs that start workers
+    import subprocess
+    import sys
+
+    code = "import sys, girthlab; print('concurrent.futures.process' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_exact_mode_excludes_higher_girth():
@@ -198,7 +242,7 @@ def test_checkpoint_suspend_and_resume(tmp_path):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("budget", [1, 7, 40])
+@pytest.mark.parametrize("budget", [1, 7, 20])
 def test_budgeted_resume_chain_matches_uninterrupted_run(tmp_path, budget, workers):
     # a resume must neither lose nor duplicate a class, whatever the budget
     # and however the memo was split between workers
@@ -228,8 +272,8 @@ def test_checkpointed_memo_repeats_no_work(tmp_path):
         out = generate(config)
         if not out.suspended:
             break
-    assert first.suspended and calls == 4
-    assert out.nodes_expanded == 378
+    assert first.suspended and calls == 3
+    assert out.nodes_expanded == 291
     assert out.classes_graph6 == generate(SearchConfig(k=3, g=5, n_max=14)).classes_graph6
 
 
