@@ -8,6 +8,12 @@ per-vertex 5-cycle count; audits run with a claimed lambda and report which
 relations that claim satisfies.  Relations whose derivation needs only the
 girth and regularity are asserted outright: their failure means an engine
 bug, not an interesting finding.
+
+The public outer-edge, containment and case audits validate their graph,
+decompose the shells they need and hand them to private kernels.
+`audit_graph` runs the same kernels on shared inputs: the graph is
+validated once per graph, shells are decomposed once per root and
+containment is scanned once per root, however many exterior pairs use them.
 """
 from __future__ import annotations
 
@@ -83,7 +89,11 @@ def audit_outer_edges(g: Graph, u: int, lam: int) -> OuterEdgeAudit:
     asserted as well; it cannot fail on a regular girth-5 graph.
     """
     k = _require_girth5_regular(g)
-    shells = shell_decompose(g, u, k * (k - 1))
+    return _outer_edges(g, k, shell_decompose(g, u, k * (k - 1)), lam)
+
+
+def _outer_edges(g: Graph, k: int, shells, lam: int) -> OuterEdgeAudit:
+    u = shells.root
     outer = _between(g, shells.n2, shells.n3plus)
     inner = edges_inside(g.rows, shells.n2)
     if (k - 1) * shells.n2.bit_count() != 2 * inner + outer:
@@ -110,7 +120,10 @@ class MainPropertyAudit:
 
 def audit_main_property(g: Graph, u: int) -> MainPropertyAudit:
     k = _require_girth5_regular(g)
-    shells = shell_decompose(g, u, k * (k - 1))
+    return _main_property(g, shell_decompose(g, u, k * (k - 1)))
+
+
+def _main_property(g: Graph, shells) -> MainPropertyAudit:
     n2 = bit_list(shells.n2)
     found = []
     for i, v1 in enumerate(n2):
@@ -118,7 +131,7 @@ def audit_main_property(g: Graph, u: int) -> MainPropertyAudit:
             common = g.rows[v1] & g.rows[v2] & shells.n3plus
             for w in bits(common):
                 found.append((v1, v2, w))
-    return MainPropertyAudit(u, tuple(found))
+    return MainPropertyAudit(shells.root, tuple(found))
 
 
 def _check_v_exterior(g: Graph, shells, v: int) -> None:
@@ -176,13 +189,17 @@ def audit_case_a(g: Graph, u: int, v: int, lam: int) -> CaseAPartition:
     k = _require_girth5_regular(g)
     shells_u = shell_decompose(g, u, k * (k - 1))
     _check_v_exterior(g, shells_u, v)
+    return _case_a(g, k, shells_u, shell_decompose(g, v, k * (k - 1)), lam)
+
+
+def _case_a(g: Graph, k: int, shells_u, shells_v, lam: int) -> CaseAPartition:
+    u, v = shells_u.root, shells_v.root
     if (g.rows[v] & shells_u.n2).bit_count() < 2:
         raise CaseMismatch(
             f"v={v} has fewer than two neighbours in N2({u}): second stage applies"
         )
     two_eps = k * (k - 1) ** 2 - 2 * lam
 
-    shells_v = shell_decompose(g, v, k * (k - 1))
     n2v = shells_v.n2
     if n2v >> u & 1:
         raise InternalInconsistency("root inside N2(v) for an exterior v")
@@ -297,12 +314,19 @@ def audit_case_b(g: Graph, u: int, v: int, lam: int) -> CaseBPartition:
     k = _require_girth5_regular(g)
     shells_u = shell_decompose(g, u, k * (k - 1))
     _check_v_exterior(g, shells_u, v)
+    return _case_b(g, k, shells_u, shell_decompose(g, v, k * (k - 1)), lam,
+                   _main_property(g, shells_u))
+
+
+def _case_b(g: Graph, k: int, shells_u, shells_v, lam: int,
+            containment: MainPropertyAudit) -> CaseBPartition:
+    u, v = shells_u.root, shells_v.root
     contacts = g.rows[v] & shells_u.n2
     if contacts.bit_count() == 0:
         raise CaseMismatch(f"v={v} is beyond distance 3 from {u}")
     if contacts.bit_count() > 1:
         raise CaseMismatch(f"v={v} has several second-shell neighbours: first stage applies")
-    violations = audit_main_property(g, u).violations
+    violations = containment.violations
     if violations:
         raise PropertyViolated(
             f"containment property fails at root {u}; first witness {violations[0]}"
@@ -317,7 +341,6 @@ def audit_case_b(g: Graph, u: int, v: int, lam: int) -> CaseBPartition:
     u1 = u1_mask.bit_length() - 1
     v_rest = bit_list(g.rows[v] & ~(1 << v_prime))
 
-    shells_v = shell_decompose(g, v, k * (k - 1))
     n2v = shells_v.n2
     va = n2v & shells_u.n1
     if va != 1 << u1:
@@ -519,10 +542,10 @@ class AuditReport:
 
 
 def _audit_at_root(args) -> tuple:
-    g, k, u, lam, pair_filter = args
-    shells = shell_decompose(g, u, k * (k - 1))
-    outer = audit_outer_edges(g, u, lam)
-    mp = audit_main_property(g, u)
+    g, k, shells_of, u, lam, pair_filter = args
+    shells = shells_of[u]
+    outer = _outer_edges(g, k, shells, lam)
+    mp = _main_property(g, shells)
     case_a: list[CaseAPartition] = []
     case_b: list[CaseBPartition] = []
     skipped: list[tuple[int, int, str]] = []
@@ -532,10 +555,10 @@ def _audit_at_root(args) -> tuple:
             continue
         contacts = (g.rows[v] & shells.n2).bit_count()
         if contacts >= 2:
-            case_a.append(audit_case_a(g, u, v, lam))
+            case_a.append(_case_a(g, k, shells, shells_of[v], lam))
         elif contacts == 1:
             if mp.holds:
-                case_b.append(audit_case_b(g, u, v, lam))
+                case_b.append(_case_b(g, k, shells, shells_of[v], lam, mp))
             else:
                 skipped.append((u, v, "containment property fails at this root"))
         else:
@@ -554,8 +577,11 @@ def audit_graph(
     `lam` defaults to the measured common per-vertex count; passing a
     different value exercises the forged-claim paths.  `scope` is "all" or
     ("sample", count, seed) to restrict the exterior pairs audited;
-    outer-edge and containment audits always run at every root.
+    outer-edge and containment audits always run at every root.  `workers`
+    > 1 spreads the roots over that many processes.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     is_reg, k = regularity(g)
     if not is_connected(g):
         raise NotEligible("audit needs a connected graph")
@@ -577,25 +603,25 @@ def audit_graph(
     if lam is None:
         lam = true_lam
 
+    shells_of = [shell_decompose(g, u, k * (k - 1)) for u in range(g.n)]
     pair_filter = None
     if scope != "all":
         kind, count, seed = scope
         if kind != "sample":
             raise ValueError(f"scope must be 'all' or ('sample', count, seed), got {scope!r}")
-        pairs = []
-        for u in range(g.n):
-            shells = shell_decompose(g, u, k * (k - 1))
-            pairs.extend((u, v) for v in bit_list(shells.n3plus))
+        pairs = [(s.root, v) for s in shells_of for v in bit_list(s.n3plus)]
         rng = random.Random(seed)
         pair_filter = set(pairs if count >= len(pairs) else rng.sample(pairs, count))
 
     report = AuditReport(graph6=write_graph6(g), n=g.n, k=k, lam=lam)
-    tasks = [(g, k, u, lam, pair_filter) for u in range(g.n)]
+    tasks = [(g, k, shells_of, u, lam, pair_filter) for u in range(g.n)]
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
+        # one chunk per worker: g and the shells are pickled once a chunk
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_audit_at_root, tasks))
+            results = list(pool.map(_audit_at_root, tasks,
+                                    chunksize=-(-g.n // workers)))
     else:
         results = [_audit_at_root(t) for t in tasks]
 

@@ -69,14 +69,18 @@ def _read_inputs(source: str) -> list[tuple[str, Graph]]:
     return graphs
 
 
-def _too_many_workers(command: str, workers: int) -> bool:
-    """Report a worker count above the machine's CPU count, which would
-    only oversubscribe it; True means the command must refuse to run."""
+def _bad_workers(command: str, workers: int) -> bool:
+    """Report a worker count below 1, or above the machine's CPU count,
+    which would only oversubscribe it; True means the command must refuse
+    to run."""
     cpus = os.cpu_count() or 1
-    if workers <= cpus:
+    if workers < 1:
+        print(f"{command}: --workers {workers} must be at least 1", file=sys.stderr)
+    elif workers > cpus:
+        print(f"{command}: --workers {workers} exceeds the {cpus} CPUs of this machine",
+              file=sys.stderr)
+    else:
         return False
-    print(f"{command}: --workers {workers} exceeds the {cpus} CPUs of this machine",
-          file=sys.stderr)
     return True
 
 
@@ -202,7 +206,7 @@ def _audit_dict(report: AuditReport, full: bool) -> dict:
 
 
 def cmd_audit(args) -> int:
-    if _too_many_workers("audit", args.workers):
+    if _bad_workers("audit", args.workers):
         return EXIT_INPUT
     try:
         graphs = _read_inputs(args.input)
@@ -250,7 +254,7 @@ def cmd_audit(args) -> int:
 
 
 def cmd_search(args) -> int:
-    if _too_many_workers("search", args.workers):
+    if _bad_workers("search", args.workers):
         return EXIT_INPUT
     mode = GIRTH_EXACT if args.girth_mode == "exact" else GIRTH_AT_LEAST
     parameters = {

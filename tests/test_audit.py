@@ -1,4 +1,6 @@
+import hashlib
 from collections import Counter
+from itertools import permutations
 
 import pytest
 
@@ -18,6 +20,7 @@ from girthlab import (
     cycle_graph,
     dodecahedron_graph,
     generate,
+    graph_from_edges,
     girth_profile,
     heawood_graph,
     parse_graph6,
@@ -271,9 +274,9 @@ def test_audit_graph_dodecahedron_counts():
 def test_audit_graph_workers_match():
     seq = audit_graph(dodecahedron_graph())
     par = audit_graph(dodecahedron_graph(), workers=2)
-    assert seq.all_passed == par.all_passed
-    assert [o.outer_edges_found for o in seq.outer] == [o.outer_edges_found for o in par.outer]
-    assert len(seq.case_b) == len(par.case_b)
+    assert seq.all_passed and seq == par
+    with pytest.raises(ValueError):
+        audit_graph(dodecahedron_graph(), workers=0)
 
 
 def test_audit_graph_sampled_scope_deterministic():
@@ -298,3 +301,83 @@ def test_perturbation_flips_audits():
             report = audit_graph(g, lam=lam + delta)
             assert not report.all_passed
             assert report.first_failure is not None
+
+
+def _cayley_a5(involution, rotation):
+    # cubic Cayley graph of A5 on {involution, rotation, rotation^-1}
+    even = [p for p in permutations(range(5))
+            if sum(p[i] > p[j] for i in range(5) for j in range(i + 1, 5)) % 2 == 0]
+    index = {p: i for i, p in enumerate(even)}
+    inverse = tuple(rotation.index(i) for i in range(5))
+    edges = {tuple(sorted((index[p], index[tuple(p[s[i]] for i in range(5))])))
+             for p in even for s in (involution, rotation, inverse)}
+    return graph_from_edges(len(even), sorted(edges))
+
+
+def test_audit_report_is_pinned():
+    # digest of whole reports as first pinned, before the audit shared its
+    # per-graph validation and per-root shells: the true count, both forged
+    # neighbours and one sampled scope.  The n = 14 corpus has no
+    # vertex-girth-regular class, so its refusals are pinned instead; the
+    # two Cayley graphs of A5 cover case A (with containment failing at
+    # every root) and case B
+    graphs = [petersen_graph(), dodecahedron_graph(),
+              _cayley_a5((1, 0, 3, 2, 4), (1, 3, 4, 2, 0)),
+              _cayley_a5((0, 2, 1, 4, 3), (1, 3, 4, 2, 0))]
+    lines, kinds = [], []
+    for g in graphs:
+        lam = girth_profile(g).per_vertex[0]
+        reports = [audit_graph(g, lam=lam + delta) for delta in (0, -1, 1)]
+        reports.append(audit_graph(g, scope=("sample", 50, 3)))
+        lines += map(repr, reports)
+        kinds.append((len(reports[0].case_a), len(reports[0].case_b),
+                      len(reports[0].skipped_pairs)))
+    for g in _cubic_girth5_corpus():
+        with pytest.raises(NotEligible) as refusal:
+            audit_graph(g)
+        lines.append(str(refusal.value))
+    assert kinds[2:] == [(120, 0, 360), (0, 600, 0)]
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16] == "8a838097977ba1f2"
+
+
+def test_audit_graph_records_match_public_functions():
+    # every record of audit_graph is what the per-pair public function
+    # returns for that pair; pairs at roots where containment fails are
+    # skipped, and the public case-B audit refuses them
+    graphs = [dodecahedron_graph(), _cayley_a5((1, 0, 3, 2, 4), (1, 3, 4, 2, 0))]
+    for g in graphs:
+        lam = girth_profile(g).per_vertex[0]
+        for claimed in (lam, lam + 1):
+            report = audit_graph(g, lam=claimed)
+            assert report.outer == [audit_outer_edges(g, u, claimed) for u in range(g.n)]
+            assert report.main_property == [audit_main_property(g, u) for u in range(g.n)]
+            for part in report.case_a:
+                assert part == audit_case_a(g, part.root, part.v, claimed)
+            for part in report.case_b:
+                assert part == audit_case_b(g, part.root, part.v, claimed)
+            for u, v, _ in report.skipped_pairs:
+                with pytest.raises(PropertyViolated):
+                    audit_case_b(g, u, v, claimed)
+            audited = len(report.case_a) + len(report.case_b) + len(report.skipped_pairs)
+            assert audited + report.far_pairs == sum(
+                shell_decompose(g, u).n3plus.bit_count() for u in range(g.n))
+
+
+def test_audit_graph_validates_once_and_decomposes_once_per_root(monkeypatch):
+    import girthlab.audit as audit_module
+
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("regularity", "shell_decompose"):
+        monkeypatch.setattr(audit_module, name, counted(name, getattr(audit_module, name)))
+    audit_graph(dodecahedron_graph())
+    assert calls == {"regularity": 1, "shell_decompose": 20}
+    calls.clear()
+    audit_graph(dodecahedron_graph(), scope=("sample", 30, 11))
+    assert calls == {"regularity": 1, "shell_decompose": 20}

@@ -193,6 +193,17 @@ def test_workers_above_cpu_count_rejected(capsys, monkeypatch, command):
     assert code == 2 and out == "" and "--workers 3" in err
 
 
+@pytest.mark.parametrize("workers", ["0", "-1"])
+@pytest.mark.parametrize("command", [
+    ("search", "--k", "3", "--max-n", "10"),
+    ("audit", "named:dodecahedron"),
+])
+def test_non_positive_workers_rejected(capsys, command, workers):
+    code, out, err = run_cli(capsys, *command, "--workers", workers)
+    assert code == 2 and out == ""
+    assert f"--workers {workers} must be at least 1" in err
+
+
 def test_search_epsilon2_reports_the_search_it_ran(capsys):
     code, out, _ = run_cli(capsys, "search", "--k", "3", "--g", "7",
                            "--girth-mode", "at-least", "--max-n", "10", "--epsilon2", "2")
