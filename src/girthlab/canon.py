@@ -2,13 +2,21 @@
 over cells.
 
 The certificate is the lexicographically minimal adjacency bitstring over
-all labellings consistent with the refinement tree; equal certificates
-characterise isomorphic graphs because the certificate reconstructs the
-graph.  Discovered automorphisms prune branches that fix the current
-individualisation prefix.  So do twins, vertices with equal rows: two twins
-in one cell are swapped by an automorphism that fixes every other vertex,
-so a candidate with the row of a candidate already tried or reached is
-skipped.  Whether any twins exist is decided once per call, so twin-free
+all labellings consistent with the refinement tree, which starts from the
+degree partition; equal certificates characterise isomorphic graphs
+because the certificate reconstructs the graph.  There is one canonical
+form: no vertex colours are taken, so the search's classes, memo keys and
+`are_isomorphic` all compare the same strings.
+
+Two leaves with equal certificates give an automorphism, the map from the
+first leaf's order to the second's.  A dict from certificate to the order
+of the first leaf that gave it records one for every repeated certificate,
+until `_MAX_STORED_AUTS` are stored; the least certificate is read off the
+dict at the end.  Discovered automorphisms prune branches that fix the
+current individualisation prefix.  So do twins, vertices with equal rows:
+two twins in one cell are swapped by an automorphism that fixes every other
+vertex, so a candidate with the row of a candidate already tried or reached
+is skipped.  Whether any twins exist is decided once per call, so twin-free
 graphs (every regular graph of girth at least 5) pay nothing for it; the
 fresh vertices of a partial search state are twins.
 
@@ -104,36 +112,29 @@ def _certificate(nbrs: Sequence[Sequence[int]], order: Sequence[int]) -> int:
 _MAX_STORED_AUTS = 256
 
 
-def canonize(
-    rows: Sequence[int], colors: Sequence[object] | None = None
-) -> tuple[tuple[int, ...], int]:
+def canonize(rows: Sequence[int]) -> tuple[tuple[int, ...], int]:
     """Return (order, certificate) minimising the adjacency bitstring.
 
-    ``order[p]`` is the original vertex placed at position p.  `colors`
-    is an optional isomorphism-invariant per-vertex value (for example
-    girth-cycle counts); vertices are pre-partitioned by it, which keeps
-    the backtracking tree small on rigid graphs.
+    ``order[p]`` is the original vertex placed at position p.  Vertices
+    start partitioned by degree.
     """
     n = len(rows)
     if n == 0:
         return (), 0
-    if colors is None:
-        colors = [rows[v].bit_count() for v in range(n)]
-    groups: dict[object, list[int]] = {}
+    groups: dict[int, list[int]] = {}
     for v in range(n):
-        groups.setdefault(colors[v], []).append(v)
-    cells = [groups[c] for c in sorted(groups)]
+        groups.setdefault(rows[v].bit_count(), []).append(v)
+    cells = [groups[d] for d in sorted(groups)]
     nbrs = [list(bits(r)) for r in rows]
     # decided once per call: twin-free graphs skip the row check below
     twins = len(set(rows)) < n
 
-    best_cert: int | None = None
-    best_order: tuple[int, ...] | None = None
+    # certificate -> order of the first leaf that gave it
+    leaves: dict[int, tuple[int, ...]] = {}
     auts: list[tuple[int, ...]] = []
 
     def descend(cells: list[list[int]], prefix: tuple[int, ...],
                 fresh: list[int]) -> None:
-        nonlocal best_cert, best_order
         cells = _refine(nbrs, cells, fresh)
         target = None
         for idx, cell in enumerate(cells):
@@ -141,15 +142,14 @@ def canonize(
                 target = idx
         if target is None:
             order = tuple(c[0] for c in cells)
-            cert = _certificate(nbrs, order)
-            if best_cert is None or cert < best_cert:
-                best_cert, best_order = cert, order
-            elif cert == best_cert and order != best_order:
+            first = leaves.setdefault(_certificate(nbrs, order), order)
+            if first != order and len(auts) < _MAX_STORED_AUTS:
+                # equal certificates: first[p] -> order[p] is an automorphism
                 gamma = [0] * n
                 for p in range(n):
-                    gamma[best_order[p]] = order[p]
+                    gamma[first[p]] = order[p]
                 gamma = tuple(gamma)
-                if len(auts) < _MAX_STORED_AUTS and gamma not in auts:
+                if gamma not in auts:
                     auts.append(gamma)
             return
         cell = cells[target]
@@ -183,10 +183,10 @@ def canonize(
             if twins:
                 reached_rows = {rows[u] for u in reached}
 
-    # colour classes promise nothing about counts: every cell is a splitter
+    # degree classes promise nothing about counts: every cell is a splitter
     descend(cells, (), list(range(len(cells))))
-    assert best_order is not None
-    return best_order, best_cert
+    best_cert = min(leaves)
+    return leaves[best_cert], best_cert
 
 
 def relabel(g: Graph, order: Sequence[int]) -> Graph:
@@ -203,11 +203,11 @@ def relabel(g: Graph, order: Sequence[int]) -> Graph:
     return graph_from_rows(new_rows)
 
 
-def canonical_graph6(g: Graph, colors: Sequence[object] | None = None) -> str:
+def canonical_graph6(g: Graph) -> str:
     """graph6 line of the canonically relabelled graph: the dedup key for
     isomorphism classes.  The certificate already holds the payload bits in
     graph6 order; only the zero padding to a multiple of six is added."""
-    _, cert = canonize(g.rows, colors=colors)
+    _, cert = canonize(g.rows)
     width = g.n * (g.n - 1) // 2
     pad = -width % 6
     return _encode_order(g.n) + _pack_bits(cert << pad, width + pad)

@@ -19,25 +19,29 @@ isomorphic.  Both are sound under the memo below: a dropped child has no
 completion, or has the completions of an emitted sibling up to isomorphism,
 so every class is still met, and the memo only ever holds keys of states
 that were expanded.  Neither cut changes the canonical form or what a memo
-key means, so the frontier and memo of a format-3 checkpoint written before
-them are still valid input and `CHECKPOINT_MAGIC` stays at 3.
+key means.
 
 Isomorph rejection on partial states: the complete graphs reachable from a
 partial state are all k-regular girth-compatible supergraphs that add edges
 only at its unsaturated vertices, and neither the pivot order nor the labels
 of fresh vertices restricts which those are.  They therefore depend only on
 the isomorphism class of the state.  The depth-first search keys every
-popped state on its uncoloured canonical graph6 and expands only the first
-state of each class, so every class of complete graphs is met at exactly one
-leaf.  The memo holds the keys of expanded states only, and every child of
+popped state on its canonical graph6 and expands only the first state of
+each class, so every class of complete graphs is met at exactly one leaf.
+The memo holds the keys of expanded states only, and every child of
 an expanded state is either processed or still open, so the memo stays
 valid across a suspension: checkpoints store it next to the open frontier,
 and a resumed run skips what earlier runs expanded.  Workers start from the
 memo of the split phase (or of the checkpoint) and each grow their own copy,
 so a split run may repeat work but never loses a class; their memos are
-merged when the run is checkpointed.  A complete
-graph is emitted as its canonical graph6 coloured by per-vertex girth-cycle
-counts; that string is the class in outputs and checkpoints.
+merged when the run is checkpointed.
+
+A complete graph is emitted as its memo key, the canonical graph6 that
+`canonical_graph6` and `are_isomorphic` also compute; that string is the
+class in outputs and checkpoints.  Equal keys mean isomorphic graphs, so a
+class met by two workers is still emitted once.  Format 4 of the
+checkpoint stores these keys; format 3 stored classes canonised with
+girth-cycle counts as vertex colours, and is refused.
 """
 from __future__ import annotations
 
@@ -45,10 +49,10 @@ import json
 import os
 import tempfile
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .canon import canonical_graph6
-from .core import Graph, bits, edges_inside, is_connected
+from .core import Graph, bits, is_connected
 from .errors import GirthLabError, InternalInconsistency
 from .formats import parse_graph6, write_graph6
 from .girth import girth, girth_profile
@@ -57,7 +61,7 @@ from .classify import vertex_cycle_bound
 GIRTH_EXACT = "exact"
 GIRTH_AT_LEAST = "at_least"
 
-CHECKPOINT_MAGIC = "#girthlab-checkpoint 3"
+CHECKPOINT_MAGIC = "#girthlab-checkpoint 4"
 
 
 def default_order_cap(k: int) -> int:
@@ -98,6 +102,8 @@ class SearchConfig:
             raise ValueError("lambda_filter must be nonnegative")
         if self.worker_count < 1:
             raise ValueError("worker_count must be at least 1")
+        if self.node_budget is not None and self.node_budget < 1:
+            raise ValueError(f"node_budget must be at least 1, got {self.node_budget}")
 
     def _key(self) -> dict:
         return {
@@ -220,55 +226,10 @@ def _children(state: Rows, k: int, g: int, n_max: int) -> list[Rows] | None:
     return children
 
 
-def _second_shell_counts(rows: Rows) -> list[int]:
-    """Per-vertex count of edges inside the second shell; equals the number
-    of 5-cycles through the vertex whenever the girth is 5."""
-    counts = []
-    for v, n1 in enumerate(rows):
-        n2 = 0
-        for w in bits(n1):
-            n2 |= rows[w]
-        counts.append(edges_inside(rows, n2 & ~n1 & ~(1 << v)))
-    return counts
-
-
-def _assert_girth_at_least_5(rows: Rows) -> None:
-    n = len(rows)
-    for v in range(n):
-        for w in bits(rows[v] >> (v + 1)):
-            if rows[v] & rows[v + 1 + w]:
-                raise InternalInconsistency("girth pruning admitted a triangle")
-    for v in range(n):
-        for w in range(v + 1, n):
-            if (rows[v] & rows[w]).bit_count() > 1 and not rows[v] >> w & 1:
-                raise InternalInconsistency("girth pruning admitted a 4-cycle")
-
-
-def _evaluate_complete(state: Rows, cfg_key: dict) -> tuple[int, str, bool] | None:
-    """Classify a saturated graph: (order, count-coloured canonical graph6,
-    passes filter), or None for exact-girth rejections."""
-    n = len(state)
-    target = cfg_key["g"]
-    if target == 5:
-        _assert_girth_at_least_5(state)
-        counts = _second_shell_counts(state)
-        if not any(counts):
-            # no 5-cycle at all: the girth is at least 6
-            if cfg_key["girth_mode"] == GIRTH_EXACT:
-                return None
-            return _evaluate_general(state, cfg_key)
-    else:
-        return _evaluate_general(state, cfg_key)
-    g = Graph(n, state)
-    if not is_connected(g):
-        raise InternalInconsistency("grown graph is disconnected")
-    cert = canonical_graph6(g, colors=counts)
-    lam = cfg_key["lambda_filter"]
-    hit = lam is not None and len(set(counts)) == 1 and counts[0] == lam
-    return n, cert, hit
-
-
-def _evaluate_general(state: Rows, cfg_key: dict) -> tuple[int, str, bool] | None:
+def _evaluate(state: Rows, cfg_key: dict) -> bool | None:
+    """Check a saturated graph and apply the filter: whether it is a hit,
+    or None for an exact-girth rejection.  The girth-cycle profile is
+    computed, and validated, only when a count is filtered on."""
     g = Graph(len(state), state)
     if not is_connected(g):
         raise InternalInconsistency("grown graph is disconnected")
@@ -277,20 +238,22 @@ def _evaluate_general(state: Rows, cfg_key: dict) -> tuple[int, str, bool] | Non
         raise InternalInconsistency("girth pruning admitted a short cycle")
     if cfg_key["girth_mode"] == GIRTH_EXACT and gr != cfg_key["g"]:
         return None
-    profile = girth_profile(g)
-    counts = list(profile.per_vertex)
-    cert = canonical_graph6(g, colors=counts)
     lam = cfg_key["lambda_filter"]
-    hit = False
-    if lam is not None:
-        values = set(counts)
-        hit = len(values) == 1 and values.pop() == lam
-    return g.n, cert, hit
+    return lam is not None and set(girth_profile(g).per_vertex) == {lam}
+
+
+def _record(state: Rows, key: str, cfg_key: dict, classes: set, hits: set) -> None:
+    """File a complete state under its memo key, the class string."""
+    hit = _evaluate(state, cfg_key)
+    if hit is not None:
+        classes.add((len(state), key))
+        if hit:
+            hits.add((len(state), key))
 
 
 def _state_key(state: Rows) -> str:
-    """Uncoloured canonical graph6 of a partial state (degrees are its
-    colours): equal keys mean equal sets of completions."""
+    """Canonical graph6 of a partial state: equal keys mean equal sets of
+    completions."""
     return canonical_graph6(Graph(len(state), state))
 
 
@@ -322,29 +285,22 @@ def _run_frontier(frontier: list[Rows], cfg_key: dict, budget: int | None,
         nodes += 1
         kids = _children(state, k, g, n_max)
         if kids is None:
-            result = _evaluate_complete(state, cfg_key)
-            if result is not None:
-                n, cert, hit = result
-                if (n, cert) in classes:
-                    raise InternalInconsistency(
-                        "two non-isomorphic leaves share a class certificate")
-                classes.add((n, cert))
-                if hit:
-                    hits.add((n, cert))
+            _record(state, key, cfg_key, classes, hits)
             continue
         stack.extend(kids)
     return {"classes": classes, "hits": hits, "nodes": nodes, "memo": seen, "leftover": []}
 
 
 def _split_frontier(cfg_key: dict, target: int,
-                    budget: int | None) -> tuple[list[Rows], list[Rows], set[str]]:
+                    budget: int | None
+                    ) -> tuple[list[Rows], list[tuple[Rows, str]], set[str]]:
     """Breadth-expand from the root, one state per isomorphism class, until
     at least `target` open states exist or `budget` nodes are expanded.
-    Returns the open states, the complete states met on the way, and the
-    memo: the keys of the expanded states, one per node."""
+    Returns the open states, the complete states met on the way with their
+    keys, and the memo: the keys of the expanded states, one per node."""
     root = (0,)
     open_states: list[tuple[Rows, str]] = [(root, _state_key(root))]
-    complete: list[Rows] = []
+    complete: list[tuple[Rows, str]] = []
     seen = {open_states[0][1]}
     memo: set[str] = set()
     while open_states and len(open_states) < target:
@@ -355,7 +311,7 @@ def _split_frontier(cfg_key: dict, target: int,
         memo.add(key)
         kids = _children(state, cfg_key["k"], cfg_key["g"], cfg_key["n_max"])
         if kids is None:
-            complete.append(state)
+            complete.append((state, key))
             continue
         for kid in kids:
             key = _state_key(kid)
@@ -456,13 +412,8 @@ def generate(config: SearchConfig) -> SearchOutcome:
         nodes += spent
         if budget is not None:
             budget -= spent
-        for state in complete:
-            result = _evaluate_complete(state, cfg_key)
-            if result is not None:
-                n, cert, hit = result
-                classes.add((n, cert))
-                if hit:
-                    hits.add((n, cert))
+        for state, key in complete:
+            _record(state, key, cfg_key, classes, hits)
     else:
         frontier = [(0,)]
 

@@ -204,6 +204,15 @@ def test_non_positive_workers_rejected(capsys, command, workers):
     assert f"--workers {workers} must be at least 1" in err
 
 
+@pytest.mark.parametrize("budget", ["0", "-1"])
+def test_non_positive_node_budget_rejected(capsys, tmp_path, budget):
+    path = tmp_path / "frontier.txt"
+    code, out, err = run_cli(capsys, "search", "--k", "3", "--max-n", "12",
+                             "--node-budget", budget, "--checkpoint", str(path))
+    assert code == 2 and out == "" and "node_budget must be at least 1" in err
+    assert not path.exists()
+
+
 def test_search_epsilon2_reports_the_search_it_ran(capsys):
     code, out, _ = run_cli(capsys, "search", "--k", "3", "--g", "7",
                            "--girth-mode", "at-least", "--max-n", "10", "--epsilon2", "2")

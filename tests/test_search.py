@@ -73,6 +73,8 @@ def test_visited_set_is_isomorph_free():
     for n, certs in out.classes_graph6.items():
         normal = {canonical_graph6(parse_graph6(s)) for s in certs}
         assert len(normal) == len(certs)
+        # each class is emitted in the canonical form that are_isomorphic uses
+        assert normal == set(certs)
         for s in certs:
             g = parse_graph6(s)
             assert regularity(g) == (True, 3) and girth(g) >= 4
@@ -110,13 +112,15 @@ def _digest(outcome):
 
 
 @pytest.mark.parametrize("kwargs, digest", [
-    (dict(k=3, g=5, n_max=14), "f62ecedb0822f501"),
-    (dict(k=4, g=4, n_max=11), "83e88028414e2dd4"),
-    (dict(k=3, g=5, n_max=12, girth_mode=GIRTH_EXACT, lambda_filter=6), "237042f006a074e6"),
+    (dict(k=3, g=5, n_max=14), "c587df1844697a61"),
+    (dict(k=4, g=4, n_max=11), "004d243a0a5038e4"),
+    (dict(k=3, g=5, n_max=12, girth_mode=GIRTH_EXACT, lambda_filter=6), "63e297481b1f9027"),
 ])
 def test_emitted_classes_are_byte_stable(kwargs, digest):
     # pinned digests of the emitted class and hit strings: the partial-state
-    # memo changes the work of a search, never its output bytes
+    # memo changes the work of a search, never its output bytes.  Pinned
+    # when classes became canonical_graph6 strings; the same digests come
+    # from the count-coloured classes emitted before, re-canonised and sorted
     assert _digest(generate(SearchConfig(**kwargs))) == digest
 
 
@@ -224,6 +228,9 @@ def test_order_cap_and_validation():
         generate(SearchConfig(k=1, g=5, n_max=8))
     with pytest.raises(ValueError):
         generate(SearchConfig(k=3, g=5, n_max=8, girth_mode="sometimes"))
+    for budget in (0, -3):  # would suspend at once on every call
+        with pytest.raises(ValueError):
+            generate(SearchConfig(k=3, g=5, n_max=12, node_budget=budget))
     out = generate(SearchConfig(k=3, g=5, n_max=3))
     assert out.per_n_classes == {}  # below the least possible order
 
@@ -283,10 +290,10 @@ def test_checkpoint_rejects_older_format(tmp_path):
     path = tmp_path / "frontier.txt"
     generate(SearchConfig(k=3, g=5, n_max=12, node_budget=20, checkpoint_path=str(path)))
     lines = path.read_text().splitlines()
-    assert lines[0] == search.CHECKPOINT_MAGIC
-    # a format-2 file: the same lines without the memo
-    path.write_text("\n".join(["#girthlab-checkpoint 2"]
-                              + [l for l in lines[1:] if not l.startswith("#memo ")]) + "\n")
+    assert lines[0] == search.CHECKPOINT_MAGIC == "#girthlab-checkpoint 4"
+    assert any(line.startswith("#memo ") for line in lines)
+    # a format-3 file, memo included: its classes were count-coloured forms
+    path.write_text("\n".join(["#girthlab-checkpoint 3"] + lines[1:]) + "\n")
     with pytest.raises(GirthLabError):
         generate(SearchConfig(k=3, g=5, n_max=12, checkpoint_path=str(path)))
 
