@@ -30,16 +30,18 @@ within any cell its counts equal the constant count against the old cell
 minus the counts against the earlier fragments.  Neither kind of cell can
 therefore separate two vertices that the splitters before it in cell order
 do not, so the partition, its cell order and the certificate are the same
-as from counting against every cell.  The canonical graph6 line is read
-straight off the certificate, which packs the upper triangle in graph6
-payload order.
+as from counting against every cell.
+
+A leaf's certificate is `formats.pack_payload` of its order, the graph6
+payload of the relabelled graph, so the canonical graph6 line is read
+straight off the least certificate; `formats` owns that layout.
 """
 from __future__ import annotations
 
 from typing import Sequence
 
 from .core import Graph, bits, graph_from_rows
-from .formats import _encode_order, _pack_bits
+from .formats import graph6_line, pack_payload
 
 
 def _refine(nbrs: Sequence[Sequence[int]], cells: list[list[int]],
@@ -90,25 +92,6 @@ def _refine(nbrs: Sequence[Sequence[int]], cells: list[list[int]],
     return cells
 
 
-def _certificate(nbrs: Sequence[Sequence[int]], order: Sequence[int]) -> int:
-    """Upper-triangle adjacency bits (column-major) of the relabelled
-    graph, packed into one int: column j holds bit (i, j) for i < j, with
-    i = 0 most significant."""
-    n = len(order)
-    # vertex order[i] sits at bit n-1-i, so the top j bits of a relabelled
-    # row are column j with i = 0 first
-    flipped = [0] * n
-    for i, v in enumerate(order):
-        flipped[v] = 1 << (n - 1 - i)
-    acc = 0
-    for j in range(1, n):
-        col = 0
-        for w in nbrs[order[j]]:
-            col |= flipped[w]
-        acc = acc << j | col >> (n - j)
-    return acc
-
-
 _MAX_STORED_AUTS = 256
 
 
@@ -142,7 +125,7 @@ def canonize(rows: Sequence[int]) -> tuple[tuple[int, ...], int]:
                 target = idx
         if target is None:
             order = tuple(c[0] for c in cells)
-            first = leaves.setdefault(_certificate(nbrs, order), order)
+            first = leaves.setdefault(pack_payload(nbrs, order), order)
             if first != order and len(auts) < _MAX_STORED_AUTS:
                 # equal certificates: first[p] -> order[p] is an automorphism
                 gamma = [0] * n
@@ -205,12 +188,8 @@ def relabel(g: Graph, order: Sequence[int]) -> Graph:
 
 def canonical_graph6(g: Graph) -> str:
     """graph6 line of the canonically relabelled graph: the dedup key for
-    isomorphism classes.  The certificate already holds the payload bits in
-    graph6 order; only the zero padding to a multiple of six is added."""
-    _, cert = canonize(g.rows)
-    width = g.n * (g.n - 1) // 2
-    pad = -width % 6
-    return _encode_order(g.n) + _pack_bits(cert << pad, width + pad)
+    isomorphism classes.  The certificate is the graph6 payload already."""
+    return graph6_line(g.n, canonize(g.rows)[1])
 
 
 def are_isomorphic(g1: Graph, g2: Graph) -> bool:

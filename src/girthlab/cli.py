@@ -218,9 +218,12 @@ def cmd_audit(args) -> int:
         try:
             body = args.scope.split(":", 1)[1]
             count, seed = (int(x) for x in body.split(","))
+            if count < 0:
+                raise ValueError(count)
             scope = ("sample", count, seed)
         except (IndexError, ValueError):
-            print(f"audit: bad --scope {args.scope!r}; use all or sample:<n>,<seed>",
+            print(f"audit: bad --scope {args.scope!r}; use all or sample:<n>,<seed> "
+                  "with n >= 0",
                   file=sys.stderr)
             return EXIT_INPUT
 
@@ -406,7 +409,8 @@ def main(argv=None) -> int:
     except InternalInconsistency as exc:
         print(f"girthlab: internal inconsistency: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except GirthLabError as exc:
+    except (GirthLabError, OSError) as exc:
+        # OSError: an output file that cannot be written
         print(f"girthlab: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -6,10 +6,18 @@ each printed as ``chr(group + 63)``.  sparse6 is an edge-list bit stream of
 (b, x) pairs behind a ``:`` prefix.  Both tolerate the optional
 ``>>graph6<<`` / ``>>sparse6<<`` headers on input; output never carries a
 header.  Padding bits must be zero for graph6 and one for sparse6.
+
+This module owns the graph6 payload layout.  `pack_payload` is its one
+encoder: it packs the upper triangle of a relabelled graph into one int,
+which `write_graph6` takes under the identity order and
+`canon.canonical_graph6` takes as the canonical certificate, and
+`graph6_line` pads either into a line.  `parse_graph6` is its one decoder.
 """
 from __future__ import annotations
 
-from .core import Graph, GraphBuilder, max_vertices
+from typing import Iterable, Sequence
+
+from .core import Graph, GraphBuilder, bit_list, bits, max_vertices
 from .errors import Graph6Error
 
 GRAPH6_HEADER = ">>graph6<<"
@@ -30,6 +38,16 @@ def _pack_bits(value: int, width: int) -> str:
     return "".join(chr(((value >> s) & 63) + 63) for s in range(width - 6, -6, -6))
 
 
+def _unpack_bits(chars: str, offset: int, what: str) -> int:
+    """Inverse of `_pack_bits`; `chars` starts at `offset` in the line."""
+    value = 0
+    for pos, ch in enumerate(chars):
+        if not "?" <= ch <= "~":
+            raise Graph6Error(f"invalid {what} byte {ch!r}", offset=offset + pos)
+        value = value << 6 | (ord(ch) - 63)
+    return value
+
+
 def _decode_order(line: str) -> tuple[int, int]:
     """Return (n, data_start_offset); offsets are into `line`."""
     if not line:
@@ -43,35 +61,41 @@ def _decode_order(line: str) -> tuple[int, int]:
         chars, start = line[2:8], 2
     else:
         chars, start = line[1:4], 1
-    width = len(chars)
-    if (start == 1 and width < 3) or (start == 2 and width < 6):
+    if len(chars) < 3 * start:
         raise Graph6Error("truncated order prefix", offset=len(line))
-    n = 0
-    for i, ch in enumerate(chars):
-        c = ord(ch)
-        if not 63 <= c <= 126:
-            raise Graph6Error(f"invalid order byte {ch!r}", offset=start + i)
-        n = n << 6 | (c - 63)
-    return n, start + width
+    return _unpack_bits(chars, start, "order"), start + len(chars)
+
+
+def pack_payload(nbrs: Sequence[Iterable[int]], order: Sequence[int]) -> int:
+    """graph6 payload bits, unpadded, of the graph with vertex ``order[i]``
+    renamed to i, packed into one int: column j holds bit (i, j) for i < j,
+    with i = 0 most significant.  ``nbrs[v]`` lists the neighbours of v."""
+    n = len(order)
+    # vertex order[i] sits at bit n-1-i, so the top j bits of a relabelled
+    # row are column j with i = 0 first
+    flipped = [0] * n
+    for i, v in enumerate(order):
+        flipped[v] = 1 << (n - 1 - i)
+    acc = 0
+    for j in range(1, n):
+        col = 0
+        for w in nbrs[order[j]]:
+            col |= flipped[w]
+        acc = acc << j | col >> (n - j)
+    return acc
+
+
+def graph6_line(n: int, payload: int) -> str:
+    """graph6 line of an order-n graph from its `pack_payload` bits: the
+    order prefix, then the payload zero-padded to a multiple of six bits."""
+    width = n * (n - 1) // 2
+    pad = -width % 6
+    return _encode_order(n) + _pack_bits(payload << pad, width + pad)
 
 
 def write_graph6(g: Graph) -> str:
     """Canonical graph6 line for `g` (no header, zero padding bits)."""
-    n = g.n
-    out = [_encode_order(n)]
-    acc = 0
-    width = 0
-    for j in range(1, n):
-        col = g.rows[j]
-        for i in range(j):
-            acc = acc << 1 | (col >> i & 1)
-            width += 1
-            if width == 6:
-                out.append(chr(acc + 63))
-                acc = width = 0
-    if width:
-        out.append(chr((acc << (6 - width)) + 63))
-    return "".join(out)
+    return graph6_line(g.n, pack_payload([bit_list(r) for r in g.rows], range(g.n)))
 
 
 def parse_graph6(line: str, cap: int | None = None) -> Graph:
@@ -95,33 +119,20 @@ def parse_graph6(line: str, cap: int | None = None) -> Graph:
         )
     if len(body) > need:
         raise Graph6Error("trailing data after payload", offset=start + need)
-    builder = GraphBuilder(n, cap=cap)
-    bit_index = 0
-    for pos, ch in enumerate(body):
-        c = ord(ch)
-        if not 63 <= c <= 126:
-            raise Graph6Error(f"invalid payload byte {ch!r}", offset=start + pos)
-        group = c - 63
-        for s in range(5, -1, -1):
-            bit = group >> s & 1
-            if bit_index >= nbits:
-                if bit:
-                    raise Graph6Error("nonzero padding bits", offset=start + pos)
-                continue
-            if bit:
-                i, j = _bit_position(bit_index)
-                builder.add_edge(i, j)
-            bit_index += 1
-    return builder.freeze()
-
-
-def _bit_position(index: int) -> tuple[int, int]:
-    """Inverse of the column-major upper-triangle enumeration."""
-    j = 1
-    while j * (j - 1) // 2 + j <= index:
-        j += 1
-    i = index - j * (j - 1) // 2
-    return i, j
+    payload = _unpack_bits(body, start, "payload")
+    pad = 6 * need - nbits
+    if payload & ((1 << pad) - 1):
+        raise Graph6Error("nonzero padding bits", offset=start + need - 1)
+    payload >>= pad
+    # the last column holds the lowest bits; bit b of column j is i = j-1-b
+    rows = [0] * n
+    for j in range(n - 1, 0, -1):
+        for b in bits(payload & ((1 << j) - 1)):
+            i = j - 1 - b
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
+        payload >>= j
+    return Graph(n, tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -140,14 +151,15 @@ def write_sparse6(g: Graph) -> str:
     n = g.n
     k = _edge_bit_width(n)
 
-    bit_buf: list[int] = []
+    acc = width = 0
 
-    def put(value: int, width: int) -> None:
-        bit_buf.extend((value >> s) & 1 for s in range(width - 1, -1, -1))
+    def put(value: int, w: int) -> None:
+        nonlocal acc, width
+        acc = acc << w | value
+        width += w
 
     cur = 0
-    for i, j in sorted((max(e), min(e)) for e in g.edges()):
-        v, u = i, j
+    for v, u in sorted((j, i) for i, j in g.edges()):
         if v == cur:
             put(0, 1)
             put(u, k)
@@ -161,20 +173,14 @@ def write_sparse6(g: Graph) -> str:
             put(v, k)
             put(0, 1)
             put(u, k)
-    pad = (-len(bit_buf)) % 6
+    pad = -width % 6
     # A pure all-ones pad can decode as a loop on n-1 when n is a power of
     # two and the pad is at least k bits long; a single 0 bit prevents it.
     if k < 6 and n == (1 << k) and pad >= k and cur < n - 1:
-        bit_buf.append(0)
-        pad = (-len(bit_buf)) % 6
-    bit_buf.extend([1] * pad)
-    chars = []
-    for i in range(0, len(bit_buf), 6):
-        group = 0
-        for b in bit_buf[i:i + 6]:
-            group = group << 1 | b
-        chars.append(chr(group + 63))
-    return ":" + _encode_order(n) + "".join(chars)
+        put(0, 1)
+        pad = -width % 6
+    put((1 << pad) - 1, pad)
+    return ":" + _encode_order(n) + _pack_bits(acc, width)
 
 
 def parse_sparse6(line: str, cap: int | None = None) -> Graph:
@@ -190,22 +196,17 @@ def parse_sparse6(line: str, cap: int | None = None) -> Graph:
     cap = max_vertices() if cap is None else cap
     if n > cap:
         raise Graph6Error(f"graph order {n} exceeds the configured maximum {cap}", offset=0)
-    bit_stream: list[int] = []
-    for pos, ch in enumerate(body[start:]):
-        c = ord(ch)
-        if not 63 <= c <= 126:
-            raise Graph6Error(f"invalid payload byte {ch!r}", offset=1 + start + pos)
-        bit_stream.extend((c - 63) >> s & 1 for s in range(5, -1, -1))
+    chars = body[start:]
+    # a string of bits: slicing it stays linear, shifting an int would not
+    bit_stream = format(_unpack_bits(chars, 1 + start, "payload"), f"0{6 * len(chars)}b")
     k = _edge_bit_width(n)
     builder = GraphBuilder(n, cap=cap)
     seen: set[tuple[int, int]] = set()
     cur = 0
     pos = 0
     while pos + 1 + k <= len(bit_stream):
-        b = bit_stream[pos]
-        x = 0
-        for s in range(k):
-            x = x << 1 | bit_stream[pos + 1 + s]
+        b = bit_stream[pos] == "1"
+        x = int(bit_stream[pos + 1:pos + 1 + k], 2)
         pos += 1 + k
         if b:
             cur += 1

@@ -74,8 +74,7 @@ class SearchConfig:
 
     `node_budget` caps the nodes expanded by one call of `generate`; a run
     that exhausts it writes its open frontier to `checkpoint_path` (resumed
-    from there when the file exists).  `output_path`, when set, receives
-    the graph6 lines of all hits."""
+    from there when the file exists)."""
 
     k: int
     g: int
@@ -86,7 +85,6 @@ class SearchConfig:
     node_budget: int | None = None
     cap: int | None = None
     checkpoint_path: str | None = None
-    output_path: str | None = None
 
     def validate(self) -> None:
         if self.k < 2 or self.g < 3 or self.n_max < 1:
@@ -104,6 +102,13 @@ class SearchConfig:
             raise ValueError("worker_count must be at least 1")
         if self.node_budget is not None and self.node_budget < 1:
             raise ValueError(f"node_budget must be at least 1, got {self.node_budget}")
+        if self.checkpoint_path is not None:
+            # refused before the search runs rather than when it suspends
+            if os.path.isdir(self.checkpoint_path):
+                raise ValueError(f"checkpoint path {self.checkpoint_path} is a directory")
+            folder = os.path.dirname(os.path.abspath(self.checkpoint_path))
+            if not os.path.isdir(folder):
+                raise ValueError(f"checkpoint directory {folder} does not exist")
 
     def _key(self) -> dict:
         return {
@@ -339,8 +344,7 @@ def _write_checkpoint(path: str, cfg_key: dict, classes, hits, nodes, memo,
             for key in sorted(memo):
                 fh.write(f"#memo {key}\n")
             for state in frontier:
-                depth = sum(1 for r in state if r.bit_count() >= cfg_key["k"])
-                fh.write(f"{write_graph6(Graph(len(state), state))} {depth}\n")
+                fh.write(write_graph6(Graph(len(state), state)) + "\n")
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -381,8 +385,9 @@ def _read_checkpoint(path: str, cfg_key: dict):
             elif line.startswith("#memo "):
                 memo.add(line.split(" ", 1)[1])
             else:
-                g6 = line.split()[0]
-                frontier.append(parse_graph6(g6).rows)
+                # a frontier line; older format-4 writers appended a depth
+                # column, which nothing reads
+                frontier.append(parse_graph6(line.split()[0]).rows)
     return classes, hits, nodes, memo, frontier
 
 
@@ -455,11 +460,6 @@ def generate(config: SearchConfig) -> SearchOutcome:
         if hit_certs:
             outcome.per_n_hits[n] = len(hit_certs)
             outcome.hits_graph6.extend(hit_certs)
-
-    if config.output_path:
-        with open(config.output_path, "w") as fh:
-            for cert in outcome.hits_graph6:
-                fh.write(cert + "\n")
 
     outcome.wall_time = time.perf_counter() - started
     return outcome

@@ -157,14 +157,14 @@ def test_canonising_emitted_classes_visits_pinned_leaf_count(monkeypatch):
     from girthlab import SearchConfig, canon, generate, parse_graph6
 
     out = generate(SearchConfig(k=3, g=5, n_max=14))
-    certificate = canon._certificate
+    certificate = canon.pack_payload
     calls = []
 
     def counting(nbrs, order):
         calls.append(order)
         return certificate(nbrs, order)
 
-    monkeypatch.setattr(canon, "_certificate", counting)
+    monkeypatch.setattr(canon, "pack_payload", counting)
     for certs in out.classes_graph6.values():
         for s in certs:
             assert canonical_graph6(parse_graph6(s)) == s

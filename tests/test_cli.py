@@ -105,6 +105,23 @@ def test_audit_bad_scope(capsys):
     assert code == 2 and "scope" in err
 
 
+@pytest.mark.parametrize("command", [
+    ("search", "--k", "3", "--max-n", "12", "--node-budget", "5", "--checkpoint",
+     "{missing}/frontier.txt"),
+    ("search", "--k", "3", "--max-n", "12", "--node-budget", "5", "--checkpoint", "{dir}"),
+    ("analyze", "named:petersen", "--csv", "{missing}/vertices.csv"),
+    ("audit", "named:petersen", "--scope", "sample:-5,1"),
+])
+def test_unusable_arguments_exit_2_with_one_line(capsys, tmp_path, command):
+    # exit 1 is reserved for findings: a path that cannot be written or a
+    # negative sample size is an input error
+    args = [a.format(missing=tmp_path / "missing", dir=tmp_path) for a in command]
+    code, out, err = run_cli(capsys, *args)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1
+    assert os.listdir(tmp_path) == []
+
+
 def test_search_petersen_hit(capsys):
     code, out, _ = run_cli(capsys, "search", "--k", "3", "--g", "5",
                            "--max-n", "10", "--lambda", "6")

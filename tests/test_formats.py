@@ -53,10 +53,14 @@ def test_graph6_matches_reference_encoder():
     assert all(got.degree(v) == 3 for v in range(10))
 
     rng = random.Random(7)
-    for _ in range(150):
-        g = _random_graph(rng, rng.randrange(0, 18), rng.random())
+    orders = [rng.randrange(0, 18) for _ in range(150)]
+    # 63 is the first order that takes the long order prefix
+    for n in orders + [62, 63, 64]:
+        g = _random_graph(rng, n, rng.random())
         ref = nx.to_graph6_bytes(_nx_copy(g), header=False).decode().strip()
         assert write_graph6(g) == ref
+        assert parse_graph6(ref) == g
+    assert ref.startswith("~")
 
 
 def test_complete4_payload_all_ones():
@@ -98,6 +102,21 @@ def test_graph6_error_offsets():
         parse_graph6("B" + chr(63 + 1))
     with pytest.raises(Graph6Error, match="maximum"):
         parse_graph6(write_graph6(complete_graph(4)), cap=3)
+
+
+def test_graph6_rejects_each_nonzero_padding_bit():
+    # n(n-1)/2 is never 2 or 5 mod 6, so graph6 pads with 0, 2, 3 or 5 bits;
+    # set each padding bit of the last byte in turn
+    widths = set()
+    for n in range(2, 20):
+        pad = -(n * (n - 1) // 2) % 6
+        widths.add(pad)
+        line = write_graph6(complete_graph(n))
+        for b in range(pad):
+            with pytest.raises(Graph6Error, match="nonzero padding") as err:
+                parse_graph6(line[:-1] + chr(63 + (ord(line[-1]) - 63 | 1 << b)))
+            assert err.value.offset == len(line) - 1
+    assert widths == {0, 2, 3, 5}
 
 
 def test_large_order_prefix_round_trip():

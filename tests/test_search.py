@@ -298,6 +298,28 @@ def test_checkpoint_rejects_older_format(tmp_path):
         generate(SearchConfig(k=3, g=5, n_max=12, checkpoint_path=str(path)))
 
 
+def test_checkpoint_frontier_lines_are_bare_graph6(tmp_path):
+    # frontier lines carry no depth column; a format-4 file written with
+    # one still resumes to the uninterrupted run
+    path = tmp_path / "frontier.txt"
+    generate(SearchConfig(k=3, g=5, n_max=12, node_budget=20, checkpoint_path=str(path)))
+    lines = path.read_text().splitlines()
+    frontier = [line for line in lines if not line.startswith("#")]
+    assert frontier and all(" " not in line for line in frontier)
+    path.write_text("\n".join(line if line.startswith("#") else line + " 3"
+                               for line in lines) + "\n")
+    resumed = generate(SearchConfig(k=3, g=5, n_max=12, checkpoint_path=str(path)))
+    assert not resumed.suspended
+    assert resumed.classes_graph6 == generate(SearchConfig(k=3, g=5, n_max=12)).classes_graph6
+
+
+def test_checkpoint_path_checked_before_the_search(tmp_path):
+    for path in (tmp_path, tmp_path / "missing" / "frontier.txt"):
+        with pytest.raises(ValueError, match="checkpoint"):
+            generate(SearchConfig(k=3, g=5, n_max=12, node_budget=5,
+                                  checkpoint_path=str(path)))
+
+
 def test_checkpoint_survives_crash_during_write(tmp_path, monkeypatch):
     ck = tmp_path / "frontier.txt"
     path = str(ck)
@@ -325,13 +347,6 @@ def test_checkpoint_survives_crash_during_write(tmp_path, monkeypatch):
     resumed = generate(SearchConfig(k=3, g=5, n_max=12, checkpoint_path=path))
     assert not resumed.suspended
     assert resumed.classes_graph6 == generate(SearchConfig(k=3, g=5, n_max=12)).classes_graph6
-
-
-def test_output_path_receives_hits(tmp_path):
-    path = tmp_path / "hits.g6"
-    out = generate(SearchConfig(k=3, g=5, n_max=10, girth_mode=GIRTH_EXACT,
-                                lambda_filter=6, output_path=str(path)))
-    assert path.read_text().splitlines() == out.hits_graph6
 
 
 def test_checkpoint_rejects_mismatched_config(tmp_path):
