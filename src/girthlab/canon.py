@@ -13,12 +13,29 @@ first leaf's order to the second's.  A dict from certificate to the order
 of the first leaf that gave it records one for every repeated certificate,
 until `_MAX_STORED_AUTS` are stored; the least certificate is read off the
 dict at the end.  Discovered automorphisms prune branches that fix the
-current individualisation prefix.  So do twins, vertices with equal rows:
-two twins in one cell are swapped by an automorphism that fixes every other
-vertex, so a candidate with the row of a candidate already tried or reached
-is skipped.  Whether any twins exist is decided once per call, so twin-free
-graphs (every regular graph of girth at least 5) pay nothing for it; the
-fresh vertices of a partial search state are twins.
+current individualisation prefix.  So do twins: open twins, non-adjacent
+vertices with equal rows, and closed twins, adjacent vertices with equal
+closed neighbourhoods ``rows[v] | 1 << v``.  Two twins of either kind in
+one cell are swapped by an automorphism that fixes every other vertex, so a
+candidate that is a twin of a candidate already tried or reached is
+skipped; `_twin_keys` gives twins, and only twins, equal keys.  Whether any
+twins exist is decided once per call, so twin-free graphs (every regular
+graph of girth at least 5) pay nothing for it.  The fresh vertices of a
+partial search state are open twins, and the universal vertices of a dense
+graph are closed twins, so K_n labels one leaf.
+
+The certificates met by one walk are an isomorphism invariant, which makes
+a single leaf an exact isomorphism test (McKay, "Isomorph-free exhaustive
+generation", J. Algorithms 26, 1998).  Refinement, the choice of the target
+cell and individualisation commute with relabelling, so isomorphic graphs
+have the same unpruned tree up to relabelling, and the same set of leaf
+certificates.  Orbit and twin pruning skip only subtrees that an
+automorphism maps onto a kept one, whose certificates a kept leaf repeats,
+so the walk meets that whole set.  A certificate rebuilds its graph, so two
+graphs of one order that share a single leaf certificate are isomorphic.
+`_walk` is the one tree walk: `canonize` takes the least certificate it
+meets, and the search passes the certificates of the states it expanded as
+`known`, so that a duplicate state stops at its first leaf.
 
 Refinement splits every cell by each vertex's neighbour counts into the
 other cells, ordering the fragments by their count vectors, until no cell
@@ -38,7 +55,8 @@ straight off the least certificate; `formats` owns that layout.
 """
 from __future__ import annotations
 
-from typing import Sequence
+from collections import Counter
+from typing import Container, Sequence
 
 from .core import Graph, bits, graph_from_rows
 from .formats import graph6_line, pack_payload
@@ -95,29 +113,50 @@ def _refine(nbrs: Sequence[Sequence[int]], cells: list[list[int]],
 _MAX_STORED_AUTS = 256
 
 
-def canonize(rows: Sequence[int]) -> tuple[tuple[int, ...], int]:
-    """Return (order, certificate) minimising the adjacency bitstring.
+def _twin_keys(rows: Sequence[int]) -> Sequence[int]:
+    """One int per vertex, equal exactly for twins: the closed row
+    ``rows[v] | 1 << v`` of a vertex that has a closed twin, and the row of
+    any other.  Open twins are non-adjacent with equal rows; closed twins
+    are adjacent with equal closed rows.  No vertex v has twins of both
+    kinds: an open twin u of v would neighbour each closed twin w of v, so
+    lie in the closed row of w, which is v's, and neighbour v.  No row
+    equals the closed row of another vertex either, so the keys of two
+    vertices that are not twins differ."""
+    closed = [r | 1 << v for v, r in enumerate(rows)]
+    if len(set(closed)) == len(rows):
+        return rows
+    counts = Counter(closed)
+    return [c if counts[c] > 1 else r for r, c in zip(rows, closed)]
 
-    ``order[p]`` is the original vertex placed at position p.  Vertices
-    start partitioned by degree.
+
+def _walk(rows: Sequence[int], known: Container[int] = frozenset()
+          ) -> tuple[dict[int, tuple[int, ...]] | None, int]:
+    """Walk the refinement tree of the graph with adjacency `rows`.
+
+    Returns (leaves, visited): `leaves` maps every leaf certificate met to
+    the order of the first leaf that gave it, and `visited` counts the
+    leaves labelled.  When the first leaf's certificate is in `known`, the
+    walk stops there and `leaves` is None.  ``order[p]`` is the original
+    vertex placed at position p; vertices start partitioned by degree.
     """
     n = len(rows)
-    if n == 0:
-        return (), 0
     groups: dict[int, list[int]] = {}
     for v in range(n):
         groups.setdefault(rows[v].bit_count(), []).append(v)
     cells = [groups[d] for d in sorted(groups)]
     nbrs = [list(bits(r)) for r in rows]
-    # decided once per call: twin-free graphs skip the row check below
-    twins = len(set(rows)) < n
+    twin = _twin_keys(rows)
+    # decided once per call: twin-free graphs skip the twin check below
+    twins = len(set(twin)) < n
 
-    # certificate -> order of the first leaf that gave it
     leaves: dict[int, tuple[int, ...]] = {}
     auts: list[tuple[int, ...]] = []
+    visited = 0
 
     def descend(cells: list[list[int]], prefix: tuple[int, ...],
-                fresh: list[int]) -> None:
+                fresh: list[int]) -> bool:
+        """Walk one subtree; True when the first leaf is known."""
+        nonlocal visited
         cells = _refine(nbrs, cells, fresh)
         target = None
         for idx, cell in enumerate(cells):
@@ -125,7 +164,11 @@ def canonize(rows: Sequence[int]) -> tuple[tuple[int, ...], int]:
                 target = idx
         if target is None:
             order = tuple(c[0] for c in cells)
-            first = leaves.setdefault(pack_payload(nbrs, order), order)
+            cert = pack_payload(nbrs, order)
+            visited += 1
+            if not leaves and cert in known:
+                return True
+            first = leaves.setdefault(cert, order)
             if first != order and len(auts) < _MAX_STORED_AUTS:
                 # equal certificates: first[p] -> order[p] is an automorphism
                 gamma = [0] * n
@@ -134,16 +177,16 @@ def canonize(rows: Sequence[int]) -> tuple[tuple[int, ...], int]:
                 gamma = tuple(gamma)
                 if gamma not in auts:
                     auts.append(gamma)
-            return
+            return False
         cell = cells[target]
         tried: list[int] = []
         reached: set[int] = set()
-        reached_rows: set[int] = set()
+        reached_twins: set[int] = set()
         for v in cell:
             # Orbit pruning: v equivalent to an already-tried candidate
             # under automorphisms that fix the individualisation prefix;
             # a twin of such a candidate is one too.
-            if v in reached or twins and rows[v] in reached_rows:
+            if v in reached or twins and twin[v] in reached_twins:
                 continue
             child = (
                 cells[:target]
@@ -151,7 +194,8 @@ def canonize(rows: Sequence[int]) -> tuple[tuple[int, ...], int]:
                 + cells[target + 1:]
             )
             # `cells` is equitable, so only the new singleton [v] can split
-            descend(child, prefix + (v,), [target])
+            if descend(child, prefix + (v,), [target]):
+                return True
             tried.append(v)
             fixers = [gamma for gamma in auts if all(gamma[x] == x for x in prefix)]
             reached = set(tried)
@@ -164,10 +208,22 @@ def canonize(rows: Sequence[int]) -> tuple[tuple[int, ...], int]:
                             reached.add(gamma[u])
                             grew = True
             if twins:
-                reached_rows = {rows[u] for u in reached}
+                reached_twins = {twin[u] for u in reached}
+        return False
 
     # degree classes promise nothing about counts: every cell is a splitter
-    descend(cells, (), list(range(len(cells))))
+    if descend(cells, (), list(range(len(cells)))):
+        return None, visited
+    return leaves, visited
+
+
+def canonize(rows: Sequence[int]) -> tuple[tuple[int, ...], int]:
+    """Return (order, certificate) minimising the adjacency bitstring.
+
+    ``order[p]`` is the original vertex placed at position p.  Vertices
+    start partitioned by degree.
+    """
+    leaves, _ = _walk(rows)
     best_cert = min(leaves)
     return leaves[best_cert], best_cert
 

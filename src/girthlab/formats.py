@@ -48,20 +48,21 @@ def _unpack_bits(chars: str, offset: int, what: str) -> int:
     return value
 
 
-def _decode_order(line: str) -> tuple[int, int]:
-    """Return (n, data_start_offset); offsets are into `line`."""
-    if not line:
-        raise Graph6Error("empty input", offset=0)
-    c = ord(line[0])
+def _decode_order(line: str, at: int = 0) -> tuple[int, int]:
+    """Return (n, data_start_offset) for the order prefix that starts at
+    `at`; offsets are into `line`."""
+    if len(line) <= at:
+        raise Graph6Error("empty input", offset=at)
+    c = ord(line[at])
     if c != 126:
         if not 63 <= c <= 125:
-            raise Graph6Error(f"invalid order byte {line[0]!r}", offset=0)
-        return c - 63, 1
-    if len(line) >= 2 and ord(line[1]) == 126:
-        chars, start = line[2:8], 2
+            raise Graph6Error(f"invalid order byte {line[at]!r}", offset=at)
+        return c - 63, at + 1
+    if len(line) >= at + 2 and ord(line[at + 1]) == 126:
+        chars, start = line[at + 2:at + 8], at + 2
     else:
-        chars, start = line[1:4], 1
-    if len(chars) < 3 * start:
+        chars, start = line[at + 1:at + 4], at + 1
+    if len(chars) < 3 * (start - at):
         raise Graph6Error("truncated order prefix", offset=len(line))
     return _unpack_bits(chars, start, "order"), start + len(chars)
 
@@ -191,14 +192,13 @@ def parse_sparse6(line: str, cap: int | None = None) -> Graph:
         line = line[len(SPARSE6_HEADER):]
     if not line.startswith(":"):
         raise Graph6Error("sparse6 input must start with ':'", offset=0)
-    body = line[1:]
-    n, start = _decode_order(body)
+    n, start = _decode_order(line, 1)
     cap = max_vertices() if cap is None else cap
     if n > cap:
         raise Graph6Error(f"graph order {n} exceeds the configured maximum {cap}", offset=0)
-    chars = body[start:]
+    chars = line[start:]
     # a string of bits: slicing it stays linear, shifting an int would not
-    bit_stream = format(_unpack_bits(chars, 1 + start, "payload"), f"0{6 * len(chars)}b")
+    bit_stream = format(_unpack_bits(chars, start, "payload"), f"0{6 * len(chars)}b")
     k = _edge_bit_width(n)
     builder = GraphBuilder(n, cap=cap)
     seen: set[tuple[int, int]] = set()

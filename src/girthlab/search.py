@@ -36,6 +36,20 @@ memo of the split phase (or of the checkpoint) and each grow their own copy,
 so a split run may repeat work but never loses a class; their memos are
 merged when the run is checkpointed.
 
+Spotting a duplicate costs one root-to-leaf path of the refinement tree.
+Beside the memo, each call keeps an in-memory index, per order, of the leaf
+certificates of every state it walked in full whose key is in the memo.
+The certificates one walk meets are an isomorphism invariant, and a
+certificate rebuilds its graph (see `canon`), so a popped state whose first
+leaf is in the index is isomorphic to a state already expanded, and is
+skipped after that one leaf.  Every later state of a class this call
+expanded is skipped so: its first leaf is one of that class's certificates.  Every other state is walked in full,
+which gives its key; a key already in the memo, from a resumed checkpoint or
+the split phase, still marks a duplicate.  The index changes which states
+are expanded in no case, only what refusing a duplicate costs, so nodes,
+output and checkpoints are the same without it.  `leaves_labelled` counts
+the certificates computed by one call, summed over its workers.
+
 A complete graph is emitted as its memo key, the canonical graph6 that
 `canonical_graph6` and `are_isomorphic` also compute; that string is the
 class in outputs and checkpoints.  Equal keys mean isomorphic graphs, so a
@@ -51,10 +65,10 @@ import tempfile
 import time
 from dataclasses import dataclass, field
 
-from .canon import canonical_graph6
+from .canon import _walk
 from .core import Graph, bits, is_connected
 from .errors import GirthLabError, InternalInconsistency
-from .formats import parse_graph6, write_graph6
+from .formats import graph6_line, parse_graph6, write_graph6
 from .girth import girth, girth_profile
 from .classify import vertex_cycle_bound
 
@@ -124,6 +138,7 @@ class SearchOutcome:
     classes_graph6: dict[int, list[str]] = field(default_factory=dict)
     hits_graph6: list[str] = field(default_factory=list)
     nodes_expanded: int = 0
+    leaves_labelled: int = 0
     wall_time: float = 0.0
     suspended: bool = False
     checkpoint_path: str | None = None
@@ -256,10 +271,25 @@ def _record(state: Rows, key: str, cfg_key: dict, classes: set, hits: set) -> No
             hits.add((len(state), key))
 
 
-def _state_key(state: Rows) -> str:
-    """Canonical graph6 of a partial state: equal keys mean equal sets of
-    completions."""
-    return canonical_graph6(Graph(len(state), state))
+def _admit(state: Rows, seen: set[str], index: dict[int, set[int]]
+           ) -> tuple[str | None, int]:
+    """Memo test of one state: (key, leaves labelled), where the key, its
+    canonical graph6, is added to `seen`, or is None when a state of its
+    class is in `seen` already.  ``index[n]`` holds the leaf certificates of
+    the order-n states walked here whose keys are in `seen`; a state whose
+    first leaf is among them is isomorphic to one of them, and is refused
+    after one root-to-leaf path."""
+    n = len(state)
+    known = index.setdefault(n, set())
+    leaves, visited = _walk(state, known)
+    if leaves is None:
+        return None, visited
+    known.update(leaves)
+    key = graph6_line(n, min(leaves))
+    if key in seen:
+        return None, visited
+    seen.add(key)
+    return key, visited
 
 
 def _run_frontier(frontier: list[Rows], cfg_key: dict, budget: int | None,
@@ -269,44 +299,48 @@ def _run_frontier(frontier: list[Rows], cfg_key: dict, budget: int | None,
 
     `seen` is the memo: the keys of states already expanded, by this call
     or by the runs before it; this call adds the keys it expands.  Returns
-    per-class sets, the number of first-seen states expanded, the memo, and
-    any unexpanded leftover when the node budget runs out.  Changes nothing
-    but `seen`: safe as a worker.
+    per-class sets, the number of first-seen states expanded, the leaves
+    labelled, the memo, and any unexpanded leftover when the node budget
+    runs out.  Changes nothing but `seen`: safe as a worker.
     """
     k, g, n_max = cfg_key["k"], cfg_key["g"], cfg_key["n_max"]
     classes: set[tuple[int, str]] = set()
     hits: set[tuple[int, str]] = set()
+    index: dict[int, set[int]] = {}
     stack = list(frontier)
-    nodes = 0
+    nodes = labelled = 0
     while stack:
         if budget is not None and nodes >= budget:
-            return {"classes": classes, "hits": hits, "nodes": nodes, "memo": seen,
-                    "leftover": stack}
+            return {"classes": classes, "hits": hits, "nodes": nodes,
+                    "labelled": labelled, "memo": seen, "leftover": stack}
         state = stack.pop()
-        key = _state_key(state)
-        if key in seen:
+        key, visited = _admit(state, seen, index)
+        labelled += visited
+        if key is None:
             continue
-        seen.add(key)
         nodes += 1
         kids = _children(state, k, g, n_max)
         if kids is None:
             _record(state, key, cfg_key, classes, hits)
             continue
         stack.extend(kids)
-    return {"classes": classes, "hits": hits, "nodes": nodes, "memo": seen, "leftover": []}
+    return {"classes": classes, "hits": hits, "nodes": nodes, "labelled": labelled,
+            "memo": seen, "leftover": []}
 
 
-def _split_frontier(cfg_key: dict, target: int,
-                    budget: int | None
-                    ) -> tuple[list[Rows], list[tuple[Rows, str]], set[str]]:
+def _split_frontier(cfg_key: dict, target: int, budget: int | None
+                    ) -> tuple[list[Rows], list[tuple[Rows, str]], set[str], int]:
     """Breadth-expand from the root, one state per isomorphism class, until
     at least `target` open states exist or `budget` nodes are expanded.
     Returns the open states, the complete states met on the way with their
-    keys, and the memo: the keys of the expanded states, one per node."""
+    keys, the memo (the keys of the expanded states, one per node) and the
+    leaves labelled."""
     root = (0,)
-    open_states: list[tuple[Rows, str]] = [(root, _state_key(root))]
+    seen: set[str] = set()
+    index: dict[int, set[int]] = {}
+    key, labelled = _admit(root, seen, index)
+    open_states: list[tuple[Rows, str]] = [(root, key)]
     complete: list[tuple[Rows, str]] = []
-    seen = {open_states[0][1]}
     memo: set[str] = set()
     while open_states and len(open_states) < target:
         if budget is not None and len(memo) >= budget:
@@ -319,11 +353,11 @@ def _split_frontier(cfg_key: dict, target: int,
             complete.append((state, key))
             continue
         for kid in kids:
-            key = _state_key(kid)
-            if key not in seen:
-                seen.add(key)
+            key, visited = _admit(kid, seen, index)
+            labelled += visited
+            if key is not None:
                 open_states.append((kid, key))
-    return [state for state, _ in open_states], complete, memo
+    return [state for state, _ in open_states], complete, memo, labelled
 
 
 def _write_checkpoint(path: str, cfg_key: dict, classes, hits, nodes, memo,
@@ -405,14 +439,15 @@ def generate(config: SearchConfig) -> SearchOutcome:
     classes: set[tuple[int, str]] = set()
     hits: set[tuple[int, str]] = set()
     memo: set[str] = set()
-    nodes = 0
+    nodes = labelled = 0
     budget = config.node_budget
     resumed = bool(config.checkpoint_path) and os.path.exists(config.checkpoint_path)
     if resumed:
         classes, hits, nodes, memo, frontier = _read_checkpoint(config.checkpoint_path,
                                                                 cfg_key)
     elif config.worker_count > 1:
-        frontier, complete, memo = _split_frontier(cfg_key, config.worker_count * 16, budget)
+        frontier, complete, memo, labelled = _split_frontier(
+            cfg_key, config.worker_count * 16, budget)
         spent = len(memo)
         nodes += spent
         if budget is not None:
@@ -440,10 +475,11 @@ def generate(config: SearchConfig) -> SearchOutcome:
         classes |= part["classes"]
         hits |= part["hits"]
         nodes += part["nodes"]
+        labelled += part["labelled"]
         memo |= part["memo"]
         leftover.extend(part["leftover"])
 
-    outcome = SearchOutcome(nodes_expanded=nodes)
+    outcome = SearchOutcome(nodes_expanded=nodes, leaves_labelled=labelled)
     if leftover:
         outcome.suspended = True
         path = config.checkpoint_path or f"girthlab-checkpoint-k{config.k}g{config.g}.txt"

@@ -19,7 +19,7 @@ from girthlab import (
     relabel,
     write_graph6,
 )
-from girthlab.canon import _refine, canonize
+from girthlab.canon import _refine, _walk, canonize
 
 from naive_oracles import naive_refine, to_adj
 
@@ -227,3 +227,105 @@ def test_canonical_form_of_twin_rich_graphs_is_pinned():
     lines = sorted(canonical_graph6(g) for g in _twin_rich_graphs(random.Random(2099)))
     assert len(lines) == 97
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16] == "683b6fbc1615cc3d"
+
+
+def _count_leaves(monkeypatch):
+    from girthlab import canon
+
+    certificate = canon.pack_payload
+    calls = []
+
+    def counting(nbrs, order):
+        calls.append(order)
+        return certificate(nbrs, order)
+
+    monkeypatch.setattr(canon, "pack_payload", counting)
+    return calls
+
+
+def _dense_graph(rng, n, missing):
+    # K_n without `missing` random edges: most vertices stay universal, and
+    # universal vertices are pairwise closed twins
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    gone = set(rng.sample(edges, missing))
+    return graph_from_edges(n, [e for e in edges if e not in gone])
+
+
+def test_closed_twins_cost_one_branch(monkeypatch):
+    # adjacent vertices with equal closed neighbourhoods are swapped by an
+    # automorphism; without the closed-row check K_20 labels thousands of
+    # leaves and this K_39 minus 7 edges did not finish within a minute
+    calls = _count_leaves(monkeypatch)
+    assert canonical_graph6(complete_graph(20)) == write_graph6(complete_graph(20))
+    assert len(calls) == 1
+    calls.clear()
+    canonical_graph6(_dense_graph(random.Random(2), 39, 7))
+    assert len(calls) == 8
+
+
+def test_closed_twin_rule_keeps_certificates(monkeypatch):
+    # pruning closed twins only skips leaves whose certificate a kept leaf
+    # repeats: the certificates equal those of the open-twin check alone
+    from girthlab import canon
+
+    rng = random.Random(600)
+    graphs = [_random_graph(rng, rng.randrange(2, 11), rng.uniform(0.6, 0.95))
+              for _ in range(150)]
+    graphs += [_dense_graph(rng, n, rng.randrange(1, n)) for n in range(4, 10)
+               for _ in range(5)]
+    both = [canonize(g.rows)[1] for g in graphs]
+    monkeypatch.setattr(canon, "_twin_keys", lambda rows: rows)
+    assert [canonize(g.rows)[1] for g in graphs] == both
+
+
+def _first_leaf_hit(g, h):
+    # whether h's walk stops at its first leaf against g's leaf certificates
+    known = set(_walk(g.rows)[0])
+    leaves, visited = _walk(h.rows, known)
+    if leaves is None:
+        assert visited == 1
+        return True
+    # a walk that is not stopped meets no certificate of g at all
+    assert known.isdisjoint(leaves)
+    return False
+
+
+def test_first_leaf_lookup_is_an_isomorphism_test():
+    rng = random.Random(1998)
+    pairs = []
+    for _ in range(150):
+        n = rng.randrange(1, 9)
+        pairs.append((_random_graph(rng, n, rng.random()), _random_graph(rng, n, rng.random())))
+    for _ in range(80):
+        g = _random_graph(rng, rng.randrange(1, 14), rng.random())
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        pairs.append((g, _permuted(g, perm)))
+    twin_rich = _twin_rich_graphs(rng)
+    for g in twin_rich:
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        pairs.append((g, _permuted(g, perm)))
+        pairs += [(g, h) for h in rng.sample(twin_rich, 3) if h.n == g.n]
+    cubic = [_random_cubic(rng, rng.randrange(4, 13, 2)) for _ in range(60)]
+    pairs += [(g, h) for g in cubic for h in cubic if g.n == h.n]
+    pairs += [(dodecahedron_graph(), _permuted(dodecahedron_graph(), rng.sample(range(20), 20))),
+              (complete_bipartite_graph(4, 4), _random_cubic(rng, 8))]
+    isomorphic = 0
+    for g, h in pairs:
+        hit = _first_leaf_hit(g, h)
+        assert hit == are_isomorphic(g, h)
+        isomorphic += hit
+    assert 0 < isomorphic < len(pairs)
+
+
+def test_leaf_certificate_set_is_invariant():
+    # the walk meets the same certificates in every labelling, pruned leaves
+    # included, which is why one shared certificate decides isomorphism
+    rng = random.Random(14)
+    graphs = [petersen_graph(), heawood_graph(), complete_bipartite_graph(3, 5)]
+    graphs += [_random_graph(rng, rng.randrange(1, 12), rng.random()) for _ in range(100)]
+    for g in graphs:
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        assert set(_walk(g.rows)[0]) == set(_walk(_permuted(g, perm).rows)[0])

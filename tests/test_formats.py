@@ -104,6 +104,21 @@ def test_graph6_error_offsets():
         parse_graph6(write_graph6(complete_graph(4)), cap=3)
 
 
+def test_sparse6_order_prefix_error_offsets():
+    # offsets count the leading ':' like every other sparse6 offset
+    for line, message, offset in [
+        (":", "empty input", 1),
+        (":!", "invalid order byte", 1),
+        (":~?\u00c8?", "invalid order byte", 3),
+        (":~?@", "truncated order prefix", 4),
+        (":~~??", "truncated order prefix", 5),
+        (":A!", "invalid payload byte", 2),
+    ]:
+        with pytest.raises(Graph6Error, match=message) as err:
+            parse_sparse6(line)
+        assert err.value.offset == offset, line
+
+
 def test_graph6_rejects_each_nonzero_padding_bit():
     # n(n-1)/2 is never 2 or 5 mod 6, so graph6 pads with 0, 2, 3 or 5 bits;
     # set each padding bit of the last byte in turn

@@ -131,6 +131,56 @@ def test_node_count_of_memoised_tree():
     assert out.nodes_expanded == 291 and out.total_classes == 12
 
 
+def test_leaves_labelled_is_pinned():
+    # certificates computed by one call: a duplicate state costs one leaf,
+    # since its first leaf is one of an expanded state's certificates
+    out = generate(SearchConfig(k=3, g=5, n_max=14))
+    assert out.nodes_expanded == 291 and out.leaves_labelled == 712
+
+
+def test_leaf_index_is_kept_per_order():
+    # a certificate is a payload int without its order: the edgeless graphs
+    # on one and on two vertices both have certificate 0
+    seen: set[str] = set()
+    index: dict[int, set[int]] = {}
+    assert search._admit((0,), seen, index) == ("@", 1)
+    assert search._admit((0, 0), seen, index) == ("A?", 1)
+    assert search._admit((0, 0), seen, index) == (None, 1)
+    assert seen == {"@", "A?"} and index == {1: {0}, 2: {0}}
+
+
+def test_leaves_labelled_counts_one_call(tmp_path):
+    # nodes_expanded adds up over resumed calls, leaves_labelled is the
+    # call's own; a resumed call starts with an empty leaf index, so it
+    # walks in full the first duplicate of each state expanded before
+    config = SearchConfig(k=3, g=5, n_max=14, node_budget=200,
+                          checkpoint_path=str(tmp_path / "frontier.txt"))
+    first, rest = generate(config), generate(config)
+    assert first.suspended and not rest.suspended and rest.nodes_expanded == 291
+    assert (first.leaves_labelled, rest.leaves_labelled) == (441, 326)
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(k=3, g=4, n_max=10),
+    dict(k=3, g=5, n_max=16),
+    dict(k=4, g=4, n_max=12),
+    dict(k=3, g=5, n_max=14, lambda_filter=6),
+    dict(k=3, g=5, n_max=14, lambda_filter=6, worker_count=2),
+])
+def test_leaf_index_changes_no_decision(monkeypatch, kwargs):
+    # the leaf-certificate index only makes refusing a duplicate cheaper:
+    # with every walk taken in full, the search expands the same states
+    from girthlab.canon import _walk
+
+    indexed = generate(SearchConfig(**kwargs))
+    monkeypatch.setattr(search, "_walk", lambda rows, known: _walk(rows))
+    plain = generate(SearchConfig(**kwargs))
+    assert indexed.classes_graph6 == plain.classes_graph6
+    assert indexed.hits_graph6 == plain.hits_graph6
+    assert indexed.nodes_expanded == plain.nodes_expanded
+    assert indexed.leaves_labelled < plain.leaves_labelled
+
+
 @pytest.mark.parametrize("kwargs", [
     dict(k=3, g=5, n_max=14),
     dict(k=4, g=4, n_max=12),
