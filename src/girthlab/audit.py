@@ -14,9 +14,18 @@ decompose the shells they need and hand them to private kernels.
 `audit_graph` runs the same kernels on shared inputs: the graph is
 validated once per graph, shells are decomposed once per root and
 containment is scanned once per root, however many exterior pairs use them.
+
+The case kernels read each adjacency row of a pair once: one pass over
+N2(v) yields every edge count of the partition, the V_C'' leaf-set counts
+and the V_B'' matching, and the case-B crossing counts come from one pass
+over N(v) minus v'.  Each count that a check compares stays an independent
+count: y (the 5-cycle count of v) is half the sum of |N(w) & N2(v)| over
+N2(v), never the sum of its parts, so the partition check can still fail.
+Checks run only once every count is in, in their order of derivation.
 """
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass, field
 
@@ -32,9 +41,14 @@ from .formats import write_graph6
 from .girth import girth, girth_profile, shell_decompose
 
 
-def _between(g: Graph, a: int, b: int) -> int:
-    """Edges from `a` to `b`; the masks must be disjoint."""
-    return sum((g.rows[v] & b).bit_count() for v in bits(a))
+def _between(rows, a: int, b: int) -> int:
+    """Edges from `a` to `b` over adjacency rows; the masks must be disjoint."""
+    total = 0
+    while a:
+        low = a & -a
+        total += (rows[low.bit_length() - 1] & b).bit_count()
+        a ^= low
+    return total
 
 
 def _require_girth5_regular(g: Graph) -> int:
@@ -47,11 +61,14 @@ def _require_girth5_regular(g: Graph) -> int:
 
 
 RELATION_TESTS = {
-    "<=": lambda l, r: l <= r,
-    ">=": lambda l, r: l >= r,
-    "=": lambda l, r: l == r,
-    "<": lambda l, r: l < r,
+    "<=": operator.le,
+    ">=": operator.ge,
+    "=": operator.eq,
+    "<": operator.lt,
 }
+
+_new = object.__new__
+_set = object.__setattr__
 
 
 @dataclass(frozen=True)
@@ -67,8 +84,17 @@ class InequalityRecord:
 
     @staticmethod
     def make(name: str, lhs: int, relation: str, rhs: int, context: str = "") -> "InequalityRecord":
-        return InequalityRecord(name, lhs, rhs, relation,
-                                RELATION_TESTS[relation](lhs, rhs), context)
+        # what the generated __init__ does (object.__setattr__ per field, in
+        # field order) without its per-field global lookups; each pair of an
+        # audit builds a dozen records
+        rec = _new(InequalityRecord)
+        _set(rec, "name", name)
+        _set(rec, "lhs", lhs)
+        _set(rec, "rhs", rhs)
+        _set(rec, "relation", relation)
+        _set(rec, "holds", RELATION_TESTS[relation](lhs, rhs))
+        _set(rec, "context", context)
+        return rec
 
 
 @dataclass(frozen=True)
@@ -94,7 +120,7 @@ def audit_outer_edges(g: Graph, u: int, lam: int) -> OuterEdgeAudit:
 
 def _outer_edges(g: Graph, k: int, shells, lam: int) -> OuterEdgeAudit:
     u = shells.root
-    outer = _between(g, shells.n2, shells.n3plus)
+    outer = _between(g.rows, shells.n2, shells.n3plus)
     inner = edges_inside(g.rows, shells.n2)
     if (k - 1) * shells.n2.bit_count() != 2 * inner + outer:
         raise InternalInconsistency(
@@ -193,8 +219,9 @@ def audit_case_a(g: Graph, u: int, v: int, lam: int) -> CaseAPartition:
 
 
 def _case_a(g: Graph, k: int, shells_u, shells_v, lam: int) -> CaseAPartition:
+    rows = g.rows
     u, v = shells_u.root, shells_v.root
-    if (g.rows[v] & shells_u.n2).bit_count() < 2:
+    if (rows[v] & shells_u.n2).bit_count() < 2:
         raise CaseMismatch(
             f"v={v} has fewer than two neighbours in N2({u}): second stage applies"
         )
@@ -213,22 +240,33 @@ def _case_a(g: Graph, k: int, shells_u, shells_v, lam: int) -> CaseAPartition:
         raise InternalInconsistency("fewer than two first-shell contacts in case A")
 
     nbrs_u = bit_list(shells_u.n1)
-    branch_sets = [g.rows[ui] & ~(1 << u) for ui in nbrs_u]
-    nv_outside = g.rows[v] & ~shells_u.n2
-    d = [_between(g, b, nv_outside) for b in branch_sets]
-    a = [1 if g.rows[v] & b else 0 for b in branch_sets]
+    branch_sets = [rows[ui] & ~(1 << u) for ui in nbrs_u]
+    nv_outside = rows[v] & ~shells_u.n2
+    d = [_between(rows, b, nv_outside) for b in branch_sets]
+    a = [1 if rows[v] & b else 0 for b in branch_sets]
     if sum(a) != sa:
         raise InternalInconsistency("branch indicators disagree with |V_A|")
 
-    e_aa = edges_inside(g.rows, va)
-    e_ac = _between(g, va, vc)
-    if e_aa or e_ac:
+    # one pass over N2(v); y is counted on its own, as a check on the parts
+    y2 = e_aa2 = e_ac = e_ab = e_bb2 = e_bc = e_cc2 = 0
+    rest = n2v
+    while rest:
+        low = rest & -rest
+        r = rows[low.bit_length() - 1]
+        rest ^= low
+        y2 += (r & n2v).bit_count()
+        if low & va:
+            e_aa2 += (r & va).bit_count()
+            e_ac += (r & vc).bit_count()
+            e_ab += (r & vb).bit_count()
+        elif low & vb:
+            e_bb2 += (r & vb).bit_count()
+            e_bc += (r & vc).bit_count()
+        else:
+            e_cc2 += (r & vc).bit_count()
+    if e_aa2 // 2 or e_ac:
         raise InternalInconsistency("edges at V_A that the girth forbids")
-    e_ab = _between(g, va, vb)
-    e_bb = edges_inside(g.rows, vb)
-    e_bc = _between(g, vb, vc)
-    e_cc = edges_inside(g.rows, vc)
-    y = edges_inside(g.rows, n2v)
+    e_bb, e_cc, y = e_bb2 // 2, e_cc2 // 2, y2 // 2
     if y != e_ab + e_bb + e_bc + e_cc:
         raise InternalInconsistency("5-cycle count of v disagrees with the partition")
 
@@ -255,7 +293,7 @@ def _case_a(g: Graph, k: int, shells_u, shells_v, lam: int) -> CaseAPartition:
         ))
 
     x = None
-    rest = g.rows[v] & ~shells_u.n2
+    rest = rows[v] & ~shells_u.n2
     if sa == two_eps and rest.bit_count() == 1:
         x = rest.bit_length() - 1
 
@@ -320,8 +358,10 @@ def audit_case_b(g: Graph, u: int, v: int, lam: int) -> CaseBPartition:
 
 def _case_b(g: Graph, k: int, shells_u, shells_v, lam: int,
             containment: MainPropertyAudit) -> CaseBPartition:
+    rows = g.rows
     u, v = shells_u.root, shells_v.root
-    contacts = g.rows[v] & shells_u.n2
+    n2u = shells_u.n2
+    contacts = rows[v] & n2u
     if contacts.bit_count() == 0:
         raise CaseMismatch(f"v={v} is beyond distance 3 from {u}")
     if contacts.bit_count() > 1:
@@ -335,51 +375,108 @@ def _case_b(g: Graph, k: int, shells_u, shells_v, lam: int,
     eps = two_eps // 2 if two_eps % 2 == 0 else None
 
     v_prime = contacts.bit_length() - 1
-    u1_mask = g.rows[v_prime] & shells_u.n1
+    row_vp = rows[v_prime]
+    u1_mask = row_vp & shells_u.n1
     if u1_mask.bit_count() != 1:
         raise InternalInconsistency("second-shell vertex with several first-shell contacts")
     u1 = u1_mask.bit_length() - 1
-    v_rest = bit_list(g.rows[v] & ~(1 << v_prime))
+    rest_mask = rows[v] & ~(1 << v_prime)
+    v_rest = bit_list(rest_mask)
 
     n2v = shells_v.n2
     va = n2v & shells_u.n1
     if va != 1 << u1:
         raise InternalInconsistency("V_A is not exactly the distinguished first-shell vertex")
-    vb = n2v & shells_u.n2
-    vb1 = vb & g.rows[v_prime]
-    vb2 = vb & ~g.rows[v_prime]
-    vc = n2v & ~(shells_u.n1 | shells_u.n2)
-    vc1 = vc & g.rows[v_prime]
-    vc2 = vc & ~g.rows[v_prime]
+    vb = n2v & n2u
+    vb1 = vb & row_vp
+    vb2 = vb & ~row_vp
+    vc = n2v & ~(shells_u.n1 | n2u)
+    vc1 = vc & row_vp
+    vc2 = vc & ~row_vp
+    out_mask = g.vertex_mask() & ~n2v
+    out_far = out_mask & ~(rows[v] | (1 << v))
+
+    # One pass over N(v) minus v': the leaf sets and both crossing counts.
+    n2u_at_u1 = n2u & rows[u1]
+    leaf_sets = []
+    crossing = crossing_at_u1 = 0
+    for vi in v_rest:
+        r = rows[vi]
+        leaf_sets.append(r & vc2)
+        crossing += (r & n2u).bit_count()
+        crossing_at_u1 += (r & n2u_at_u1).bit_count()
+
+    # One pass over N2(v): V_A, V_B and V_C' first, then V_C'' leaf set by
+    # leaf set.  Nothing raises until every count is in, so the checks
+    # below fire in their order of derivation.  y is counted on its own,
+    # as a check on the parts.  The absence identity needs no term for v:
+    # its one contact in N2(u) is v'.
+    beyond_vp = n2u & ~(1 << v_prime)
+    y2 = e_ab = e_bb2 = e_bc = e_cc2 = stray = 0
+    matching: list[tuple[int, int]] = []
+    unmatched = None
+    rest = n2v & ~vc2
+    while rest:
+        low = rest & -rest
+        w = low.bit_length() - 1
+        rest ^= low
+        r = rows[w]
+        y2 += (r & n2v).bit_count()
+        if low & vb:
+            e_bb2 += (r & vb).bit_count()
+            e_bc += (r & vc).bit_count()
+            if low & vb2:
+                # matching of V_B'' onto edges from N(v) minus v' into N2(u)
+                partners = r & rest_mask
+                if unmatched is None and partners.bit_count() != 1:
+                    unmatched = f"V_B'' vertex {w} with {partners.bit_count()} partners"
+                matching.append((w, partners.bit_length() - 1))
+        elif low & vc:
+            e_cc2 += (r & vc).bit_count()
+            stray += (r & beyond_vp).bit_count()
+        else:
+            e_ab += (r & vb).bit_count()
+    leaf_counts = []
+    e_c2_b = e_c2_far = 0
+    for vi, li in zip(v_rest, leaf_sets):
+        off_li = vc2 & ~li
+        out_i = out_mask & ~(1 << vi)
+        inside = c1 = c2 = b = out = 0
+        rest = li
+        while rest:
+            low = rest & -rest
+            r = rows[low.bit_length() - 1]
+            rest ^= low
+            y2 += (r & n2v).bit_count()
+            inside += (r & li).bit_count()
+            c1 += (r & vc1).bit_count()
+            c2 += (r & off_li).bit_count()
+            b += (r & vb).bit_count()
+            out += (r & out_i).bit_count()
+            e_c2_far += (r & out_far).bit_count()
+        e_cc2 += c1 + inside + c2
+        e_c2_b += b
+        leaf_counts.append((inside // 2, c1, c2, b, out))
 
     # absence identity: nothing in V_C' or {v} touches N2(u) beyond v'
-    if _between(g, vc1 | (1 << v), shells_u.n2 & ~(1 << v_prime)):
+    if stray:
         raise InternalInconsistency("edge from V_C' or v into N2(u) away from v'")
-
-    leaf_sets = [g.rows[vi] & vc2 for vi in v_rest]
     union = 0
-    for i, li in enumerate(leaf_sets):
+    for li, counts in zip(leaf_sets, leaf_counts):
         if li & union:
             raise InternalInconsistency("leaf sets overlap")
         union |= li
-        if edges_inside(g.rows, li):
+        if counts[0]:
             raise InternalInconsistency("edge inside a leaf set")
     if union != vc2:
         raise InternalInconsistency("leaf sets do not cover V_C''")
 
-    # matching of V_B'' onto edges from N(v) minus v' into N2(u)
-    matching: list[tuple[int, int]] = []
-    rest_mask = g.rows[v] & ~(1 << v_prime)
-    for w in bit_list(vb2):
-        partners = g.rows[w] & rest_mask
-        if partners.bit_count() != 1:
-            raise InternalInconsistency(f"V_B'' vertex {w} with {partners.bit_count()} partners")
-        matching.append((w, partners.bit_length() - 1))
-    crossing = _between(g, rest_mask, shells_u.n2)
+    if unmatched is not None:
+        raise InternalInconsistency(unmatched)
     if crossing != vb2.bit_count():
         raise InternalInconsistency("crossing-edge matching is not a bijection")
-    vb2_at_u1 = vb2 & g.rows[u1]
-    if _between(g, rest_mask, shells_u.n2 & g.rows[u1]) != vb2_at_u1.bit_count():
+    vb2_at_u1 = vb2 & rows[u1]
+    if crossing_at_u1 != vb2_at_u1.bit_count():
         raise InternalInconsistency("restricted crossing-edge matching is not a bijection")
 
     sizes = [li.bit_count() for li in leaf_sets]
@@ -388,21 +485,14 @@ def _case_b(g: Graph, k: int, shells_u, shells_v, lam: int,
     if sum(1 for s in sizes if s == k - 2) != vb2.bit_count():
         raise InternalInconsistency("count of minimum leaf sets differs from |V_B''|")
 
-    e_ab = _between(g, va, vb)
-    e_bb = edges_inside(g.rows, vb)
-    e_bc = _between(g, vb, vc)
-    e_cc = edges_inside(g.rows, vc)
-    y = edges_inside(g.rows, n2v)
+    e_bb, e_cc, y = e_bb2 // 2, e_cc2 // 2, y2 // 2
     if y != e_ab + e_bb + e_bc + e_cc:
         raise InternalInconsistency("5-cycle count of v disagrees with the partition")
 
+    # the leaf sets partition V_C'', so e(V_C'', V_B) is the sum of their
+    # counts; it is also e(V_B, V_C'')
     s_b2 = vb2.bit_count()
     s_c1 = vc1.bit_count()
-    e_b_c2 = _between(g, vb, vc2)
-    e_c2_b = _between(g, vc2, vb)
-    out_mask = g.vertex_mask() & ~(va | vb | vc)
-    out_far = out_mask & ~(g.rows[v] | (1 << v))
-
     recs = [
         InequalityRecord.make("VB_induced", (k - 1) * vb.bit_count(), ">=",
                               e_ab + 2 * e_bb + e_bc),
@@ -411,30 +501,26 @@ def _case_b(g: Graph, k: int, shells_u, shells_v, lam: int,
             2 * e_cc + e_bc + (k - 1) * (k - 1 - s_c1) - s_b2 - e_c2_b,
         ),
         InequalityRecord.make("outer_bound1",
-                              s_b2 + s_c1 + 1 + e_b_c2, "<=", two_eps),
+                              s_b2 + s_c1 + 1 + e_c2_b, "<=", two_eps),
         InequalityRecord.make("outer_bound2",
                               2 * (vb2_at_u1.bit_count() + s_c1 + 1), "<=", two_eps,
                               context="doubled form of the half-deficit bound"),
         InequalityRecord.make("EAB_new", e_ab, "=", vb2_at_u1.bit_count()),
     ]
     sum_leaf_slack = 0
-    for i, (vi, li) in enumerate(zip(v_rest, leaf_sets), start=1):
+    for i, (size, (_, e_li_c1, e_li_c2, e_li_b, e_li_out)) in enumerate(
+            zip(sizes, leaf_counts), start=1):
         ctx = f"i={i}"
-        e_li_c1 = _between(g, li, vc1)
-        e_li_c2 = _between(g, li, vc2 & ~li)
-        e_li_b = _between(g, li, vb)
-        e_li_out = _between(g, li, out_mask & ~(1 << vi))
         recs.append(InequalityRecord.make("LCprime", e_li_c1, "<=", s_c1, ctx))
         recs.append(InequalityRecord.make("LCdoubleprime", e_li_c2, "<=",
-                                          li.bit_count() * (k - 2), ctx))
+                                          size * (k - 2), ctx))
         recs.append(InequalityRecord.make(
-            "Li_expansion", (k - 1) * li.bit_count(), "=",
+            "Li_expansion", (k - 1) * size, "=",
             e_li_c2 + e_li_c1 + e_li_b + e_li_out, ctx,
         ))
-        sum_leaf_slack += li.bit_count() - s_c1
+        sum_leaf_slack += size - s_c1
     recs.append(InequalityRecord.make(
-        "Vout_bound", _between(g, vc2, out_far) + _between(g, vc2, vb), ">=",
-        sum_leaf_slack,
+        "Vout_bound", e_c2_far + e_c2_b, ">=", sum_leaf_slack,
     ))
     eps_in_range = 0 < two_eps <= k - 1
     if eps_in_range:
@@ -497,7 +583,7 @@ def audit_gprime_degree(g: Graph, u: int, u1_index: int, lam: int) -> GPrimeAudi
         if edges_inside(g.rows, branches[i]):
             raise InternalInconsistency("edge inside a branch set")
         for j in range(i + 1, k):
-            m = _between(g, branches[i], branches[j])
+            m = _between(g.rows, branches[i], branches[j])
             matrix[i][j] = matrix[j][i] = m
     two_eps = k * (k - 1) ** 2 - 2 * lam
     if two_eps % 2:

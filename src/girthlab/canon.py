@@ -58,7 +58,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Container, Sequence
 
-from .core import Graph, bits, graph_from_rows
+from .core import Graph, bit_list, bits, graph_from_rows
 from .formats import graph6_line, pack_payload
 
 
@@ -144,7 +144,7 @@ def _walk(rows: Sequence[int], known: Container[int] = frozenset()
     for v in range(n):
         groups.setdefault(rows[v].bit_count(), []).append(v)
     cells = [groups[d] for d in sorted(groups)]
-    nbrs = [list(bits(r)) for r in rows]
+    nbrs = [bit_list(r) for r in rows]
     twin = _twin_keys(rows)
     # decided once per call: twin-free graphs skip the twin check below
     twins = len(set(twin)) < n

@@ -46,7 +46,13 @@ def bits(mask: VertexSet) -> Iterator[int]:
 
 
 def bit_list(mask: VertexSet) -> list[int]:
-    return list(bits(mask))
+    """The set bit positions of `mask` in increasing order, as a list."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 @dataclass(frozen=True)
@@ -145,7 +151,13 @@ def degree_sequence(g: Graph) -> tuple[int, ...]:
 def edges_inside(rows: Sequence[int], mask: VertexSet) -> int:
     """Edges with both endpoints in `mask`, over adjacency rows: the
     girth-5 shell kernel (edges inside a second shell)."""
-    return sum((rows[v] & mask).bit_count() for v in bits(mask)) // 2
+    total = 0
+    rest = mask
+    while rest:
+        low = rest & -rest
+        total += (rows[low.bit_length() - 1] & mask).bit_count()
+        rest ^= low
+    return total // 2
 
 
 def regularity(g: Graph) -> tuple[bool, int | None]:

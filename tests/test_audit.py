@@ -1,5 +1,8 @@
 import hashlib
+import pickle
+import tracemalloc
 from collections import Counter
+from dataclasses import FrozenInstanceError, fields
 from itertools import permutations
 
 import pytest
@@ -7,6 +10,7 @@ import pytest
 from girthlab import (
     CaseMismatch,
     GIRTH_EXACT,
+    InternalInconsistency,
     NotEligible,
     PropertyViolated,
     SearchConfig,
@@ -27,6 +31,10 @@ from girthlab import (
     petersen_graph,
     shell_decompose,
 )
+
+from girthlab.audit import InequalityRecord, _case_a, _case_b, _main_property
+from girthlab.core import Graph
+from girthlab.girth import ShellDecomposition
 
 from naive_oracles import (
     oracle_case_a_records,
@@ -384,3 +392,138 @@ def test_audit_graph_validates_once_and_decomposes_once_per_root(monkeypatch):
     calls.clear()
     audit_graph(dodecahedron_graph(), scope=("sample", 30, 11))
     assert calls == {"regularity": 1, "shell_decompose": 20}
+
+
+def _record_values(part):
+    return {(r.name, r.context): (r.lhs, r.relation, r.rhs) for r in part.records}
+
+
+def test_cayley_pairs_match_oracles_under_forged_counts():
+    # every case-B pair of the 600-pair Cayley graph of A5 and every case-A
+    # pair of the 120-pair one, at the true count and both neighbours
+    for involution, case in (((0, 2, 1, 4, 3), "b"), ((1, 0, 3, 2, 4), "a")):
+        g = _cayley_a5(involution, (1, 3, 4, 2, 0))
+        adj = to_adj(g)
+        lam = girth_profile(g).per_vertex[0]
+        for claimed in (lam - 1, lam, lam + 1):
+            report = audit_graph(g, lam=claimed)
+            parts = report.case_b if case == "b" else report.case_a
+            oracle = oracle_case_b_records if case == "b" else oracle_case_a_records
+            assert len(parts) == (600 if case == "b" else 120)
+            for part in parts:
+                assert _record_values(part) == oracle(adj, 3, part.root, part.v, claimed), \
+                    (part.root, part.v, claimed)
+
+
+def _corrupted_pair_outcomes(g, case_b, inward):
+    # per root, the first exterior pair of the case; one vertex at a time
+    # is moved from the second shell of v to its exterior, or (inward)
+    # from the exterior of v to its second shell
+    lines = []
+    for u in range(g.n):
+        shells_u = shell_decompose(g, u)
+        containment = _main_property(g, shells_u)
+        v = next(v for v in bit_list(shells_u.n3plus)
+                 if ((g.rows[v] & shells_u.n2).bit_count() == 1) == case_b
+                 and g.rows[v] & shells_u.n2)
+        sv = shell_decompose(g, v)
+        for x in bit_list(sv.n3plus if inward else sv.n2):
+            bad = ShellDecomposition(v, sv.n1, sv.n2 ^ 1 << x, sv.n3plus ^ 1 << x)
+            try:
+                if case_b:
+                    part = _case_b(g, 3, shells_u, bad, 1, containment)
+                else:
+                    part = _case_a(g, 3, shells_u, bad, 1)
+                lines.append(f"{u} {v} {x} ok {part!r}")
+            except Exception as exc:
+                lines.append(f"{u} {v} {x} {type(exc).__name__}: {exc}")
+    return lines
+
+
+def test_kernel_failures_on_corrupted_shells_are_pinned():
+    # the exception type and message, or the whole partition when nothing
+    # is raised, for every corrupted pair, as first pinned before the
+    # kernels counted each pair in one pass
+    digests, outcomes, messages = {}, {}, set()
+    for involution, case_b in (((0, 2, 1, 4, 3), True), ((1, 0, 3, 2, 4), False)):
+        g = _cayley_a5(involution, (1, 3, 4, 2, 0))
+        for inward in (False, True):
+            lines = _corrupted_pair_outcomes(g, case_b, inward)
+            key = ("B" if case_b else "A") + ("in" if inward else "out")
+            digests[key] = hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
+            outcomes[key] = Counter(line.split(" ")[3] for line in lines)
+            messages |= {line.split(" ", 3)[3] for line in lines if " ok " not in line}
+    assert outcomes == {
+        "Bout": {"InternalInconsistency:": 300, "ok": 60},
+        "Bin": {"InternalInconsistency:": 3000},
+        "Aout": {"InternalInconsistency:": 120, "ok": 240},
+        "Ain": {"InternalInconsistency:": 120, "ok": 2880},
+    }
+    for message in ("leaf set smaller than k-2",
+                    "crossing-edge matching is not a bijection",
+                    "count of minimum leaf sets differs from |V_B''|",
+                    "V_A is not exactly the distinguished first-shell vertex",
+                    "leaf sets do not cover V_C''",
+                    "V_B'' vertex 28 with 0 partners",
+                    "fewer than two first-shell contacts in case A",
+                    "root inside N2(v) for an exterior v",
+                    "branch indicators disagree with |V_A|"):
+        assert "InternalInconsistency: " + message in messages
+    assert digests == {"Bout": "a6c3428399063a91", "Bin": "097b6e15f62252a6",
+                       "Aout": "a60c1111b968d720", "Ain": "72167be60c4a6d58"}
+
+
+def test_five_cycle_count_is_an_independent_check():
+    # y counts N2(v) on its own, not as the sum of its parts: two one-way
+    # adjacency bits from a V_C vertex into the rest of N2(v), which no
+    # part counts, make the kernels refuse the partition
+    def one_way(g, c, targets):
+        rows = list(g.rows)
+        rows[c] |= targets
+        return Graph(g.n, tuple(rows))
+
+    d = dodecahedron_graph()
+    shells_u, shells_v = shell_decompose(d, 0), shell_decompose(d, 3)
+    # u = 0, v = 3: vertex 5 lies in V_C'' and V_B is {11, 12}
+    with pytest.raises(InternalInconsistency, match="5-cycle count"):
+        _case_b(one_way(d, 5, 1 << 11 | 1 << 12), 3, shells_u, shells_v, 3,
+                _main_property(d, shells_u))
+
+    g = _cayley_a5((1, 0, 3, 2, 4), (1, 3, 4, 2, 0))
+    shells_u = shell_decompose(g, 0)
+    v = next(v for v in bit_list(shells_u.n3plus)
+             if (g.rows[v] & shells_u.n2).bit_count() >= 2)
+    shells_v = shell_decompose(g, v)
+    va = shells_v.n2 & shells_u.n1
+    c = next(c for c in bit_list(shells_v.n2 & shells_u.n3plus) if not g.rows[c] & va)
+    with pytest.raises(InternalInconsistency, match="5-cycle count"):
+        _case_a(one_way(g, c, va), 3, shells_u, shells_v, 1)
+
+
+def test_inequality_record_make_is_the_dataclass():
+    assert [f.name for f in fields(InequalityRecord)] == [
+        "name", "lhs", "rhs", "relation", "holds", "context"]
+    for lhs, relation, rhs in ((3, "<=", 4), (5, ">=", 6), (2, "=", 2), (7, "<", 7)):
+        made = InequalityRecord.make("R", lhs, relation, rhs, "i=1")
+        built = InequalityRecord("R", lhs, rhs, relation,
+                                 {"<=": lhs <= rhs, ">=": lhs >= rhs, "=": lhs == rhs,
+                                  "<": lhs < rhs}[relation], "i=1")
+        assert type(made) is InequalityRecord
+        assert made == built and hash(made) == hash(built) and repr(made) == repr(built)
+        assert pickle.loads(pickle.dumps(made)) == built
+        with pytest.raises(FrozenInstanceError):
+            made.lhs = 0
+    assert InequalityRecord.make("R", 1, "<=", 2).context == ""
+
+    def traced(build):
+        tracemalloc.start()
+        try:
+            kept = [build(i) for i in range(3000)]
+            return tracemalloc.get_traced_memory()[0], kept
+        finally:
+            tracemalloc.stop()
+
+    # no per-instance __dict__ is materialised: as small as the constructor's
+    made, _ = traced(lambda i: InequalityRecord.make("R", i, "<=", i + 1))
+    built, _ = traced(lambda i: InequalityRecord("R", i, i + 1, "<=", True))
+    assert made <= 1.1 * built

@@ -1,8 +1,11 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import girthlab
 from girthlab import cli, write_graph6, petersen_graph
 from girthlab.classify import BoundCheck
 
@@ -267,3 +270,16 @@ def test_stdout_carries_only_the_report(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert err != ""
+
+
+def test_module_entry_point_runs_the_command():
+    # `python -m girthlab.cli` must run the command, not import and exit 0
+    src = os.path.dirname(os.path.dirname(girthlab.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    for extra, code in (((), 0), (("--lambda", "4"), 1)):
+        done = subprocess.run(
+            [sys.executable, "-m", "girthlab.cli", "audit", "named:dodecahedron", *extra],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert done.returncode == code, done.stderr
+        assert json.loads(done.stdout)["summary"]["all_passed"] is (code == 0)

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from girthlab import (
@@ -15,7 +17,8 @@ from girthlab import (
     petersen_graph,
     regularity,
 )
-from girthlab.core import max_vertices
+from girthlab.audit import _between
+from girthlab.core import HARD_MAX_VERTICES, bit_list, edges_inside, max_vertices
 
 
 def test_builder_rejects_loops_and_bad_vertices():
@@ -122,3 +125,27 @@ def test_max_vertices_env_override(monkeypatch):
         max_vertices()
     monkeypatch.delenv("GIRTHLAB_MAX_N")
     assert max_vertices() == 64
+
+
+def test_bit_kernels_match_set_versions():
+    # bit_list, edges_inside and the audit's _between against plain sets
+    rng = random.Random(41)
+    for n in (1, 2, 63, 64, 65, 130, HARD_MAX_VERTICES):
+        rows = [0] * n
+        for i in range(n):
+            for j in range(i + 1, n):
+                if rng.random() < 4 / n:
+                    rows[i] |= 1 << j
+                    rows[j] |= 1 << i
+        masks = [0, 1 << (n - 1), (1 << n) - 1, 1 << rng.randrange(n)]
+        if n > 63:
+            masks.append(1 << 63)
+        masks += [rng.getrandbits(n) for _ in range(4)]
+        for a in masks:
+            members = {i for i in range(n) if a >> i & 1}
+            assert bit_list(a) == sorted(members)
+            assert edges_inside(rows, a) == sum(
+                1 for i in members for j in members if i < j and rows[i] >> j & 1)
+            b = rng.getrandbits(n) & ~a
+            assert _between(rows, a, b) == sum(
+                1 for i in members for j in range(n) if b >> j & 1 and rows[i] >> j & 1)
