@@ -29,7 +29,6 @@ import operator
 import random
 from dataclasses import dataclass, field
 
-from .classify import classify
 from .core import Graph, bit_list, bits, edges_inside, is_connected, regularity
 from .errors import (
     CaseMismatch,

@@ -2,11 +2,24 @@
 over cells.
 
 The certificate is the lexicographically minimal adjacency bitstring over
-all labellings consistent with the refinement tree, which starts from the
-degree partition; equal certificates characterise isomorphic graphs
-because the certificate reconstructs the graph.  There is one canonical
-form: no vertex colours are taken, so the search's classes, memo keys and
-`are_isomorphic` all compare the same strings.
+all labellings consistent with the refinement tree; equal certificates
+characterise isomorphic graphs because the certificate reconstructs the
+graph.  There is one canonical form: no vertex colours are taken, so the
+search's classes, memo keys and `are_isomorphic` all compare the same
+strings.
+
+The tree starts from the degree partition, cells in ascending degree,
+unless every vertex has the same degree.  Refinement cannot split the one
+cell of a regular graph, so the tree would branch over all n vertices of a
+rigid one.  A regular graph starts instead from its cells of equal
+distance profile, in ascending profile order: the profile of v is the
+sequence, over its BFS layers ``L_0 = {v}``, ``L_1``, ..., of the layer
+size and the number of edges inside the layer (`_distance_profile`).  An
+isomorphism maps BFS layers onto BFS layers, so the profile is an
+isomorphism invariant, as the degree is.  A random cubic graph of girth 5
+on 40 to 64 vertices then labels about one leaf instead of n; a
+vertex-transitive graph has one profile, so its tree and form are those of
+the degree cell.  Profiles are tuples, so no two distinct ones collide.
 
 Two leaves with equal certificates give an automorphism, the map from the
 first leaf's order to the second's.  A dict from certificate to the order
@@ -16,26 +29,29 @@ dict at the end.  Discovered automorphisms prune branches that fix the
 current individualisation prefix.  So do twins: open twins, non-adjacent
 vertices with equal rows, and closed twins, adjacent vertices with equal
 closed neighbourhoods ``rows[v] | 1 << v``.  Two twins of either kind in
-one cell are swapped by an automorphism that fixes every other vertex, so a
-candidate that is a twin of a candidate already tried or reached is
-skipped; `_twin_keys` gives twins, and only twins, equal keys.  Whether any
-twins exist is decided once per call, so twin-free graphs (every regular
-graph of girth at least 5) pay nothing for it.  The fresh vertices of a
-partial search state are open twins, and the universal vertices of a dense
-graph are closed twins, so K_n labels one leaf.
+one cell are swapped by an automorphism that fixes every other vertex, so
+a candidate that is a twin of a candidate already tried or reached is
+skipped; `_twin_keys` gives twins, and only twins, equal keys.  Twins
+share a distance profile, being swapped by an automorphism, so they share
+a starting cell and the rule still applies.  Whether any twins exist is
+decided once per call, so twin-free graphs (every regular graph of girth
+at least 5) pay nothing for it.  The fresh vertices of a partial search
+state are open twins, and the universal vertices of a dense graph are
+closed twins, so K_n labels one leaf.
 
 The certificates met by one walk are an isomorphism invariant, which makes
 a single leaf an exact isomorphism test (McKay, "Isomorph-free exhaustive
-generation", J. Algorithms 26, 1998).  Refinement, the choice of the target
-cell and individualisation commute with relabelling, so isomorphic graphs
-have the same unpruned tree up to relabelling, and the same set of leaf
-certificates.  Orbit and twin pruning skip only subtrees that an
-automorphism maps onto a kept one, whose certificates a kept leaf repeats,
-so the walk meets that whole set.  A certificate rebuilds its graph, so two
-graphs of one order that share a single leaf certificate are isomorphic.
-`_walk` is the one tree walk: `canonize` takes the least certificate it
-meets, and the search passes the certificates of the states it expanded as
-`known`, so that a duplicate state stops at its first leaf.
+generation", J. Algorithms 26, 1998).  The starting cells, refinement, the
+choice of the target cell and individualisation commute with relabelling,
+so isomorphic graphs have the same unpruned tree up to relabelling, and
+the same set of leaf certificates.  Orbit and twin pruning skip only
+subtrees that an automorphism maps onto a kept one, whose certificates a
+kept leaf repeats, so the walk meets that whole set.  A certificate
+rebuilds its graph, so two graphs of one order that share a single leaf
+certificate are isomorphic.  `_walk` is the one tree walk: `canonize`
+takes the least certificate it meets, and the search passes the
+certificates of the states it expanded as `known`, so that a duplicate
+state stops at its first leaf.
 
 Refinement splits every cell by each vertex's neighbour counts into the
 other cells, ordering the fragments by their count vectors, until no cell
@@ -113,6 +129,26 @@ def _refine(nbrs: Sequence[Sequence[int]], cells: list[list[int]],
 _MAX_STORED_AUTS = 256
 
 
+def _distance_profile(rows: Sequence[int], v: int) -> tuple[int, ...]:
+    """``(|L_0|, e_0, |L_1|, e_1, ...)`` over the BFS layers ``L_0 = {v}``,
+    ``L_1``, ... of v, where ``e_d`` counts the edges inside ``L_d``."""
+    profile: list[int] = []
+    seen = layer = 1 << v
+    while layer:
+        inside = reach = 0
+        rest = layer
+        while rest:
+            low = rest & -rest
+            row = rows[low.bit_length() - 1]
+            inside += (row & layer).bit_count()
+            reach |= row
+            rest ^= low
+        profile += (layer.bit_count(), inside >> 1)
+        layer = reach & ~seen
+        seen |= layer
+    return tuple(profile)
+
+
 def _twin_keys(rows: Sequence[int]) -> Sequence[int]:
     """One int per vertex, equal exactly for twins: the closed row
     ``rows[v] | 1 << v`` of a vertex that has a closed twin, and the row of
@@ -137,13 +173,21 @@ def _walk(rows: Sequence[int], known: Container[int] = frozenset()
     the order of the first leaf that gave it, and `visited` counts the
     leaves labelled.  When the first leaf's certificate is in `known`, the
     walk stops there and `leaves` is None.  ``order[p]`` is the original
-    vertex placed at position p; vertices start partitioned by degree.
+    vertex placed at position p.  Vertices start partitioned by degree, or,
+    when that gives one cell, by distance profile; both are isomorphism
+    invariants, sorted by value, so the starting cells and their order
+    commute with relabelling.
     """
     n = len(rows)
-    groups: dict[int, list[int]] = {}
+    groups: dict = {}
     for v in range(n):
         groups.setdefault(rows[v].bit_count(), []).append(v)
-    cells = [groups[d] for d in sorted(groups)]
+    if len(groups) == 1:
+        # regular: refinement cannot split the one degree cell
+        groups = {}
+        for v in range(n):
+            groups.setdefault(_distance_profile(rows, v), []).append(v)
+    cells = [groups[key] for key in sorted(groups)]
     nbrs = [bit_list(r) for r in rows]
     twin = _twin_keys(rows)
     # decided once per call: twin-free graphs skip the twin check below
@@ -211,7 +255,8 @@ def _walk(rows: Sequence[int], known: Container[int] = frozenset()
                 reached_twins = {twin[u] for u in reached}
         return False
 
-    # degree classes promise nothing about counts: every cell is a splitter
+    # degree and profile classes promise nothing about counts: every cell
+    # is a splitter
     if descend(cells, (), list(range(len(cells)))):
         return None, visited
     return leaves, visited
@@ -220,8 +265,8 @@ def _walk(rows: Sequence[int], known: Container[int] = frozenset()
 def canonize(rows: Sequence[int]) -> tuple[tuple[int, ...], int]:
     """Return (order, certificate) minimising the adjacency bitstring.
 
-    ``order[p]`` is the original vertex placed at position p.  Vertices
-    start partitioned by degree.
+    ``order[p]`` is the original vertex placed at position p; the tree is
+    `_walk`'s.
     """
     leaves, _ = _walk(rows)
     best_cert = min(leaves)

@@ -53,9 +53,11 @@ the certificates computed by one call, summed over its workers.
 A complete graph is emitted as its memo key, the canonical graph6 that
 `canonical_graph6` and `are_isomorphic` also compute; that string is the
 class in outputs and checkpoints.  Equal keys mean isomorphic graphs, so a
-class met by two workers is still emitted once.  Format 4 of the
-checkpoint stores these keys; format 3 stored classes canonised with
-girth-cycle counts as vertex colours, and is refused.
+class met by two workers is still emitted once.  Format 5 of the
+checkpoint stores these keys.  Older formats are refused: format 4 stored
+regular classes labelled from the one degree cell rather than from the
+distance-profile cells (see `canon`), and format 3 stored classes canonised
+with girth-cycle counts as vertex colours.
 """
 from __future__ import annotations
 
@@ -75,7 +77,7 @@ from .classify import vertex_cycle_bound
 GIRTH_EXACT = "exact"
 GIRTH_AT_LEAST = "at_least"
 
-CHECKPOINT_MAGIC = "#girthlab-checkpoint 4"
+CHECKPOINT_MAGIC = "#girthlab-checkpoint 5"
 
 
 def default_order_cap(k: int) -> int:

@@ -331,7 +331,8 @@ def test_audit_report_is_pinned():
     # every root) and case B.  The corpus is search output in emitted
     # order, so the digest was re-pinned when search classes became
     # canonical_graph6 strings; the count-coloured classes emitted before,
-    # re-canonised and sorted, give the same digest
+    # re-canonised and sorted, give the same digest.  Re-pinned the same
+    # way when regular graphs began to split by distance profile
     graphs = [petersen_graph(), dodecahedron_graph(),
               _cayley_a5((1, 0, 3, 2, 4), (1, 3, 4, 2, 0)),
               _cayley_a5((0, 2, 1, 4, 3), (1, 3, 4, 2, 0))]
@@ -348,7 +349,7 @@ def test_audit_report_is_pinned():
             audit_graph(g)
         lines.append(str(refusal.value))
     assert kinds[2:] == [(120, 0, 360), (0, 600, 0)]
-    assert hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16] == "e3b9c7bdec4da598"
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16] == "abe4f15b713bf097"
 
 
 def test_audit_graph_records_match_public_functions():
@@ -527,3 +528,41 @@ def test_inequality_record_make_is_the_dataclass():
     made, _ = traced(lambda i: InequalityRecord.make("R", i, "<=", i + 1))
     built, _ = traced(lambda i: InequalityRecord("R", i, i + 1, "<=", True))
     assert made <= 1.1 * built
+
+
+def test_case_b_structure_checks_refuse_hand_built_rows():
+    # the absence identity and the leaf-set checks of case B, each reached
+    # by adjacency bits added to the rows of one case-B pair of the Cayley
+    # graph of A5 while the shells stay those of the true graph
+    g = _cayley_a5((0, 2, 1, 4, 3), (1, 3, 4, 2, 0))
+    shells_u = shell_decompose(g, 0)
+    containment = _main_property(g, shells_u)
+    for v in bit_list(shells_u.n3plus):
+        contacts = g.rows[v] & shells_u.n2
+        shells_v = shell_decompose(g, v)
+        vc = shells_v.n2 & ~(shells_u.n1 | shells_u.n2)
+        if contacts.bit_count() == 1 and vc & g.rows[contacts.bit_length() - 1]:
+            break
+    v_prime = contacts.bit_length() - 1
+    vc1 = vc & g.rows[v_prime]
+    v_rest = bit_list(g.rows[v] & ~(1 << v_prime))
+    leaf_sets = [bit_list(g.rows[vi] & vc & ~vc1) for vi in v_rest]
+    assert len(leaf_sets) == 2 and len(leaf_sets[0]) == 2
+
+    def refused(added, message):
+        rows = list(g.rows)
+        for a, b in added:
+            rows[a] |= 1 << b
+        with pytest.raises(InternalInconsistency, match=message):
+            _case_b(Graph(g.n, tuple(rows)), 3, shells_u, shells_v, 1, containment)
+
+    # a V_C' vertex reaching a second-shell vertex of u other than v'
+    c = bit_list(vc1)[0]
+    target = next(w for w in bit_list(shells_u.n2 & ~g.rows[c]) if w != v_prime)
+    refused([(c, target)], "edge from V_C' or v into N2[(]u[)] away from v'")
+    # a neighbour of v reaching into the leaf set of another
+    refused([(v_rest[1], leaf_sets[0][0])], "leaf sets overlap")
+    # an edge between the two leaves of one set: one-way bits count one
+    # half-edge each, so both bits are set
+    a, b = leaf_sets[0]
+    refused([(a, b), (b, a)], "edge inside a leaf set")

@@ -13,13 +13,16 @@ from girthlab import (
     complete_graph,
     cycle_graph,
     dodecahedron_graph,
+    girth,
     graph_from_edges,
     heawood_graph,
     petersen_graph,
+    regularity,
     relabel,
     write_graph6,
 )
 from girthlab.canon import _refine, _walk, canonize
+from girthlab.core import Graph, bits
 
 from naive_oracles import naive_refine, to_adj
 
@@ -153,7 +156,8 @@ def test_canonising_emitted_classes_visits_pinned_leaf_count(monkeypatch):
     # search emits canonically labelled strings; canonize records an
     # automorphism from every pair of leaves with equal certificates, and
     # recording one only when a leaf repeats the current best certificate
-    # visits 119 leaves here instead of 103
+    # visits 119 leaves here instead of 103.  Starting regular graphs from
+    # their distance-profile cells took 103 to 73
     from girthlab import SearchConfig, canon, generate, parse_graph6
 
     out = generate(SearchConfig(k=3, g=5, n_max=14))
@@ -168,29 +172,59 @@ def test_canonising_emitted_classes_visits_pinned_leaf_count(monkeypatch):
     for certs in out.classes_graph6.values():
         for s in certs:
             assert canonical_graph6(parse_graph6(s)) == s
-    assert len(calls) == 103
+    assert len(calls) == 73
 
 
-def _random_cubic(rng, n):
+def _random_regular(rng, n, k):
     # pairing model, rejecting loops and parallel edges
     while True:
-        stubs = [v for v in range(n) for _ in range(3)]
+        stubs = [v for v in range(n) for _ in range(k)]
         rng.shuffle(stubs)
         pairs = list(zip(stubs[::2], stubs[1::2]))
         if all(a != b for a, b in pairs) and len({frozenset(p) for p in pairs}) == len(pairs):
             return graph_from_edges(n, pairs)
 
 
+def _random_cubic(rng, n):
+    return _random_regular(rng, n, 3)
+
+
+def test_agreement_with_vf2_on_regular_graphs():
+    # refinement cannot split a regular graph's degree cell, so these start
+    # from distance-profile cells: random same-order pairs and seeded
+    # relabellings, named vertex-transitive graphs included
+    rng = random.Random(1401)
+    graphs = [_random_regular(rng, n, 3) for n in range(4, 17, 2) for _ in range(6)]
+    graphs += [_random_regular(rng, n, 4) for n in range(5, 17) for _ in range(4)]
+    pairs = [(g, h) for g in graphs for h in graphs if g is not h and g.n == h.n]
+    pairs = rng.sample(pairs, 300)
+    for g in graphs + [petersen_graph(), dodecahedron_graph(), heawood_graph()] * 4:
+        pairs.append((g, _permuted(g, rng.sample(range(g.n), g.n))))
+
+    def nx_graph(g):
+        h = nx.Graph(list(g.edges()))
+        h.add_nodes_from(range(g.n))
+        return h
+
+    isomorphic = 0
+    for g, h in pairs:
+        same = nx.is_isomorphic(nx_graph(g), nx_graph(h))
+        assert are_isomorphic(g, h) == same
+        isomorphic += same
+    assert 0 < isomorphic < len(pairs)
+
+
 def test_canonical_form_is_pinned():
     # digest of the uncoloured canonical forms as first pinned: a change of
     # the canonical form changes search output and checkpoint bytes, so it
-    # must be deliberate
+    # must be deliberate.  Re-pinned once, when regular graphs began to
+    # start from their distance-profile cells
     rng = random.Random(2014)
     graphs = [petersen_graph(), dodecahedron_graph(), heawood_graph(), complete_graph(6),
               complete_bipartite_graph(3, 4), cycle_graph(9)]
     graphs += [_random_cubic(rng, rng.randrange(4, 25, 2)) for _ in range(40)]
     lines = "\n".join(canonical_graph6(g) for g in graphs)
-    assert hashlib.sha256(lines.encode()).hexdigest()[:16] == "78c45e49c21443fd"
+    assert hashlib.sha256(lines.encode()).hexdigest()[:16] == "913a0b03e446661e"
 
 
 def _twin_rich_graphs(rng):
@@ -223,10 +257,11 @@ def test_canonical_form_of_twin_rich_graphs_is_pinned():
     # digest of the sorted forms, the same as the canonize from before it
     # skipped twin branches gives: twins are swapped by an automorphism, so
     # skipping them keeps every form.  Sorted, because the quartic inputs
-    # come from search output, whose order follows its class strings
+    # come from search output, whose order follows its class strings.
+    # Re-pinned when regular graphs began to split by distance profile
     lines = sorted(canonical_graph6(g) for g in _twin_rich_graphs(random.Random(2099)))
     assert len(lines) == 97
-    assert hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16] == "683b6fbc1615cc3d"
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16] == "5a509000c10c61bc"
 
 
 def _count_leaves(monkeypatch):
@@ -329,3 +364,66 @@ def test_leaf_certificate_set_is_invariant():
         perm = list(range(g.n))
         rng.shuffle(perm)
         assert set(_walk(g.rows)[0]) == set(_walk(_permuted(g, perm).rows)[0])
+
+
+def test_canonical_form_of_non_regular_graphs_is_pinned(monkeypatch):
+    # only regular graphs start from distance-profile cells: the forms of
+    # every non-regular state the cubic girth-5 search walks, and of the
+    # non-regular twin-rich graphs, are those of the degree-cell walk
+    from girthlab import SearchConfig, generate, search
+
+    walked = set()
+    walk = search._walk
+
+    def recording(rows, known):
+        walked.add(tuple(rows))
+        return walk(rows, known)
+
+    monkeypatch.setattr(search, "_walk", recording)
+    generate(SearchConfig(k=3, g=5, n_max=14))
+    monkeypatch.undo()
+    graphs = [Graph(len(rows), rows) for rows in walked]
+    graphs += _twin_rich_graphs(random.Random(2099))
+    lines = sorted({canonical_graph6(g) for g in graphs
+                    if len({r.bit_count() for r in g.rows}) > 1})
+    assert len(lines) == 352
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16] == "4a49a4777ad8484c"
+
+
+def _random_cubic_girth5(rng, n):
+    # join a random open vertex to a random open vertex at distance at
+    # least 4 from it, starting afresh when none is left
+    while True:
+        rows = [0] * n
+        open_ = set(range(n))
+        while open_:
+            u = rng.choice(sorted(open_))
+            near = ball = 1 << u
+            for _ in range(3):
+                reach = 0
+                for w in bits(near):
+                    reach |= rows[w]
+                near = reach & ~ball
+                ball |= near
+            far = [w for w in sorted(open_) if not ball >> w & 1]
+            if not far:
+                break
+            w = rng.choice(far)
+            rows[u] |= 1 << w
+            rows[w] |= 1 << u
+            open_ -= {x for x in (u, w) if rows[x].bit_count() == 3}
+        else:
+            return Graph(n, tuple(rows))
+
+
+def test_rigid_regular_graphs_label_few_leaves(monkeypatch):
+    # a rigid cubic graph of girth 5 keeps one degree cell under
+    # refinement, and a walk from that cell labels about n leaves; its
+    # distance-profile cells refine to one leaf here
+    rng = random.Random(64)
+    graphs = [_random_cubic_girth5(rng, n) for n in range(40, 65, 4)]
+    assert all(girth(g) == 5 and regularity(g) == (True, 3) for g in graphs)
+    calls = _count_leaves(monkeypatch)
+    for g in graphs:
+        canonical_graph6(g)
+    assert len(calls) == 7

@@ -112,15 +112,17 @@ def _digest(outcome):
 
 
 @pytest.mark.parametrize("kwargs, digest", [
-    (dict(k=3, g=5, n_max=14), "c587df1844697a61"),
-    (dict(k=4, g=4, n_max=11), "004d243a0a5038e4"),
-    (dict(k=3, g=5, n_max=12, girth_mode=GIRTH_EXACT, lambda_filter=6), "63e297481b1f9027"),
+    (dict(k=3, g=5, n_max=14), "d19f4cb3bc4371c3"),
+    (dict(k=4, g=4, n_max=11), "4206893d2db5d7ce"),
+    (dict(k=3, g=5, n_max=12, girth_mode=GIRTH_EXACT, lambda_filter=6), "237042f006a074e6"),
 ])
 def test_emitted_classes_are_byte_stable(kwargs, digest):
     # pinned digests of the emitted class and hit strings: the partial-state
     # memo changes the work of a search, never its output bytes.  Pinned
     # when classes became canonical_graph6 strings; the same digests come
-    # from the count-coloured classes emitted before, re-canonised and sorted
+    # from the count-coloured classes emitted before, re-canonised and sorted.
+    # Re-pinned when regular graphs began to split by distance profile: the
+    # classes emitted before, re-canonised and sorted, give these digests
     assert _digest(generate(SearchConfig(**kwargs))) == digest
 
 
@@ -133,9 +135,10 @@ def test_node_count_of_memoised_tree():
 
 def test_leaves_labelled_is_pinned():
     # certificates computed by one call: a duplicate state costs one leaf,
-    # since its first leaf is one of an expanded state's certificates
+    # since its first leaf is one of an expanded state's certificates.  The
+    # distance-profile cells of complete states took it from 712 to 686
     out = generate(SearchConfig(k=3, g=5, n_max=14))
-    assert out.nodes_expanded == 291 and out.leaves_labelled == 712
+    assert out.nodes_expanded == 291 and out.leaves_labelled == 686
 
 
 def test_leaf_index_is_kept_per_order():
@@ -157,7 +160,7 @@ def test_leaves_labelled_counts_one_call(tmp_path):
                           checkpoint_path=str(tmp_path / "frontier.txt"))
     first, rest = generate(config), generate(config)
     assert first.suspended and not rest.suspended and rest.nodes_expanded == 291
-    assert (first.leaves_labelled, rest.leaves_labelled) == (441, 326)
+    assert (first.leaves_labelled, rest.leaves_labelled) == (417, 307)
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -340,10 +343,11 @@ def test_checkpoint_rejects_older_format(tmp_path):
     path = tmp_path / "frontier.txt"
     generate(SearchConfig(k=3, g=5, n_max=12, node_budget=20, checkpoint_path=str(path)))
     lines = path.read_text().splitlines()
-    assert lines[0] == search.CHECKPOINT_MAGIC == "#girthlab-checkpoint 4"
+    assert lines[0] == search.CHECKPOINT_MAGIC == "#girthlab-checkpoint 5"
     assert any(line.startswith("#memo ") for line in lines)
-    # a format-3 file, memo included: its classes were count-coloured forms
-    path.write_text("\n".join(["#girthlab-checkpoint 3"] + lines[1:]) + "\n")
+    # a format-4 file, memo included: its regular classes were labelled
+    # from the one degree cell
+    path.write_text("\n".join(["#girthlab-checkpoint 4"] + lines[1:]) + "\n")
     with pytest.raises(GirthLabError):
         generate(SearchConfig(k=3, g=5, n_max=12, checkpoint_path=str(path)))
 
