@@ -8,18 +8,28 @@ vertices that take the next unused indices.  Girth pruning rejects an edge
 (a, b) whenever the current distance between a and b is below g - 1.
 
 Two cuts run before a child is emitted, so neither costs a canonical
-labelling.  The lookahead degree check (`_viable`) drops a child with no
-completion: no fresh slot left and an odd number of missing stubs, or an
-unsaturated vertex with fewer open partners (fresh slots plus unsaturated
-vertices at distance >= g-1) than missing edges.  The twin rule
-(`_one_per_row`) tries only the first of the candidate partners that share
-a row: swapping two such twins is an automorphism of the partial graph that
-fixes the pivot and the partners already chosen, so their children are
-isomorphic.  Both are sound under the memo below: a dropped child has no
-completion, or has the completions of an emitted sibling up to isomorphism,
-so every class is still met, and the memo only ever holds keys of states
-that were expanded.  Neither cut changes the canonical form or what a memo
-key means.
+labelling.  The lookahead (`_viable`) drops a child with no completion.
+While k or more fresh slots remain it accepts at once, as every vertex then
+has enough open partners, so n_max plays no part in the cut until the last
+k - 1 slots.  Below that, it tries each number f of new vertices that makes
+the count of missing stubs even: it appends f isolated vertices and adds
+forced edges until none is left (`_forced_closure`).  An unsaturated vertex
+whose open partners (unsaturated vertices at distance >= g-1, fresh ones
+included) number exactly its missing degree is joined to all of them, one
+with fewer is a contradiction, and so is a forced edge whose ends the edges
+forced before it have brought within distance g-2.  Every completion with f
+new vertices contains each forced edge, so a contradiction rules out all of
+them, and the child is kept if some f survives.  A vertex with fewer open
+partners than missing edges at f = n_max - t has fewer at every smaller f,
+whatever edges are forced, so the propagation drops every child that this
+per-vertex count drops, and more.  The twin rule (`_one_per_row`) tries
+only the first of the candidate partners that share a row: swapping two
+such twins is an automorphism of the partial graph that fixes the pivot and
+the partners already chosen, so their children are isomorphic.  Both are
+sound under the memo below: a dropped child has no completion, or has the
+completions of an emitted sibling up to isomorphism, so every class is
+still met, and the memo only ever holds keys of states that were expanded.
+Neither cut changes the canonical form or what a memo key means.
 
 Isomorph rejection on partial states: the complete graphs reachable from a
 partial state are all k-regular girth-compatible supergraphs that add edges
@@ -68,7 +78,7 @@ import time
 from dataclasses import dataclass, field
 
 from .canon import _walk
-from .core import Graph, bits, is_connected
+from .core import Graph, is_connected
 from .errors import GirthLabError, InternalInconsistency
 from .formats import graph6_line, parse_graph6, write_graph6
 from .girth import girth, girth_profile
@@ -160,13 +170,14 @@ Rows = tuple[int, ...]
 
 def _near_mask(rows: list[int], src: int, limit: int) -> int:
     """Vertices within distance `limit` of src in the partial graph."""
-    seen = 1 << src
-    frontier = seen
+    seen = frontier = 1 << src
     for _ in range(limit):
-        nxt = 0
-        for v in bits(frontier):
-            nxt |= rows[v]
-        frontier = nxt & ~seen
+        reach = 0
+        while frontier:
+            low = frontier & -frontier
+            reach |= rows[low.bit_length() - 1]
+            frontier ^= low
+        frontier = reach & ~seen
         if not frontier:
             break
         seen |= frontier
@@ -174,27 +185,62 @@ def _near_mask(rows: list[int], src: int, limit: int) -> int:
 
 
 def _viable(rows: list[int], k: int, g: int, n_max: int) -> bool:
-    """Lookahead degree check: False only when the partial graph has no
-    completion.  It has none when no fresh slot is left and the number of
-    missing stubs is odd, or when some unsaturated vertex v has fewer open
-    partners than missing edges.  Every new neighbour of v in a completion
-    is a fresh vertex or an unsaturated vertex already at distance >= g-1
-    (distances only shrink as edges are added), so the open partners of v
-    are the `n_max - t` fresh slots and the unsaturated vertices outside
-    `_near_mask(rows, v, g-2)`.  With k fresh slots left every vertex has
-    enough of them."""
+    """Lookahead: False only when the partial graph has no completion.
+    With k fresh slots left every vertex has enough open partners, so the
+    check runs only when fewer remain.  A completion with f new vertices
+    needs an even number of stubs, sum(missing) + k*f, and it contains
+    every edge that `_forced_closure` adds to the state with f isolated
+    vertices appended; the state has a completion only if some such f
+    survives that propagation."""
     fresh = n_max - len(rows)
     if fresh >= k:
         return True
+    stubs = k * len(rows) - sum(r.bit_count() for r in rows)
+    return any(_forced_closure(rows + [0] * f, k, g)
+               for f in range(fresh, -1, -1) if not (stubs + k * f) % 2)
+
+
+def _forced_closure(rows: list[int], k: int, g: int) -> bool:
+    """Add forced edges to `rows` (changed in place) until none is left;
+    False on a contradiction.  Every new neighbour of an unsaturated vertex
+    v in a completion is an open partner: an unsaturated vertex outside
+    `_near_mask(rows, v, g-2)`, since distances only shrink as edges are
+    added.  So v has no completion with fewer open partners than missing
+    edges, and with exactly as many, every completion joins v to all of
+    them.  Each forced edge is re-checked against the distances that the
+    edges added before it have shortened, so forced edges that together
+    close a short cycle are a contradiction too."""
     missing = [k - r.bit_count() for r in rows]
-    if not fresh and sum(missing) % 2:
-        return False
-    unsaturated = [v for v, m in enumerate(missing) if m]
-    open_mask = sum(1 << v for v in unsaturated)
-    for v in unsaturated:
-        if missing[v] > fresh and (
-                open_mask & ~_near_mask(rows, v, g - 2)).bit_count() + fresh < missing[v]:
-            return False
+    unsaturated = sum(1 << v for v, m in enumerate(missing) if m)
+    changed = True
+    while changed:
+        changed = False
+        for v, m in enumerate(missing):
+            if not m:
+                continue
+            near = _near_mask(rows, v, g - 2)
+            partners = unsaturated & ~near
+            count = partners.bit_count()
+            if count < m:
+                return False
+            if count > m:
+                continue
+            while partners:
+                low = partners & -partners
+                partners ^= low
+                if near & low:
+                    return False
+                w = low.bit_length() - 1
+                rows[v] |= low
+                rows[w] |= 1 << v
+                missing[w] -= 1
+                if not missing[w]:
+                    unsaturated ^= low
+                if partners:
+                    near = _near_mask(rows, v, g - 2)
+            missing[v] = 0
+            unsaturated ^= 1 << v
+            changed = True
     return True
 
 
@@ -421,9 +467,7 @@ def _read_checkpoint(path: str, cfg_key: dict):
             elif line.startswith("#memo "):
                 memo.add(line.split(" ", 1)[1])
             else:
-                # a frontier line; older format-4 writers appended a depth
-                # column, which nothing reads
-                frontier.append(parse_graph6(line.split()[0]).rows)
+                frontier.append(parse_graph6(line).rows)
     return classes, hits, nodes, memo, frontier
 
 

@@ -14,6 +14,7 @@ from girthlab import (
     find_vgr,
     generate,
     girth,
+    heawood_graph,
     parse_graph6,
     petersen_graph,
     regularity,
@@ -21,7 +22,7 @@ from girthlab import (
 from girthlab import search
 from girthlab.core import Graph
 
-from naive_oracles import naive_labeled_regular_graphs
+from naive_oracles import naive_dist, naive_labeled_regular_graphs, to_adj
 
 
 # OEIS A014372: connected cubic graphs of girth >= 5 on n vertices
@@ -98,8 +99,18 @@ def test_published_counts():
     assert out.per_n_classes == {8: 1, 10: 2, 11: 2, 12: 12, 13: 31}
 
 
+def test_published_counts_where_the_lookahead_cuts_most():
+    # OEIS A014371: connected cubic graphs of girth >= 6
+    out = generate(SearchConfig(k=3, g=6, n_max=20))
+    assert out.per_n_classes == {14: 1, 16: 1, 18: 5, 20: 32}
+    # the Robertson graph is the only quartic graph of girth >= 5 on at
+    # most 19 vertices
+    out = generate(SearchConfig(k=4, g=5, n_max=19, cap=19))
+    assert out.per_n_classes == {19: 1}
+
+
 @pytest.mark.slow
-@pytest.mark.parametrize("n_max", [18, 20])  # n <= 20: about 3.5 minutes on one core
+@pytest.mark.parametrize("n_max", [18, 20])  # n <= 20: about 1.5 minutes on one core
 def test_published_counts_cubic_slow(n_max):
     out = generate(SearchConfig(k=3, g=5, n_max=n_max))
     assert out.per_n_classes == {n: c for n, c in CUBIC_GIRTH5.items() if n <= n_max}
@@ -128,17 +139,19 @@ def test_emitted_classes_are_byte_stable(kwargs, digest):
 
 def test_node_count_of_memoised_tree():
     # the machine-independent cost of a search: it moves only when the
-    # growth rule or the partial-state memo changes
+    # growth rule, the lookahead or the partial-state memo changes; forced-
+    # edge propagation in the lookahead took it from 291 to 201
     out = generate(SearchConfig(k=3, g=5, n_max=14))
-    assert out.nodes_expanded == 291 and out.total_classes == 12
+    assert out.nodes_expanded == 201 and out.total_classes == 12
 
 
 def test_leaves_labelled_is_pinned():
     # certificates computed by one call: a duplicate state costs one leaf,
     # since its first leaf is one of an expanded state's certificates.  The
-    # distance-profile cells of complete states took it from 712 to 686
+    # distance-profile cells of complete states took it from 712 to 686,
+    # and forced-edge propagation in the lookahead from 686 to 482
     out = generate(SearchConfig(k=3, g=5, n_max=14))
-    assert out.nodes_expanded == 291 and out.leaves_labelled == 686
+    assert out.nodes_expanded == 201 and out.leaves_labelled == 482
 
 
 def test_leaf_index_is_kept_per_order():
@@ -159,8 +172,8 @@ def test_leaves_labelled_counts_one_call(tmp_path):
     config = SearchConfig(k=3, g=5, n_max=14, node_budget=200,
                           checkpoint_path=str(tmp_path / "frontier.txt"))
     first, rest = generate(config), generate(config)
-    assert first.suspended and not rest.suspended and rest.nodes_expanded == 291
-    assert (first.leaves_labelled, rest.leaves_labelled) == (417, 307)
+    assert first.suspended and not rest.suspended and rest.nodes_expanded == 201
+    assert (first.leaves_labelled, rest.leaves_labelled) == (474, 13)
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -185,6 +198,7 @@ def test_leaf_index_changes_no_decision(monkeypatch, kwargs):
 
 
 @pytest.mark.parametrize("kwargs", [
+    dict(k=3, g=3, n_max=10),
     dict(k=3, g=5, n_max=14),
     dict(k=4, g=4, n_max=12),
     dict(k=3, g=6, n_max=16),
@@ -214,6 +228,82 @@ def test_viability_check_on_small_states():
     assert search._viable(claw, 3, 3, 5)
     assert not search._viable(claw, 3, 4, 5)
     assert search._viable(claw, 3, 4, 6)
+
+
+def test_near_mask_matches_bfs_distances():
+    # partial states as well as complete graphs: unreachable vertices stay out
+    graphs = [petersen_graph(), heawood_graph(), dodecahedron_graph(),
+              parse_graph6("OsP@@?WD?Q?o?_?X?A??O"), Graph(5, (0b0010, 0b0101, 0b0010, 0, 0))]
+    for g in graphs:
+        adj = to_adj(g)
+        for src in range(g.n):
+            dist = [naive_dist(adj, src, w) for w in range(g.n)]
+            for limit in range(6):
+                near = sum(1 << w for w, d in enumerate(dist) if d is not None and d <= limit)
+                assert search._near_mask(list(g.rows), src, limit) == near
+
+
+def test_forced_edges_that_close_a_triangle_are_refused():
+    # cubic on 16 vertices: 12, 14 and 15 each miss two edges and lie
+    # pairwise at distance >= 4, so each has exactly two open partners
+    rows = list(parse_graph6("OsP@@?WD?Q?o?_?X?A??O").rows)
+    assert [3 - r.bit_count() for r in rows] == [0] * 12 + [2, 0, 2, 2]
+    for v in (12, 14, 15):
+        assert search._near_mask(rows, v, 3) & (1 << 12 | 1 << 14 | 1 << 15) == 1 << v
+    # with no fresh slot each must join both others: a triangle
+    assert not search._viable(rows, 3, 5, 16)
+    # one fresh vertex makes the stub count odd (6 + 3), so it cannot help
+    assert not search._viable(rows, 3, 5, 17)
+
+
+def test_each_forced_edge_is_rechecked():
+    # cubic on 15 vertices, popped by the search at n_max = 16: 11, 13 and
+    # 14 each miss one edge, and 11 and 14 are at distance 2.  Three stubs
+    # are odd, so the fresh vertex must join all three, and its edges to 11
+    # and 14 close a 4-cycle that only a check after each edge sees
+    rows = list(parse_graph6("NsP@@?OC?R@A@g@O?Q?").rows)
+    assert [v for v, r in enumerate(rows) if r.bit_count() < 3] == [11, 13, 14]
+    assert search._near_mask(rows, 11, 2) >> 14 & 1
+    assert not search._viable(rows, 3, 5, 16)
+
+
+@pytest.mark.parametrize("k, g, n_max", [
+    (3, 3, 10), (3, 4, 12), (3, 5, 14), (4, 4, 11), (3, 6, 16),
+])
+def test_lookahead_refuses_only_dead_states(monkeypatch, k, g, n_max):
+    # liveness oracle: grow the graph of classes with the lookahead off;
+    # every popped state that the lookahead refuses has no complete descendant
+    viable, expand = search._viable, search._children
+    keys: dict[tuple, str] = {}
+    arcs: dict[str, list[str] | None] = {}
+    popped: set[tuple] = set()
+
+    def key(state):
+        if state not in keys:
+            keys[state] = canonical_graph6(Graph(len(state), state))
+        return keys[state]
+
+    def recording(state, *args):
+        kids = expand(state, *args)
+        arcs[key(state)] = None if kids is None else [key(kid) for kid in kids]
+        popped.update(kids or ())
+        return kids
+
+    monkeypatch.setattr(search, "_viable", lambda rows, k, g, n_max: True)
+    monkeypatch.setattr(search, "_children", recording)
+    generate(SearchConfig(k=k, g=g, n_max=n_max))
+    live: dict[str, bool] = {}
+
+    def alive(cls):
+        # every popped class was expanded once, so arcs has each one
+        if cls not in live:
+            kids = arcs[cls]
+            live[cls] = kids is None or any(alive(kid) for kid in kids)
+        return live[cls]
+
+    refused = [state for state in popped if not viable(list(state), k, g, n_max)]
+    assert refused
+    assert not any(alive(key(state)) for state in refused)
 
 
 def test_import_does_not_load_the_process_pool():
@@ -333,7 +423,7 @@ def test_checkpointed_memo_repeats_no_work(tmp_path):
         if not out.suspended:
             break
     assert first.suspended and calls == 3
-    assert out.nodes_expanded == 291
+    assert out.nodes_expanded == 201
     assert out.classes_graph6 == generate(SearchConfig(k=3, g=5, n_max=14)).classes_graph6
 
 
@@ -353,8 +443,10 @@ def test_checkpoint_rejects_older_format(tmp_path):
 
 
 def test_checkpoint_frontier_lines_are_bare_graph6(tmp_path):
-    # frontier lines carry no depth column; a format-4 file written with
-    # one still resumes to the uninterrupted run
+    # frontier lines carry no depth column, and a line with a trailing
+    # column is refused, by the API and by the CLI with exit 2
+    from girthlab import GirthLabError, cli
+
     path = tmp_path / "frontier.txt"
     generate(SearchConfig(k=3, g=5, n_max=12, node_budget=20, checkpoint_path=str(path)))
     lines = path.read_text().splitlines()
@@ -362,9 +454,10 @@ def test_checkpoint_frontier_lines_are_bare_graph6(tmp_path):
     assert frontier and all(" " not in line for line in frontier)
     path.write_text("\n".join(line if line.startswith("#") else line + " 3"
                                for line in lines) + "\n")
-    resumed = generate(SearchConfig(k=3, g=5, n_max=12, checkpoint_path=str(path)))
-    assert not resumed.suspended
-    assert resumed.classes_graph6 == generate(SearchConfig(k=3, g=5, n_max=12)).classes_graph6
+    with pytest.raises(GirthLabError):
+        generate(SearchConfig(k=3, g=5, n_max=12, checkpoint_path=str(path)))
+    assert cli.main(["search", "--k", "3", "--g", "5", "--max-n", "12",
+                     "--checkpoint", str(path)]) == 2
 
 
 def test_checkpoint_path_checked_before_the_search(tmp_path):
