@@ -14,12 +14,14 @@ cell of a regular graph, so the tree would branch over all n vertices of a
 rigid one.  A regular graph starts instead from its cells of equal
 distance profile, in ascending profile order: the profile of v is the
 sequence, over its BFS layers ``L_0 = {v}``, ``L_1``, ..., of the layer
-size and the number of edges inside the layer (`_distance_profile`).  An
-isomorphism maps BFS layers onto BFS layers, so the profile is an
-isomorphism invariant, as the degree is.  A random cubic graph of girth 5
-on 40 to 64 vertices then labels about one leaf instead of n; a
-vertex-transitive graph has one profile, so its tree and form are those of
-the degree cell.  Profiles are tuples, so no two distinct ones collide.
+size and the number of edges inside the layer.  All n profiles come from
+one all-sources pass of `core.bfs_layers`, with `core.layer_edge_counts` at
+each depth (`_distance_profiles`).  An isomorphism maps BFS layers onto BFS
+layers, so the profile is an isomorphism invariant, as the degree is.  A
+random cubic graph of girth 5 on 40 to 64 vertices then labels about one
+leaf instead of n; a vertex-transitive graph has one profile, so its tree
+and form are those of the degree cell.  Profiles are tuples, so no two
+distinct ones collide.
 
 Two leaves with equal certificates give an automorphism, the map from the
 first leaf's order to the second's.  A dict from certificate to the order
@@ -72,9 +74,11 @@ straight off the least certificate; `formats` owns that layout.
 from __future__ import annotations
 
 from collections import Counter
+from itertools import islice
 from typing import Container, Sequence
 
-from .core import Graph, bit_list, bits, graph_from_rows
+from .core import (Graph, bfs_layers, bit_list, bits, edge_pairs, graph_from_rows,
+                   layer_edge_counts)
 from .formats import graph6_line, pack_payload
 
 
@@ -129,24 +133,19 @@ def _refine(nbrs: Sequence[Sequence[int]], cells: list[list[int]],
 _MAX_STORED_AUTS = 256
 
 
-def _distance_profile(rows: Sequence[int], v: int) -> tuple[int, ...]:
-    """``(|L_0|, e_0, |L_1|, e_1, ...)`` over the BFS layers ``L_0 = {v}``,
-    ``L_1``, ... of v, where ``e_d`` counts the edges inside ``L_d``."""
-    profile: list[int] = []
-    seen = layer = 1 << v
-    while layer:
-        inside = reach = 0
-        rest = layer
-        while rest:
-            low = rest & -rest
-            row = rows[low.bit_length() - 1]
-            inside += (row & layer).bit_count()
-            reach |= row
-            rest ^= low
-        profile += (layer.bit_count(), inside >> 1)
-        layer = reach & ~seen
-        seen |= layer
-    return tuple(profile)
+def _distance_profiles(nbrs: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+    """The distance profile of every vertex v, ``(|L_0|, e_0, |L_1|, e_1,
+    ...)`` over its nonempty BFS layers ``L_0 = {v}``, ``L_1``, ..., where
+    ``e_d`` counts the edges inside ``L_d``: one all-sources pass of
+    `bfs_layers`, with `layer_edge_counts` at each depth."""
+    edges = edge_pairs(nbrs)
+    profiles = [[1, 0] for _ in nbrs]
+    for layer in islice(bfs_layers(nbrs), 1, None):
+        inside = layer_edge_counts(edges, layer)
+        for profile, mask, e in zip(profiles, layer, inside):
+            if mask:
+                profile += (mask.bit_count(), e)
+    return [tuple(p) for p in profiles]
 
 
 def _twin_keys(rows: Sequence[int]) -> Sequence[int]:
@@ -179,16 +178,16 @@ def _walk(rows: Sequence[int], known: Container[int] = frozenset()
     commute with relabelling.
     """
     n = len(rows)
+    nbrs = [bit_list(r) for r in rows]
     groups: dict = {}
     for v in range(n):
-        groups.setdefault(rows[v].bit_count(), []).append(v)
+        groups.setdefault(len(nbrs[v]), []).append(v)
     if len(groups) == 1:
         # regular: refinement cannot split the one degree cell
         groups = {}
-        for v in range(n):
-            groups.setdefault(_distance_profile(rows, v), []).append(v)
+        for v, profile in enumerate(_distance_profiles(nbrs)):
+            groups.setdefault(profile, []).append(v)
     cells = [groups[key] for key in sorted(groups)]
-    nbrs = [bit_list(r) for r in rows]
     twin = _twin_keys(rows)
     # decided once per call: twin-free graphs skip the twin check below
     twins = len(set(twin)) < n

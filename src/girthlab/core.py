@@ -150,7 +150,8 @@ def degree_sequence(g: Graph) -> tuple[int, ...]:
 
 def edges_inside(rows: Sequence[int], mask: VertexSet) -> int:
     """Edges with both endpoints in `mask`, over adjacency rows: the
-    girth-5 shell kernel (edges inside a second shell)."""
+    audit's count of edges inside one shell.  `layer_edge_counts` gives
+    the count inside every vertex's breadth-first layer at once."""
     total = 0
     rest = mask
     while rest:
@@ -175,15 +176,94 @@ def is_connected(g: Graph) -> bool:
     connected."""
     if g.n == 0:
         return True
+    rows = g.rows
     seen = 1
     frontier = 1
     while frontier:
         nxt = 0
-        for v in bits(frontier):
-            nxt |= g.rows[v]
+        while frontier:
+            low = frontier & -frontier
+            nxt |= rows[low.bit_length() - 1]
+            frontier ^= low
         frontier = nxt & ~seen
         seen |= frontier
     return seen == g.vertex_mask()
+
+
+# ---------------------------------------------------------------------------
+# all-sources breadth-first layers
+
+
+def bfs_layers(nbrs: Sequence[Sequence[int]]) -> Iterator[list[VertexSet]]:
+    """Breadth-first layers from every vertex at once.
+
+    ``nbrs[v]`` lists the neighbours of v.  Yields ``[L_d(v) for v in
+    range(n)]`` for d = 0, 1, 2, ..., where ``L_d(v)`` is the set of
+    vertices at distance exactly d from v, and stops after the last depth
+    at which some layer is nonempty.  A vertex at distance d >= 1 from v is
+    at distance d - 1 from a neighbour of v, and every vertex at distance
+    d - 1 from a neighbour is within distance d of v, so ``L_d(v)`` is the
+    union of the neighbours' ``L_{d-1}`` less the ball ``B_{d-1}(v)``: one
+    int OR per (vertex, neighbour) pair and depth.  Each yielded list is
+    new; the caller may keep it.
+    """
+    n = len(nbrs)
+    layer = [1 << v for v in range(n)]
+    # the complement of B_{d-1}(v) among the n vertices
+    unseen = [((1 << n) - 1) ^ bit for bit in layer]
+    while True:
+        yield layer
+        prev = layer
+        layer = []
+        grew = 0
+        for v in range(n):
+            reach = 0
+            for u in nbrs[v]:
+                reach |= prev[u]
+            new = reach & unseen[v]
+            unseen[v] ^= new
+            grew |= new
+            layer.append(new)
+        if not grew:
+            return
+
+
+def edge_pairs(nbrs: Sequence[Sequence[int]]) -> list[tuple[int, int]]:
+    """Every edge once, as (x, y) with x < y, in lexicographic order, from
+    ascending neighbour lists."""
+    return [(x, y) for x, ys in enumerate(nbrs) for y in ys if x < y]
+
+
+def layer_edge_counts(edges: Sequence[tuple[int, int]], layer: Sequence[VertexSet]
+                      ) -> list[int]:
+    """``e(layer[w])`` for every w: the number of `edges` with both ends
+    in ``layer[w]``, for one depth of `bfs_layers`.
+
+    Distance is symmetric, so an edge xy lies inside ``L_d(w)`` exactly
+    when w is in ``L_d(x) & L_d(y)``.  One AND per edge gives that set of
+    w, which is added into bit-sliced counters (``planes[i]`` holds bit i
+    of every w's count), so every count is kept at once.
+    """
+    planes: list[int] = []
+    for x, y in edges:
+        carry = layer[x] & layer[y]
+        i = 0
+        while carry:
+            if i == len(planes):
+                planes.append(carry)
+                break
+            plane = planes[i]
+            planes[i] = plane ^ carry
+            carry &= plane
+            i += 1
+    counts = [0] * len(layer)
+    for i, plane in enumerate(planes):
+        weight = 1 << i
+        while plane:
+            low = plane & -plane
+            counts[low.bit_length() - 1] += weight
+            plane ^= low
+    return counts
 
 
 # ---------------------------------------------------------------------------

@@ -1,18 +1,22 @@
 """Girth, shell decompositions, and girth-cycle counts per vertex and per
 edge.
 
-Two counting engines are provided: a general depth-first path enumerator
-that works for any girth, and a fast shell-based counter valid for regular
-graphs of girth 5 (the count of shortest cycles through a vertex equals the
-number of edges inside its second neighbourhood).  They must agree wherever
-both apply, and the test suite enforces that.
+The girth and the fast counter read breadth-first layers off one
+all-sources pass of `core.bfs_layers`.  Two counting engines are provided:
+a general depth-first path enumerator that works for any girth, and a fast
+layer-based counter valid for regular graphs of girth 5 (the count of
+shortest cycles through a vertex equals the number of edges inside its
+second layer).  They must agree wherever both apply, and the test suite
+enforces that.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import islice
 
-from .core import Graph, VertexSet, bits, edges_inside, regularity
+from .core import (Graph, VertexSet, bfs_layers, bit_list, bits, edge_pairs,
+                   layer_edge_counts, regularity)
 from .errors import InternalInconsistency
 
 Edge = tuple[int, int]
@@ -22,34 +26,43 @@ Edge = tuple[int, int]
 def girth(g: Graph) -> int | None:
     """Length of a shortest cycle, or None for a forest.
 
-    Per-root breadth-first search; a non-tree edge seen at depths (a, b)
-    witnesses a closed walk of length a + b + 1 through the root, and the
-    minimum over all roots and witnesses is the girth.
+    One all-sources pass of `bfs_layers`, tested at each depth d >= 1
+    first for a cycle of length 2d, then for one of length 2d + 1.  Each
+    test is reached only when the earlier ones found no shorter cycle, and
+    fires exactly when the girth is its length; a pass in which no layer
+    grows leaves a forest.
+
+    Odd test: some edge xy has a vertex w in ``L_d(x) & L_d(y)``.  The two
+    d-walks from w and the edge close an odd walk of length 2d + 1, which
+    contains an odd cycle no longer; and on a shortest cycle of length
+    2d + 1 the vertex opposite an edge is at distance d from both its ends.
+
+    Even test, reached with no cycle shorter than 2d: then each vertex z of
+    ``L_{d-1}(w)`` has one neighbour in ``L_{d-2}(w)`` and none in
+    ``L_{d-1}(w)``, so deg(z) - 1 edges lead from z into ``L_d(w)``, and
+    every vertex of ``L_d(w)`` receives at least one of them.  A vertex x
+    of ``L_d(w)`` receives two exactly when x has two neighbours y with w
+    in ``L_{d-1}(y)``: two geodesics from w to x, which close a cycle of
+    length at most 2d; and on a shortest cycle of length 2d the vertex
+    opposite w is such an x.  So the girth is 2d when, summed over all w,
+    ``|L_d(w)|`` falls short of the edges leading into it, which by
+    symmetry of distance is the sum over z of (deg(z) - 1) ``|L_{d-1}(z)|``.
     """
-    best: int | None = None
-    for root in range(g.n):
-        depth = [-1] * g.n
-        parent = [-1] * g.n
-        depth[root] = 0
-        queue = [root]
-        head = 0
-        while head < len(queue):
-            v = queue[head]
-            head += 1
-            if best is not None and 2 * depth[v] >= best:
-                break
-            for w in bits(g.rows[v]):
-                if depth[w] < 0:
-                    depth[w] = depth[v] + 1
-                    parent[w] = v
-                    queue.append(w)
-                elif w != parent[v]:
-                    cand = depth[v] + depth[w] + 1
-                    if best is None or cand < best:
-                        best = cand
-        if best == 3:
-            break
-    return best
+    nbrs = [bit_list(r) for r in g.rows]
+    edges = edge_pairs(nbrs)
+    degree = [len(ys) for ys in nbrs]
+    layers = bfs_layers(nbrs)
+    next(layers)
+    stubs = None  # edges leading out of the previous layers, from d = 2 on
+    for d, layer in enumerate(layers, start=1):
+        sizes = [mask.bit_count() for mask in layer]
+        if stubs is not None and sum(sizes) < stubs:
+            return 2 * d
+        for x, y in edges:
+            if layer[x] & layer[y]:
+                return 2 * d + 1
+        stubs = sum((k - 1) * size for k, size in zip(degree, sizes))
+    return None
 
 
 @dataclass(frozen=True)
@@ -77,10 +90,14 @@ def shell_decompose(g: Graph, u: int, second_shell: int | None = None) -> ShellD
     """
     if not 0 <= u < g.n:
         raise ValueError(f"vertex {u} outside 0..{g.n - 1}")
-    n1 = g.rows[u]
+    rows = g.rows
+    n1 = rows[u]
     n2 = 0
-    for v in bits(n1):
-        n2 |= g.rows[v]
+    rest = n1
+    while rest:
+        low = rest & -rest
+        n2 |= rows[low.bit_length() - 1]
+        rest ^= low
     n2 &= ~n1 & ~(1 << u)
     n3plus = g.vertex_mask() & ~n1 & ~n2 & ~(1 << u)
     if second_shell is None:
@@ -180,28 +197,29 @@ def _profile_by_paths(g: Graph, length: int) -> GirthProfile:
 
 
 def _profile_girth5_regular(g: Graph) -> GirthProfile:
-    """Fast counter for regular graphs of girth 5.
+    """Fast counter for regular graphs of girth 5, from the second layers
+    ``L_2(v)`` of one all-sources `bfs_layers` pass.
 
-    Through a vertex: the number of edges inside its second shell.  Through
-    an edge ab: pairs of a side-neighbour of a and a side-neighbour of b
-    joined by a common vertex (unique if any, since the girth is 5).
+    At girth 5 the ball of radius 2 around v is a tree, so an edge inside
+    ``L_2(v)`` closes exactly one 5-cycle through v, and every 5-cycle
+    through v has its edge opposite v there: the count through v is
+    ``e(L_2(v))`` (`layer_edge_counts`).  Dually, the count through an edge
+    xy is the number of vertices opposite it on a 5-cycle, the vertices of
+    ``L_2(x) & L_2(y)``.  Every second layer must have k(k-1) vertices;
+    another size raises InternalInconsistency.
     """
-    n = g.n
-    rows = g.rows
-    per_vertex = []
-    second_shell = second_shell_size(g)
-    for v in range(n):
-        shells = shell_decompose(g, v, second_shell)
-        per_vertex.append(edges_inside(g.rows, shells.n2))
-    per_edge: dict[Edge, int] = {}
-    for a, b in g.edges():
-        abits = ~(1 << a) & ~(1 << b)
-        count = 0
-        for e in bits(rows[a] & ~(1 << b)):
-            row_e = rows[e]
-            for c in bits(rows[b] & ~(1 << a)):
-                count += (row_e & rows[c] & abits).bit_count()
-        per_edge[(a, b)] = count
+    nbrs = [bit_list(r) for r in g.rows]
+    edges = edge_pairs(nbrs)
+    second = next(islice(bfs_layers(nbrs), 2, None), [0] * g.n)
+    k = len(nbrs[0])
+    for v, layer in enumerate(second):
+        if layer.bit_count() != k * (k - 1):
+            raise InternalInconsistency(
+                f"second shell of {v} has {layer.bit_count()} vertices, "
+                f"expected k(k-1) = {k * (k - 1)}"
+            )
+    per_vertex = layer_edge_counts(edges, second)
+    per_edge = {(x, y): (second[x] & second[y]).bit_count() for x, y in edges}
     total, rem = divmod(sum(per_vertex), 5)
     if rem:
         raise InternalInconsistency("vertex counts not divisible by 5")

@@ -87,6 +87,17 @@ def inside_edges(adj, xs) -> int:
     return sum(len(adj[x] & xs) for x in xs) // 2
 
 
+def naive_distance_profile(adj, v) -> tuple[int, ...]:
+    """``(|L_0|, e_0, |L_1|, e_1, ...)`` over the nonempty breadth-first
+    layers ``L_0 = {v}``, ``L_1``, ... of v, where ``e_d`` counts the
+    edges inside ``L_d``: one search from v, the reference for
+    `canon._distance_profiles`."""
+    profile = [1, 0]
+    for layer in naive_shells(adj, v):
+        profile += [len(layer), inside_edges(adj, layer)]
+    return tuple(profile)
+
+
 def naive_cycle_lists(adj, length):
     """Every cycle of exactly `length` as a vertex tuple, one orientation
     per cycle, found by checking all cyclic orders of all vertex subsets.

@@ -21,10 +21,10 @@ from girthlab import (
     relabel,
     write_graph6,
 )
-from girthlab.canon import _refine, _walk, canonize
-from girthlab.core import Graph, bits
+from girthlab.canon import _distance_profiles, _refine, _walk, canonize
+from girthlab.core import Graph, bit_list, bits, is_connected
 
-from naive_oracles import naive_refine, to_adj
+from naive_oracles import naive_distance_profile, naive_refine, to_adj
 
 
 def _random_graph(rng, n, p):
@@ -429,3 +429,23 @@ def test_rigid_regular_graphs_label_few_leaves(monkeypatch):
     for g in graphs:
         canonical_graph6(g)
     assert len(calls) == 7
+
+
+def test_distance_profiles_match_per_vertex_search():
+    # the all-sources pass against one breadth-first search per vertex: on
+    # named graphs, rigid cubic girth-5 graphs, a disconnected regular
+    # graph, and random non-regular graphs, many of them disconnected
+    rng = random.Random(4052)
+    p, d = petersen_graph(), dodecahedron_graph()
+    graphs = [p, d, heawood_graph(), complete_graph(5), complete_bipartite_graph(3, 4),
+              cycle_graph(9), Graph(30, p.rows + tuple(r << 10 for r in d.rows))]
+    graphs += [_random_cubic_girth5(rng, n) for n in (40, 52, 64)]
+    graphs += [_random_graph(rng, rng.randrange(1, 30), rng.uniform(0.02, 0.3))
+               for _ in range(40)]
+    kinds = set()
+    for g in graphs:
+        adj = to_adj(g)
+        assert _distance_profiles([bit_list(r) for r in g.rows]) == [
+            naive_distance_profile(adj, v) for v in range(g.n)]
+        kinds.add((regularity(g)[0], is_connected(g)))
+    assert kinds == {(True, True), (True, False), (False, True), (False, False)}

@@ -18,7 +18,10 @@ from girthlab import (
     regularity,
 )
 from girthlab.audit import _between
-from girthlab.core import HARD_MAX_VERTICES, bit_list, edges_inside, max_vertices
+from girthlab.core import (HARD_MAX_VERTICES, bfs_layers, bit_list, edges_inside,
+                           max_vertices)
+
+from naive_oracles import naive_shells, to_adj
 
 
 def test_builder_rejects_loops_and_bad_vertices():
@@ -149,3 +152,26 @@ def test_bit_kernels_match_set_versions():
             b = rng.getrandbits(n) & ~a
             assert _between(rows, a, b) == sum(
                 1 for i in members for j in range(n) if b >> j & 1 and rows[i] >> j & 1)
+
+
+def test_bfs_layers_match_per_vertex_search():
+    # every vertex's layers, from one all-sources pass, against a search
+    # from that vertex; the pass ends at the largest eccentricity
+    rng = random.Random(43)
+    for _ in range(80):
+        n = rng.randrange(0, 25)
+        b = GraphBuilder(n)
+        for i in range(n):
+            for j in range(i + 1, n):
+                if rng.random() < 3 / n:
+                    b.add_edge(i, j)
+        g = b.freeze()
+        adj = to_adj(g)
+        layers = list(bfs_layers([bit_list(r) for r in g.rows]))
+        depth = 1
+        for v in range(n):
+            expected = [{v}] + naive_shells(adj, v)
+            depth = max(depth, len(expected))
+            assert [set(bit_list(layer[v])) for layer in layers] == (
+                expected + [set()] * (len(layers) - len(expected)))
+        assert len(layers) == depth

@@ -1,4 +1,6 @@
+import importlib
 import random
+from itertools import islice
 
 import networkx as nx
 import pytest
@@ -6,19 +8,25 @@ import pytest
 from girthlab import (
     GraphBuilder,
     InternalInconsistency,
+    SearchConfig,
+    bit_list,
     complete_bipartite_graph,
     complete_graph,
     cycle_graph,
     dodecahedron_graph,
+    generate,
     girth,
     girth_profile,
     graph_from_edges,
     heawood_graph,
+    is_connected,
+    parse_graph6,
     path_graph,
     petersen_graph,
     shell_decompose,
     signature,
 )
+from girthlab.core import bfs_layers, edge_pairs, layer_edge_counts
 from girthlab.girth import GirthProfile
 
 from naive_oracles import naive_girth, naive_profile, to_adj
@@ -30,6 +38,18 @@ def _random_graph(rng, n, p):
         for j in range(i + 1, n):
             if rng.random() < p:
                 b.add_edge(i, j)
+    return b.freeze()
+
+
+def _sparse_graph(rng, n):
+    # a random forest in which one vertex in ten starts a new tree, plus up
+    # to two chords: long shortest cycles, forests and several components
+    b = GraphBuilder(n)
+    for v in range(1, n):
+        if rng.random() < 0.9:
+            b.add_edge(v, rng.randrange(v))
+    for _ in range(rng.randrange(3) if n > 1 else 0):
+        b.add_edge(*rng.sample(range(n), 2))
     return b.freeze()
 
 
@@ -53,6 +73,33 @@ def test_girth_matches_edge_removal_oracle():
     for _ in range(300):
         g = _random_graph(rng, rng.randrange(1, 14), rng.random())
         assert girth(g) == naive_girth(to_adj(g))
+    # sparse graphs up to n = 30 reach the deeper layer tests
+    seen = set()
+    for _ in range(600):
+        g = _sparse_graph(rng, rng.randrange(1, 31))
+        gr = girth(g)
+        assert gr == naive_girth(to_adj(g))
+        seen.add(gr)
+        if gr is not None and not is_connected(g):
+            seen.add("disconnected with a cycle")
+    assert {6, 7, 8, 9, None, "disconnected with a cycle"} <= seen
+
+
+def test_layer_edges_count_odd_girth_cycles():
+    # at girth 2d + 1 the ball of radius d around v is a tree, so each edge
+    # inside L_d(v) closes one girth cycle through v, and each girth cycle
+    # through v has its edge opposite v there
+    outcome = generate(SearchConfig(k=3, g=7, n_max=24, cap=24))
+    mcgee = [parse_graph6(line) for line in outcome.classes_graph6[24]]
+    cases = [(complete_graph(4), 1), (petersen_graph(), 2),
+             (dodecahedron_graph(), 2)] + [(g, 3) for g in mcgee]
+    for g, d in cases:
+        assert girth(g) == 2 * d + 1
+        nbrs = [bit_list(r) for r in g.rows]
+        layer = next(islice(bfs_layers(nbrs), d, None))
+        counts = layer_edge_counts(edge_pairs(nbrs), layer)
+        assert tuple(counts) == girth_profile(g, engine="paths").per_vertex
+    assert len(mcgee) == 1 and set(counts) == {9, 10}
 
 
 def test_shell_sizes():
@@ -115,12 +162,31 @@ def test_known_profiles():
 
 
 def test_engine_equivalence_on_girth5_regular():
-    for g in (petersen_graph(), dodecahedron_graph(), cycle_graph(5)):
+    outcome = generate(SearchConfig(k=3, g=5, n_max=14))
+    cubic = [g for g in map(parse_graph6, outcome.classes_graph6[14]) if girth(g) == 5]
+    assert len(cubic) == 8
+    for g in [petersen_graph(), dodecahedron_graph(), cycle_graph(5)] + cubic:
         fast = girth_profile(g, engine="girth5")
         slow = girth_profile(g, engine="paths")
         assert fast.per_vertex == slow.per_vertex
         assert fast.per_edge == slow.per_edge
         assert fast.total_girth_cycles == slow.total_girth_cycles
+
+
+def test_girth5_engine_checks_every_second_layer(monkeypatch):
+    girth_module = importlib.import_module("girthlab.girth")
+    layers = girth_module.bfs_layers
+
+    def short_second_layer(nbrs):
+        # vertex 7 loses one vertex of its second layer
+        for d, layer in enumerate(layers(nbrs)):
+            if d == 2:
+                layer[7] &= layer[7] - 1
+            yield layer
+
+    monkeypatch.setattr(girth_module, "bfs_layers", short_second_layer)
+    with pytest.raises(InternalInconsistency, match="second shell of 7"):
+        girth_profile(dodecahedron_graph(), engine="girth5")
 
 
 def test_engine_preconditions():
