@@ -14,6 +14,10 @@ decompose the shells they need and hand them to private kernels.
 `audit_graph` runs the same kernels on shared inputs: the graph is
 validated once per graph, shells are decomposed once per root and
 containment is scanned once per root, however many exterior pairs use them.
+At each root u one pass over the rows of N2(u) classifies the whole
+exterior: the vertices with at least one contact there and those with at
+least two (case A); the rest are far pairs, counted by a popcount unless a
+sampled scope filters them.
 
 The case kernels read each adjacency row of a pair once: one pass over
 N2(v) yields every edge count of the partition, the V_C'' leaf-set counts
@@ -22,12 +26,18 @@ over N(v) minus v'.  Each count that a check compares stays an independent
 count: y (the 5-cycle count of v) is half the sum of |N(w) & N2(v)| over
 N2(v), never the sum of its parts, so the partition check can still fail.
 Checks run only once every count is in, in their order of derivation.
+
+A pair's cost is counting, not objects: the records and partitions are
+frozen slotted dataclasses, filled through their slot setters rather than
+the generated `__init__`, and the vertex tuples of a partition are listed
+by the passes above (and the case-A pass over each branch) instead of
+being re-read from their masks.
 """
 from __future__ import annotations
 
 import operator
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .core import Graph, bit_list, bits, edges_inside, is_connected, regularity
 from .errors import (
@@ -67,10 +77,34 @@ RELATION_TESTS = {
 }
 
 _new = object.__new__
-_set = object.__setattr__
 
 
-@dataclass(frozen=True)
+def _slot_setters(cls) -> tuple:
+    """The `__set__` of each field's slot descriptor, in field order.  A
+    frozen slotted dataclass refuses attribute assignment, but a slot's own
+    member descriptor still writes it, without the name lookup that the
+    generated `__init__` makes through `object.__setattr__` per field."""
+    return tuple(cls.__dict__[f.name].__set__ for f in fields(cls))
+
+
+def _slotted_constructor(cls):
+    """A constructor of the frozen slotted dataclass `cls` from its field
+    values in field order, filling the slots through their setters.  Each
+    audited pair builds one partition, and through the generated `__init__`
+    keyword parsing and per-field `object.__setattr__` are a large share of
+    a pair's cost."""
+    setters = _slot_setters(cls)
+
+    def build(*values):
+        obj = _new(cls)
+        for set_slot, value in zip(setters, values, strict=True):
+            set_slot(obj, value)
+        return obj
+
+    return build
+
+
+@dataclass(frozen=True, slots=True)
 class InequalityRecord:
     """One audited relation, stored exactly as displayed: lhs relation rhs."""
 
@@ -83,17 +117,21 @@ class InequalityRecord:
 
     @staticmethod
     def make(name: str, lhs: int, relation: str, rhs: int, context: str = "") -> "InequalityRecord":
-        # what the generated __init__ does (object.__setattr__ per field, in
-        # field order) without its per-field global lookups; each pair of an
-        # audit builds a dozen records
+        # what the generated __init__ does, field by field in field order,
+        # through the slot setters; each pair of an audit builds a dozen
+        # records
+        set_name, set_lhs, set_rhs, set_relation, set_holds, set_context = _RECORD_SLOTS
         rec = _new(InequalityRecord)
-        _set(rec, "name", name)
-        _set(rec, "lhs", lhs)
-        _set(rec, "rhs", rhs)
-        _set(rec, "relation", relation)
-        _set(rec, "holds", RELATION_TESTS[relation](lhs, rhs))
-        _set(rec, "context", context)
+        set_name(rec, name)
+        set_lhs(rec, lhs)
+        set_rhs(rec, rhs)
+        set_relation(rec, relation)
+        set_holds(rec, RELATION_TESTS[relation](lhs, rhs))
+        set_context(rec, context)
         return rec
+
+
+_RECORD_SLOTS = _slot_setters(InequalityRecord)
 
 
 @dataclass(frozen=True)
@@ -170,7 +208,7 @@ def _check_v_exterior(g: Graph, shells, v: int) -> None:
         raise ValueError("v lies in N2(u): not exterior to the root")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CaseAPartition:
     """Audit state for an exterior vertex with at least two second-shell
     neighbours: the split of N2(v) into first-shell, second-shell, and
@@ -201,6 +239,9 @@ class CaseAPartition:
         """Sum of d_i over branches adjacent to v (the measurable quantity
         of the two-branch boundary sub-case)."""
         return sum(di for di, ai in zip(self.d, self.a) if ai)
+
+
+_build_case_a = _slotted_constructor(CaseAPartition)
 
 
 def audit_case_a(g: Graph, u: int, v: int, lam: int) -> CaseAPartition:
@@ -238,30 +279,40 @@ def _case_a(g: Graph, k: int, shells_u, shells_v, lam: int) -> CaseAPartition:
     if sa < 2:
         raise InternalInconsistency("fewer than two first-shell contacts in case A")
 
-    nbrs_u = bit_list(shells_u.n1)
-    branch_sets = [rows[ui] & ~(1 << u) for ui in nbrs_u]
+    # one pass over each branch N(u_i) - u: its members and d_i
     nv_outside = rows[v] & ~shells_u.n2
-    d = [_between(rows, b, nv_outside) for b in branch_sets]
-    a = [1 if rows[v] & b else 0 for b in branch_sets]
+    branch_sets, d, a = [], [], []
+    for ui in bit_list(shells_u.n1):
+        b = rows[ui] & ~(1 << u)
+        members = bit_list(b)
+        branch_sets.append(tuple(members))
+        d.append(sum([(rows[w] & nv_outside).bit_count() for w in members]))
+        a.append(1 if rows[v] & b else 0)
     if sum(a) != sa:
         raise InternalInconsistency("branch indicators disagree with |V_A|")
 
-    # one pass over N2(v); y is counted on its own, as a check on the parts
+    # one pass over N2(v), which also lists V_A, V_B and V_C in order; y is
+    # counted on its own, as a check on the parts
     y2 = e_aa2 = e_ac = e_ab = e_bb2 = e_bc = e_cc2 = 0
+    in_a, in_b, in_c = [], [], []
     rest = n2v
     while rest:
         low = rest & -rest
-        r = rows[low.bit_length() - 1]
+        w = low.bit_length() - 1
+        r = rows[w]
         rest ^= low
         y2 += (r & n2v).bit_count()
         if low & va:
+            in_a.append(w)
             e_aa2 += (r & va).bit_count()
             e_ac += (r & vc).bit_count()
             e_ab += (r & vb).bit_count()
         elif low & vb:
+            in_b.append(w)
             e_bb2 += (r & vb).bit_count()
             e_bc += (r & vc).bit_count()
         else:
+            in_c.append(w)
             e_cc2 += (r & vc).bit_count()
     if e_aa2 // 2 or e_ac:
         raise InternalInconsistency("edges at V_A that the girth forbids")
@@ -296,16 +347,13 @@ def _case_a(g: Graph, k: int, shells_u, shells_v, lam: int) -> CaseAPartition:
     if sa == two_eps and rest.bit_count() == 1:
         x = rest.bit_length() - 1
 
-    return CaseAPartition(
-        root=u, v=v, lam=lam, two_eps=two_eps,
-        v_a=tuple(bit_list(va)), v_b=tuple(bit_list(vb)), v_c=tuple(bit_list(vc)),
-        branch_sets=tuple(tuple(bit_list(b)) for b in branch_sets),
-        d=tuple(d), a=tuple(a), y=y, x=x,
-        eps_in_range=eps_in_range, records=tuple(recs),
+    return _build_case_a(
+        u, v, lam, two_eps, tuple(in_a), tuple(in_b), tuple(in_c),
+        tuple(branch_sets), tuple(d), tuple(a), y, x, eps_in_range, tuple(recs),
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CaseBPartition:
     """Audit state for a distance-3 vertex with a unique second-shell
     neighbour: the refined split of N2(v) through that neighbour, the
@@ -335,6 +383,9 @@ class CaseBPartition:
     @property
     def all_hold(self) -> bool:
         return all(r.holds for r in self.records)
+
+
+_build_case_b = _slotted_constructor(CaseBPartition)
 
 
 def audit_case_b(g: Graph, u: int, v: int, lam: int) -> CaseBPartition:
@@ -410,8 +461,11 @@ def _case_b(g: Graph, k: int, shells_u, shells_v, lam: int,
     # below fire in their order of derivation.  y is counted on its own,
     # as a check on the parts.  The absence identity needs no term for v:
     # its one contact in N2(u) is v'.
+    # The passes also list V_B, V_B', V_B'', V_C' and each leaf set in
+    # order, so the partition's vertex tuples need no pass of their own.
     beyond_vp = n2u & ~(1 << v_prime)
     y2 = e_ab = e_bb2 = e_bc = e_cc2 = stray = 0
+    in_b, in_b1, in_b2, in_c1 = [], [], [], []
     matching: list[tuple[int, int]] = []
     unmatched = None
     rest = n2v & ~vc2
@@ -422,29 +476,38 @@ def _case_b(g: Graph, k: int, shells_u, shells_v, lam: int,
         r = rows[w]
         y2 += (r & n2v).bit_count()
         if low & vb:
+            in_b.append(w)
             e_bb2 += (r & vb).bit_count()
             e_bc += (r & vc).bit_count()
             if low & vb2:
+                in_b2.append(w)
                 # matching of V_B'' onto edges from N(v) minus v' into N2(u)
                 partners = r & rest_mask
                 if unmatched is None and partners.bit_count() != 1:
                     unmatched = f"V_B'' vertex {w} with {partners.bit_count()} partners"
                 matching.append((w, partners.bit_length() - 1))
+            else:
+                in_b1.append(w)
         elif low & vc:
+            in_c1.append(w)
             e_cc2 += (r & vc).bit_count()
             stray += (r & beyond_vp).bit_count()
         else:
             e_ab += (r & vb).bit_count()
     leaf_counts = []
+    leaf_tuples = []
     e_c2_b = e_c2_far = 0
     for vi, li in zip(v_rest, leaf_sets):
         off_li = vc2 & ~li
         out_i = out_mask & ~(1 << vi)
         inside = c1 = c2 = b = out = 0
+        members = []
         rest = li
         while rest:
             low = rest & -rest
-            r = rows[low.bit_length() - 1]
+            w = low.bit_length() - 1
+            members.append(w)
+            r = rows[w]
             rest ^= low
             y2 += (r & n2v).bit_count()
             inside += (r & li).bit_count()
@@ -456,6 +519,7 @@ def _case_b(g: Graph, k: int, shells_u, shells_v, lam: int,
         e_cc2 += c1 + inside + c2
         e_c2_b += b
         leaf_counts.append((inside // 2, c1, c2, b, out))
+        leaf_tuples.append(tuple(members))
 
     # absence identity: nothing in V_C' or {v} touches N2(u) beyond v'
     if stray:
@@ -481,7 +545,7 @@ def _case_b(g: Graph, k: int, shells_u, shells_v, lam: int,
     sizes = [li.bit_count() for li in leaf_sets]
     if any(s < k - 2 for s in sizes):
         raise InternalInconsistency("leaf set smaller than k-2")
-    if sum(1 for s in sizes if s == k - 2) != vb2.bit_count():
+    if sizes.count(k - 2) != vb2.bit_count():
         raise InternalInconsistency("count of minimum leaf sets differs from |V_B''|")
 
     e_bb, e_cc, y = e_bb2 // 2, e_cc2 // 2, y2 // 2
@@ -534,16 +598,14 @@ def _case_b(g: Graph, k: int, shells_u, shells_v, lam: int,
             k * (k - 1) ** 2 - (k - 1) * (k - s_c1) + 3 * eps - 2 * s_c1 - 2,
         ))
 
-    return CaseBPartition(
-        root=u, v=v, lam=lam, two_eps=two_eps, v_prime=v_prime, u1=u1,
-        v_rest=tuple(v_rest),
-        v_a=tuple(bit_list(va)), v_b=tuple(bit_list(vb)),
-        v_b_prime=tuple(bit_list(vb1)), v_b_second=tuple(bit_list(vb2)),
-        v_c=tuple(bit_list(vc)), v_c_prime=tuple(bit_list(vc1)),
-        v_c_second=tuple(bit_list(vc2)),
-        leaf_sets=tuple(tuple(bit_list(li)) for li in leaf_sets),
-        matching=tuple(sorted(matching)),
-        y=y, eps_in_range=eps_in_range, records=tuple(recs),
+    # the leaf sets partition V_C'' (checked above), and the pass met V_B''
+    # in increasing order, so the matching is already sorted
+    in_c2 = sorted([w for members in leaf_tuples for w in members])
+    return _build_case_b(
+        u, v, lam, two_eps, v_prime, u1, tuple(v_rest), (u1,),
+        tuple(in_b), tuple(in_b1), tuple(in_b2), tuple(sorted(in_c1 + in_c2)),
+        tuple(in_c1), tuple(in_c2), tuple(leaf_tuples), tuple(matching),
+        y, eps_in_range, tuple(recs),
     )
 
 
@@ -628,26 +690,39 @@ class AuditReport:
 
 def _audit_at_root(args) -> tuple:
     g, k, shells_of, u, lam, pair_filter = args
+    rows = g.rows
     shells = shells_of[u]
     outer = _outer_edges(g, k, shells, lam)
     mp = _main_property(g, shells)
+    # One pass over the rows of N2(u) classifies the exterior: `one` holds
+    # the exterior vertices with at least one contact in N2(u), `two` those
+    # with at least two; the rest of the exterior is far.
+    exterior = shells.n3plus
+    one = two = 0
+    rest = shells.n2
+    while rest:
+        low = rest & -rest
+        r = rows[low.bit_length() - 1] & exterior
+        rest ^= low
+        two |= one & r
+        one |= r
+    near = bit_list(one)
+    if pair_filter is None:
+        far = (exterior & ~one).bit_count()
+    else:
+        near = [v for v in near if (u, v) in pair_filter]
+        far = sum(1 for v in bit_list(exterior & ~one) if (u, v) in pair_filter)
     case_a: list[CaseAPartition] = []
     case_b: list[CaseBPartition] = []
     skipped: list[tuple[int, int, str]] = []
-    far = 0
-    for v in bit_list(shells.n3plus):
-        if pair_filter is not None and (u, v) not in pair_filter:
-            continue
-        contacts = (g.rows[v] & shells.n2).bit_count()
-        if contacts >= 2:
+    holds = mp.holds
+    for v in near:
+        if two >> v & 1:
             case_a.append(_case_a(g, k, shells, shells_of[v], lam))
-        elif contacts == 1:
-            if mp.holds:
-                case_b.append(_case_b(g, k, shells, shells_of[v], lam, mp))
-            else:
-                skipped.append((u, v, "containment property fails at this root"))
+        elif holds:
+            case_b.append(_case_b(g, k, shells, shells_of[v], lam, mp))
         else:
-            far += 1
+            skipped.append((u, v, "containment property fails at this root"))
     return outer, mp, case_a, case_b, skipped, far
 
 

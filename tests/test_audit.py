@@ -1,5 +1,6 @@
 import hashlib
 import pickle
+import random
 import tracemalloc
 from collections import Counter
 from dataclasses import FrozenInstanceError, fields
@@ -566,3 +567,99 @@ def test_case_b_structure_checks_refuse_hand_built_rows():
     # half-edge each, so both bits are set
     a, b = leaf_sets[0]
     refused([(a, b), (b, a)], "edge inside a leaf set")
+
+
+def _audit_results():
+    # one instance of every audit result class, from real audits: the
+    # dodecahedron and the case-B Cayley graph of A5 give case-B partitions,
+    # the other Cayley graph case-A partitions and containment violations
+    results = []
+    for g in (dodecahedron_graph(), _cayley_a5((0, 2, 1, 4, 3), (1, 3, 4, 2, 0)),
+              _cayley_a5((1, 0, 3, 2, 4), (1, 3, 4, 2, 0))):
+        lam = girth_profile(g).per_vertex[0]
+        for claimed in (lam, lam + 1):
+            report = audit_graph(g, lam=claimed)
+            results += [report, report.outer[0], report.main_property[0],
+                        *report.case_a[:2], *report.case_b[:2],
+                        audit_gprime_degree(g, 0, 1, claimed)]
+            results += [rec for part in report.case_a[:1] + report.case_b[:1]
+                        for rec in part.records]
+    return results
+
+
+def test_audit_results_survive_pickle_deepcopy_and_repr():
+    import copy
+
+    import girthlab.audit as audit_module
+
+    results = _audit_results()
+    kinds = {type(r).__name__ for r in results}
+    assert kinds == {"InequalityRecord", "OuterEdgeAudit", "MainPropertyAudit",
+                     "CaseAPartition", "CaseBPartition", "GPrimeAudit", "AuditReport"}
+    assert any(not r.all_passed for r in results if type(r).__name__ == "AuditReport")
+    assert any(r.violations for r in results if type(r).__name__ == "MainPropertyAudit")
+    namespace = {name: getattr(audit_module, name) for name in kinds}
+    for result in results:
+        for copied in (pickle.loads(pickle.dumps(result)), copy.deepcopy(result),
+                       eval(repr(result), namespace)):
+            assert type(copied) is type(result)
+            assert copied == result and repr(copied) == repr(result)
+            assert copied is not result
+
+
+def test_frozen_audit_results_refuse_assignment():
+    # every result class but AuditReport, which audit_graph fills in place
+    results = [r for r in _audit_results() if type(r).__name__ != "AuditReport"]
+    for result in results:
+        for f in fields(result):
+            with pytest.raises(FrozenInstanceError):
+                setattr(result, f.name, getattr(result, f.name))
+    # the per-pair classes are slotted: no instance dictionary
+    for result in results:
+        if type(result).__name__ in ("InequalityRecord", "CaseAPartition", "CaseBPartition"):
+            assert not hasattr(result, "__dict__")
+
+
+def _naive_dispatch(g, scope):
+    # every exterior pair classified by its own count of contacts in N2(u)
+    shells = [shell_decompose(g, u) for u in range(g.n)]
+    pairs = [(s.root, v) for s in shells for v in bit_list(s.n3plus)]
+    if scope != "all":
+        _, count, seed = scope
+        pairs = set(pairs if count >= len(pairs) else random.Random(seed).sample(pairs, count))
+    case_a, case_b, skipped, far = [], [], [], 0
+    for s in shells:
+        holds = not _main_property(g, s).violations
+        for v in bit_list(s.n3plus):
+            if (s.root, v) not in pairs:
+                continue
+            contacts = (g.rows[v] & s.n2).bit_count()
+            if contacts >= 2:
+                case_a.append((s.root, v))
+            elif contacts == 1:
+                (case_b if holds else skipped).append((s.root, v))
+            else:
+                far += 1
+    return case_a, case_b, skipped, far
+
+
+def test_dispatch_matches_per_pair_contact_counts():
+    graphs = [dodecahedron_graph(),
+              _cayley_a5((1, 0, 3, 2, 4), (1, 3, 4, 2, 0)),
+              _cayley_a5((0, 2, 1, 4, 3), (1, 3, 4, 2, 0))]
+    seen = Counter()
+    for g in graphs:
+        for scope in ("all", ("sample", 50, 3)):
+            case_a, case_b, skipped, far = _naive_dispatch(g, scope)
+            report = audit_graph(g, scope=scope)
+            assert [(p.root, p.v) for p in report.case_a] == case_a
+            assert [(p.root, p.v) for p in report.case_b] == case_b
+            assert [(u, v) for u, v, _ in report.skipped_pairs] == skipped
+            assert report.far_pairs == far
+            seen.update({(scope == "all", "a"): len(case_a), (scope == "all", "b"): len(case_b),
+                         (scope == "all", "skipped"): len(skipped),
+                         (scope == "all", "far"): far})
+    # every kind occurs under both scopes, and the sample drops far pairs
+    assert all(seen[(whole, kind)] for whole in (True, False)
+               for kind in ("a", "b", "skipped", "far"))
+    assert seen[(False, "far")] < seen[(True, "far")]

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -86,6 +87,20 @@ def test_audit_exit_codes(capsys):
     assert not report["summary"]["all_passed"]
     entry = report["graphs"][0]
     assert all(not o["passed"] for o in entry["outer_edges"])
+
+
+@pytest.mark.parametrize("extra, code, digest", [
+    ((), 0, "08dc43768d4cc57f68d6890d4eba93abb9054ac8c1e6cfb5f64d5f545e07994c"),
+    (("--lambda", "4"), 1, "c9ae18a7b364d05c9beeb938c6ccfbc7c80594f3eb0f9ba768d32ec7aac60866"),
+])
+def test_audit_full_records_are_pinned(capsys, extra, code, digest):
+    # every record of the 120 case-B pairs (13 each) as the user sees it,
+    # pinned before the kernels built slotted partitions; tool_version is
+    # left out so that a version bump does not move the digest
+    got, out, _ = run_cli(capsys, "audit", "named:dodecahedron", "--full-records", *extra)
+    graphs = json.loads(out)["graphs"]
+    assert got == code and len(graphs[0]["records"]) == 120 * 13
+    assert hashlib.sha256(json.dumps(graphs).encode()).hexdigest() == digest
 
 
 def test_audit_ineligible_graphs_reported_not_fatal(capsys, tmp_path):
