@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import operator
 import random
-from dataclasses import dataclass, field, fields
+from dataclasses import FrozenInstanceError, dataclass, field, fields
 
 from .core import Graph, bit_list, bits, edges_inside, is_connected, regularity
 from .errors import (
@@ -79,6 +79,25 @@ RELATION_TESTS = {
 _new = object.__new__
 
 
+def _frozen_slotted(cls):
+    """`dataclass(frozen=True, slots=True)`, refusing every assignment and
+    deletion with FrozenInstanceError.  Before Python 3.12 the generated
+    `__setattr__` and `__delattr__` name the class as it was before its
+    slots were added, so for a name that is not a field they raised
+    TypeError from `super()`."""
+    cls = dataclass(frozen=True, slots=True)(cls)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    cls.__setattr__ = __setattr__
+    cls.__delattr__ = __delattr__
+    return cls
+
+
 def _slot_setters(cls) -> tuple:
     """The `__set__` of each field's slot descriptor, in field order.  A
     frozen slotted dataclass refuses attribute assignment, but a slot's own
@@ -104,7 +123,7 @@ def _slotted_constructor(cls):
     return build
 
 
-@dataclass(frozen=True, slots=True)
+@_frozen_slotted
 class InequalityRecord:
     """One audited relation, stored exactly as displayed: lhs relation rhs."""
 
@@ -208,7 +227,7 @@ def _check_v_exterior(g: Graph, shells, v: int) -> None:
         raise ValueError("v lies in N2(u): not exterior to the root")
 
 
-@dataclass(frozen=True, slots=True)
+@_frozen_slotted
 class CaseAPartition:
     """Audit state for an exterior vertex with at least two second-shell
     neighbours: the split of N2(v) into first-shell, second-shell, and
@@ -353,7 +372,7 @@ def _case_a(g: Graph, k: int, shells_u, shells_v, lam: int) -> CaseAPartition:
     )
 
 
-@dataclass(frozen=True, slots=True)
+@_frozen_slotted
 class CaseBPartition:
     """Audit state for a distance-3 vertex with a unique second-shell
     neighbour: the refined split of N2(v) through that neighbour, the

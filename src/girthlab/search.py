@@ -7,29 +7,39 @@ choosing a set of existing girth-compatible partners plus a block of fresh
 vertices that take the next unused indices.  Girth pruning rejects an edge
 (a, b) whenever the current distance between a and b is below g - 1.
 
-Two cuts run before a child is emitted, so neither costs a canonical
-labelling.  The lookahead (`_viable`) drops a child with no completion.
-While k or more fresh slots remain it accepts at once, as every vertex then
-has enough open partners, so n_max plays no part in the cut until the last
-k - 1 slots.  Below that, it tries each number f of new vertices that makes
-the count of missing stubs even: it appends f isolated vertices and adds
-forced edges until none is left (`_forced_closure`).  An unsaturated vertex
-whose open partners (unsaturated vertices at distance >= g-1, fresh ones
-included) number exactly its missing degree is joined to all of them, one
-with fewer is a contradiction, and so is a forced edge whose ends the edges
-forced before it have brought within distance g-2.  Every completion with f
-new vertices contains each forced edge, so a contradiction rules out all of
-them, and the child is kept if some f survives.  A vertex with fewer open
-partners than missing edges at f = n_max - t has fewer at every smaller f,
-whatever edges are forced, so the propagation drops every child that this
-per-vertex count drops, and more.  The twin rule (`_one_per_row`) tries
-only the first of the candidate partners that share a row: swapping two
-such twins is an automorphism of the partial graph that fixes the pivot and
-the partners already chosen, so their children are isomorphic.  Both are
+Two cuts and one closure run before a child is emitted, so none costs a
+canonical labelling.  The lookahead (`_viable`) drops a child with no
+completion.  While k or more fresh slots remain it accepts at once, as
+every vertex then has enough open partners, so n_max plays no part in the
+cut until the last k - 1 slots.  Below that, it tries each number f of new
+vertices that makes the count of missing stubs even: it appends f isolated
+vertices and adds forced edges until none is left (`_forced_closure`).  An
+unsaturated vertex whose open partners (unsaturated vertices at
+distance >= g-1, fresh ones included) number exactly its missing degree is
+joined to all of them, one with fewer is a contradiction, and so is a
+forced edge whose ends the edges forced before it have brought within
+distance g-2.  Every completion with f new vertices contains each forced
+edge, so a contradiction rules out all of them, and the child is kept if
+some f survives.  A vertex with fewer open partners than missing edges at
+f = n_max - t has fewer at every smaller f, whatever edges are forced, so
+the propagation drops every child that this per-vertex count drops, and
+more.  When f = 0 is the only survivor, the lookahead emits the closed rows
+in place of the child: every completion of the child then adds no vertex
+and contains each forced edge, so the closed state has exactly the
+completions of the child, and the states that those edges would pass
+through one pivot at a time are never popped, labelled or expanded.  It
+closes only at f = 0, as a closure at f > 0 would carry isolated appended
+vertices, and only below k fresh slots, so the search still needs no n_max
+until the last k - 1 slots.  The twin rule (`_one_per_row`) tries only the
+first of the candidate partners that share a row: swapping two such twins
+is an automorphism of the partial graph that fixes the pivot and the
+partners already chosen, so their children are isomorphic.  All three are
 sound under the memo below: a dropped child has no completion, or has the
-completions of an emitted sibling up to isomorphism, so every class is
-still met, and the memo only ever holds keys of states that were expanded.
-Neither cut changes the canonical form or what a memo key means.
+completions of an emitted sibling up to isomorphism, and a closed child has
+the completions of the child it replaces, so every class is still met, and
+the memo only ever holds keys of states that were expanded.  None of them
+changes the canonical form or what a memo key means: a closed state is
+keyed like any other.
 
 Isomorph rejection on partial states: the complete graphs reachable from a
 partial state are all k-regular girth-compatible supergraphs that add edges
@@ -184,20 +194,28 @@ def _near_mask(rows: list[int], src: int, limit: int) -> int:
     return seen
 
 
-def _viable(rows: list[int], k: int, g: int, n_max: int) -> bool:
-    """Lookahead: False only when the partial graph has no completion.
-    With k fresh slots left every vertex has enough open partners, so the
-    check runs only when fewer remain.  A completion with f new vertices
-    needs an even number of stubs, sum(missing) + k*f, and it contains
-    every edge that `_forced_closure` adds to the state with f isolated
-    vertices appended; the state has a completion only if some such f
-    survives that propagation."""
+def _viable(rows: list[int], k: int, g: int, n_max: int) -> Rows | None:
+    """Lookahead: the state to push in place of the child `rows`, or None
+    when the child has no completion.  With k fresh slots left every vertex
+    has enough open partners, so the check runs only when fewer remain.  A
+    completion with f new vertices needs an even number of stubs,
+    sum(missing) + k*f, and it contains every edge that `_forced_closure`
+    adds to the state with f isolated vertices appended; the child has a
+    completion only if some such f survives that propagation.  When f = 0
+    is the only survivor, every completion contains the forced edges, so the
+    closed rows have exactly the completions of the child and are pushed
+    instead; otherwise the child is pushed as it is."""
     fresh = n_max - len(rows)
     if fresh >= k:
-        return True
+        return tuple(rows)
     stubs = k * len(rows) - sum(r.bit_count() for r in rows)
-    return any(_forced_closure(rows + [0] * f, k, g)
-               for f in range(fresh, -1, -1) if not (stubs + k * f) % 2)
+    for f in range(fresh, 0, -1):
+        if not (stubs + k * f) % 2 and _forced_closure(rows + [0] * f, k, g):
+            return tuple(rows)
+    closed = list(rows)
+    if stubs % 2 or not _forced_closure(closed, k, g):
+        return None
+    return tuple(closed)
 
 
 def _forced_closure(rows: list[int], k: int, g: int) -> bool:
@@ -257,8 +275,10 @@ def _one_per_row(rows: list[int], candidates: list[int]) -> list[int]:
 
 def _children(state: Rows, k: int, g: int, n_max: int) -> list[Rows] | None:
     """Expand one pivot-completion step; None means the state is complete
-    (every vertex saturated).  Children that fail `_viable` are dropped,
-    and of twin partners only the first is tried (`_one_per_row`)."""
+    (every vertex saturated).  Each child is replaced by what `_viable`
+    returns: dropped when it has no completion, closed under its forced
+    edges when no fresh vertex can be added.  Of twin partners only the
+    first is tried (`_one_per_row`)."""
     t = len(state)
     deg = [r.bit_count() for r in state]
     unsaturated = [v for v in range(t) if deg[v] < k]
@@ -270,15 +290,17 @@ def _children(state: Rows, k: int, g: int, n_max: int) -> list[Rows] | None:
 
     def choose(remaining: int, min_w: int) -> None:
         if remaining == 0:
-            if _viable(rows, k, g, n_max):
-                children.append(tuple(rows))
+            kid = _viable(rows, k, g, n_max)
+            if kid is not None:
+                children.append(kid)
             return
         # fill the rest with fresh vertices attached to the pivot
         if t + remaining <= n_max:
             child = rows + [1 << p] * remaining
             child[p] |= ((1 << remaining) - 1) << t
-            if _viable(child, k, g, n_max):
-                children.append(tuple(child))
+            kid = _viable(child, k, g, n_max)
+            if kid is not None:
+                children.append(kid)
         blocked = _near_mask(rows, p, g - 2)
         for w in _one_per_row(rows, [w for w in range(min_w, t)
                                      if deg[w] < k and not blocked >> w & 1]):

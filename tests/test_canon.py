@@ -381,7 +381,7 @@ def test_canonical_form_of_non_regular_graphs_is_pinned(monkeypatch):
         return walk(rows, known)
 
     monkeypatch.setattr(search, "_walk", recording)
-    monkeypatch.setattr(search, "_viable", lambda rows, k, g, n_max: True)
+    monkeypatch.setattr(search, "_viable", lambda rows, k, g, n_max: tuple(rows))
     generate(SearchConfig(k=3, g=5, n_max=14))
     monkeypatch.undo()
     graphs = [Graph(len(rows), rows) for rows in walked]

@@ -190,9 +190,11 @@ def test_search_contradiction_exit_1(capsys, monkeypatch):
 
 
 def test_search_suspension_exit_4(capsys, tmp_path):
+    # the n <= 12 tree has 19 nodes (29 before the lookahead pushed closed
+    # children), so a budget of 13 (20 before) still suspends
     path = str(tmp_path / "frontier.txt")
     code, out, err = run_cli(capsys, "search", "--k", "3", "--g", "5",
-                             "--max-n", "12", "--node-budget", "20",
+                             "--max-n", "12", "--node-budget", "13",
                              "--checkpoint", path)
     assert code == 4
     assert json.loads(out)["suspended"]
@@ -206,7 +208,7 @@ def test_search_suspension_exit_4(capsys, tmp_path):
 def test_resume_chain_with_fixed_budget_completes(capsys, tmp_path):
     path = str(tmp_path / "frontier.txt")
     args = ("search", "--k", "3", "--g", "5", "--max-n", "12",
-            "--node-budget", "20", "--checkpoint", path)
+            "--node-budget", "13", "--checkpoint", path)
     codes = []
     while not codes or codes[-1] == 4:
         assert len(codes) < 200, "resuming with a fixed budget makes no progress"

@@ -110,10 +110,13 @@ def test_published_counts_where_the_lookahead_cuts_most():
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("n_max", [18, 20])  # n <= 20: about 1.5 minutes on one core
+@pytest.mark.parametrize("n_max", [18, 20])  # n <= 20: about a minute on one core
 def test_published_counts_cubic_slow(n_max):
     out = generate(SearchConfig(k=3, g=5, n_max=n_max))
     assert out.per_n_classes == {n: c for n, c in CUBIC_GIRTH5.items() if n <= n_max}
+    if n_max == 18:
+        # 18,782 nodes before closed children were pushed
+        assert out.nodes_expanded == 10491
 
 
 def _digest(outcome):
@@ -140,18 +143,20 @@ def test_emitted_classes_are_byte_stable(kwargs, digest):
 def test_node_count_of_memoised_tree():
     # the machine-independent cost of a search: it moves only when the
     # growth rule, the lookahead or the partial-state memo changes; forced-
-    # edge propagation in the lookahead took it from 291 to 201
+    # edge propagation in the lookahead took it from 291 to 201, and pushing
+    # the closed child where no fresh vertex can be added from 201 to 130
     out = generate(SearchConfig(k=3, g=5, n_max=14))
-    assert out.nodes_expanded == 201 and out.total_classes == 12
+    assert out.nodes_expanded == 130 and out.total_classes == 12
 
 
 def test_leaves_labelled_is_pinned():
     # certificates computed by one call: a duplicate state costs one leaf,
     # since its first leaf is one of an expanded state's certificates.  The
     # distance-profile cells of complete states took it from 712 to 686,
-    # and forced-edge propagation in the lookahead from 686 to 482
+    # forced-edge propagation in the lookahead from 686 to 482, and pushing
+    # closed children from 482 to 374
     out = generate(SearchConfig(k=3, g=5, n_max=14))
-    assert out.nodes_expanded == 201 and out.leaves_labelled == 482
+    assert out.nodes_expanded == 130 and out.leaves_labelled == 374
 
 
 def test_leaf_index_is_kept_per_order():
@@ -168,12 +173,14 @@ def test_leaf_index_is_kept_per_order():
 def test_leaves_labelled_counts_one_call(tmp_path):
     # nodes_expanded adds up over resumed calls, leaves_labelled is the
     # call's own; a resumed call starts with an empty leaf index, so it
-    # walks in full the first duplicate of each state expanded before
-    config = SearchConfig(k=3, g=5, n_max=14, node_budget=200,
+    # walks in full the first duplicate of each state expanded before.  The
+    # budget stops one node short of the 130-node tree (it was 200 of 201,
+    # with leaves (474, 13), before closed children were pushed)
+    config = SearchConfig(k=3, g=5, n_max=14, node_budget=129,
                           checkpoint_path=str(tmp_path / "frontier.txt"))
     first, rest = generate(config), generate(config)
-    assert first.suspended and not rest.suspended and rest.nodes_expanded == 201
-    assert (first.leaves_labelled, rest.leaves_labelled) == (474, 13)
+    assert first.suspended and not rest.suspended and rest.nodes_expanded == 130
+    assert (first.leaves_labelled, rest.leaves_labelled) == (366, 22)
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -208,7 +215,7 @@ def test_pruning_keeps_every_class(monkeypatch, kwargs):
     # the lookahead check and the twin rule only drop branches without a
     # new class: switched off, the search emits the same bytes
     pruned = generate(SearchConfig(**kwargs))
-    monkeypatch.setattr(search, "_viable", lambda rows, k, g, n_max: True)
+    monkeypatch.setattr(search, "_viable", lambda rows, k, g, n_max: tuple(rows))
     monkeypatch.setattr(search, "_one_per_row", lambda rows, candidates: candidates)
     plain = generate(SearchConfig(**kwargs))
     assert pruned.classes_graph6 == plain.classes_graph6
@@ -216,18 +223,61 @@ def test_pruning_keeps_every_class(monkeypatch, kwargs):
     assert pruned.nodes_expanded < plain.nodes_expanded
 
 
+_closing_viable = search._viable
+
+
+def _bare_child(rows, k, g, n_max):
+    # the lookahead's cut without its closure: a live child is pushed as it is
+    return None if _closing_viable(rows, k, g, n_max) is None else tuple(rows)
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(k=3, g=3, n_max=10),
+    dict(k=3, g=4, n_max=12),
+    dict(k=3, g=5, n_max=14),
+    dict(k=3, g=6, n_max=18),
+    dict(k=3, g=7, n_max=24, cap=24),
+    dict(k=4, g=4, n_max=11),
+    dict(k=4, g=5, n_max=19, cap=19),
+    dict(k=3, g=5, n_max=12, girth_mode=GIRTH_EXACT, lambda_filter=6),
+    dict(k=3, g=5, n_max=14, lambda_filter=6, worker_count=2),
+])
+def test_closed_children_keep_every_class(monkeypatch, kwargs):
+    # pushing the forced-edge closure in place of a child with no room for
+    # a fresh vertex keeps its completions: with the lookahead kept but the
+    # bare child pushed, the search emits the same bytes from more nodes
+    closed = generate(SearchConfig(**kwargs))
+    monkeypatch.setattr(search, "_viable", _bare_child)
+    plain = generate(SearchConfig(**kwargs))
+    assert closed.total_classes > 0
+    assert closed.classes_graph6 == plain.classes_graph6
+    assert closed.hits_graph6 == plain.hits_graph6
+    assert closed.nodes_expanded < plain.nodes_expanded
+
+
 def test_viability_check_on_small_states():
     # cubic; a path on 4 vertices plus an isolated vertex misses 9 stubs,
     # an odd number, which no fresh slot can fix when n_max = 5
     path4 = [0b0010, 0b0101, 0b1010, 0b0100]
-    assert search._viable(path4, 3, 3, 8)
-    assert not search._viable(path4 + [0], 3, 3, 5)
-    # the leaves of a claw each miss 2 edges; at girth 4 they lie too close
-    # to one another, so one fresh slot is too few and two are enough
+    assert search._viable(path4, 3, 3, 8) == tuple(path4)
+    assert search._viable(path4 + [0], 3, 3, 5) is None
+    # the leaves of a claw each miss 2 edges.  At girth 3 each has exactly
+    # the other two as open partners, so the closure is the triangle on
+    # them; it is pushed with no fresh slot, and with one, as that makes
+    # the stub count odd (6 + 3) and leaves f = 0 the only feasible count
     claw = [0b1110, 0b0001, 0b0001, 0b0001]
-    assert search._viable(claw, 3, 3, 5)
-    assert not search._viable(claw, 3, 4, 5)
-    assert search._viable(claw, 3, 4, 6)
+    k4 = (0b1110, 0b1101, 0b1011, 0b0111)
+    assert search._viable(claw, 3, 3, 4) == k4
+    assert search._viable(claw, 3, 3, 5) == k4
+    # with k fresh slots the child is accepted as it is, closure or not
+    assert search._viable(claw, 3, 3, 7) == tuple(claw)
+    # at girth 4 the leaves lie too close to one another, so one fresh
+    # slot is too few and two are enough; as f = 2 survives, the child is
+    # pushed unchanged
+    assert search._viable(claw, 3, 4, 5) is None
+    assert search._viable(claw, 3, 4, 6) == tuple(claw)
+    # the closure is a copy: the caller's rows are left as they were
+    assert claw == [0b1110, 0b0001, 0b0001, 0b0001]
 
 
 def test_near_mask_matches_bfs_distances():
@@ -251,9 +301,9 @@ def test_forced_edges_that_close_a_triangle_are_refused():
     for v in (12, 14, 15):
         assert search._near_mask(rows, v, 3) & (1 << 12 | 1 << 14 | 1 << 15) == 1 << v
     # with no fresh slot each must join both others: a triangle
-    assert not search._viable(rows, 3, 5, 16)
+    assert search._viable(rows, 3, 5, 16) is None
     # one fresh vertex makes the stub count odd (6 + 3), so it cannot help
-    assert not search._viable(rows, 3, 5, 17)
+    assert search._viable(rows, 3, 5, 17) is None
 
 
 def test_each_forced_edge_is_rechecked():
@@ -264,7 +314,7 @@ def test_each_forced_edge_is_rechecked():
     rows = list(parse_graph6("NsP@@?OC?R@A@g@O?Q?").rows)
     assert [v for v, r in enumerate(rows) if r.bit_count() < 3] == [11, 13, 14]
     assert search._near_mask(rows, 11, 2) >> 14 & 1
-    assert not search._viable(rows, 3, 5, 16)
+    assert search._viable(rows, 3, 5, 16) is None
 
 
 @pytest.mark.parametrize("k, g, n_max", [
@@ -289,7 +339,7 @@ def test_lookahead_refuses_only_dead_states(monkeypatch, k, g, n_max):
         popped.update(kids or ())
         return kids
 
-    monkeypatch.setattr(search, "_viable", lambda rows, k, g, n_max: True)
+    monkeypatch.setattr(search, "_viable", lambda rows, k, g, n_max: tuple(rows))
     monkeypatch.setattr(search, "_children", recording)
     generate(SearchConfig(k=k, g=g, n_max=n_max))
     live: dict[str, bool] = {}
@@ -301,7 +351,7 @@ def test_lookahead_refuses_only_dead_states(monkeypatch, k, g, n_max):
             live[cls] = kids is None or any(alive(kid) for kid in kids)
         return live[cls]
 
-    refused = [state for state in popped if not viable(list(state), k, g, n_max)]
+    refused = [state for state in popped if viable(list(state), k, g, n_max) is None]
     assert refused
     assert not any(alive(key(state)) for state in refused)
 
@@ -379,8 +429,10 @@ def test_order_cap_and_validation():
 
 
 def test_checkpoint_suspend_and_resume(tmp_path):
+    # the n <= 12 tree has 19 nodes (29 before closed children were
+    # pushed), so the checkpoint tests suspend at a budget of 13, not 20
     path = str(tmp_path / "frontier.txt")
-    first = generate(SearchConfig(k=3, g=5, n_max=12, node_budget=20,
+    first = generate(SearchConfig(k=3, g=5, n_max=12, node_budget=13,
                                   checkpoint_path=path))
     assert first.suspended and os.path.exists(path)
     full = generate(SearchConfig(k=3, g=5, n_max=12))
@@ -392,7 +444,7 @@ def test_checkpoint_suspend_and_resume(tmp_path):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("budget", [1, 7, 20])
+@pytest.mark.parametrize("budget", [1, 7, 13])
 def test_budgeted_resume_chain_matches_uninterrupted_run(tmp_path, budget, workers):
     # a resume must neither lose nor duplicate a class, whatever the budget
     # and however the memo was split between workers
@@ -412,26 +464,40 @@ def test_budgeted_resume_chain_matches_uninterrupted_run(tmp_path, budget, worke
 
 def test_checkpointed_memo_repeats_no_work(tmp_path):
     # the memo travels through the checkpoint, so a chain of one-worker
-    # resumes expands exactly the nodes of the uninterrupted run
+    # resumes expands exactly the nodes of the uninterrupted run: 130, in
+    # calls of 50 (201 in calls of 100 before closed children were pushed)
     path = str(tmp_path / "frontier.txt")
-    config = SearchConfig(k=3, g=5, n_max=14, node_budget=100, checkpoint_path=path)
+    config = SearchConfig(k=3, g=5, n_max=14, node_budget=50, checkpoint_path=path)
     first = generate(config)
     with open(path) as fh:
-        assert sum(line.startswith("#memo ") for line in fh) == 100
+        assert sum(line.startswith("#memo ") for line in fh) == 50
     for calls in range(2, 100):
         out = generate(config)
         if not out.suspended:
             break
     assert first.suspended and calls == 3
-    assert out.nodes_expanded == 201
+    assert out.nodes_expanded == 130
     assert out.classes_graph6 == generate(SearchConfig(k=3, g=5, n_max=14)).classes_graph6
+
+
+def test_checkpoint_written_without_closed_children_resumes(monkeypatch, tmp_path):
+    # a format-5 file written before closed children were pushed holds bare
+    # children in its frontier and their classes in its memo; every class is
+    # still met when the run resumes with the closure on
+    path = str(tmp_path / "frontier.txt")
+    monkeypatch.setattr(search, "_viable", _bare_child)
+    first = generate(SearchConfig(k=3, g=5, n_max=16, node_budget=400, checkpoint_path=path))
+    monkeypatch.undo()
+    resumed = generate(SearchConfig(k=3, g=5, n_max=16, checkpoint_path=path))
+    assert first.suspended and not resumed.suspended
+    assert resumed.classes_graph6 == generate(SearchConfig(k=3, g=5, n_max=16)).classes_graph6
 
 
 def test_checkpoint_rejects_older_format(tmp_path):
     from girthlab import GirthLabError
 
     path = tmp_path / "frontier.txt"
-    generate(SearchConfig(k=3, g=5, n_max=12, node_budget=20, checkpoint_path=str(path)))
+    generate(SearchConfig(k=3, g=5, n_max=12, node_budget=13, checkpoint_path=str(path)))
     lines = path.read_text().splitlines()
     assert lines[0] == search.CHECKPOINT_MAGIC == "#girthlab-checkpoint 5"
     assert any(line.startswith("#memo ") for line in lines)
@@ -448,7 +514,7 @@ def test_checkpoint_frontier_lines_are_bare_graph6(tmp_path):
     from girthlab import GirthLabError, cli
 
     path = tmp_path / "frontier.txt"
-    generate(SearchConfig(k=3, g=5, n_max=12, node_budget=20, checkpoint_path=str(path)))
+    generate(SearchConfig(k=3, g=5, n_max=12, node_budget=13, checkpoint_path=str(path)))
     lines = path.read_text().splitlines()
     frontier = [line for line in lines if not line.startswith("#")]
     assert frontier and all(" " not in line for line in frontier)
@@ -500,6 +566,6 @@ def test_checkpoint_rejects_mismatched_config(tmp_path):
     from girthlab import GirthLabError
 
     path = str(tmp_path / "frontier.txt")
-    generate(SearchConfig(k=3, g=5, n_max=12, node_budget=20, checkpoint_path=path))
+    generate(SearchConfig(k=3, g=5, n_max=12, node_budget=13, checkpoint_path=path))
     with pytest.raises(GirthLabError):
         generate(SearchConfig(k=3, g=5, n_max=14, checkpoint_path=path))
