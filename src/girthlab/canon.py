@@ -27,7 +27,20 @@ Two leaves with equal certificates give an automorphism, the map from the
 first leaf's order to the second's.  A dict from certificate to the order
 of the first leaf that gave it records one for every repeated certificate,
 until `_MAX_STORED_AUTS` are stored; the least certificate is read off the
-dict at the end.  Discovered automorphisms prune branches that fix the
+dict at the end.  A repeated certificate also ends the subtree it was met
+in, as in nauty (McKay, "Practical graph isomorphism", Congr. Numer. 30,
+1981): the walk returns to the depth at which the leaf's individualisation
+path diverges from that of the certificate's first leaf, and the node there
+counts its current child as tried.  A leaf's order fixes its path: a vertex
+individualised at some level stays a singleton at the position where its
+cell began, since refinement only splits cells in place.  Both paths pass
+through the same nodes down to the divergence depth, so the automorphism
+γ: first[p] -> order[p] fixes their common prefix, and maps the child the
+first leaf descended through, an earlier sibling whose subtree is
+finished, onto the current child, whose certificates have therefore all
+been met.  A symmetric cage such as Hoffman–Singleton then labels a
+handful of leaves in any labelling, where the walk without the backjump
+labelled thousands.  Discovered automorphisms prune branches that fix the
 current individualisation prefix.  So do twins: open twins, non-adjacent
 vertices with equal rows, and closed twins, adjacent vertices with equal
 closed neighbourhoods ``rows[v] | 1 << v``.  Two twins of either kind in
@@ -46,14 +59,15 @@ a single leaf an exact isomorphism test (McKay, "Isomorph-free exhaustive
 generation", J. Algorithms 26, 1998).  The starting cells, refinement, the
 choice of the target cell and individualisation commute with relabelling,
 so isomorphic graphs have the same unpruned tree up to relabelling, and
-the same set of leaf certificates.  Orbit and twin pruning skip only
-subtrees that an automorphism maps onto a kept one, whose certificates a
-kept leaf repeats, so the walk meets that whole set.  A certificate
-rebuilds its graph, so two graphs of one order that share a single leaf
-certificate are isomorphic.  `_walk` is the one tree walk: `canonize`
-takes the least certificate it meets, and the search passes the
-certificates of the states it expanded as `known`, so that a duplicate
-state stops at its first leaf.
+the same set of leaf certificates.  Orbit and twin pruning and the
+backjump skip only subtrees that an automorphism maps onto a kept one,
+whose certificates a kept leaf repeats, so the walk meets that whole set,
+and the first leaf of each certificate is its first in depth-first order
+of the whole tree.  A certificate rebuilds its graph, so two graphs of one
+order that share a single leaf certificate are isomorphic.  `_walk` is the
+one tree walk: `canonize` takes the least certificate it meets, and the
+search passes the certificates of the states it expanded as `known`, so
+that a duplicate state stops at its first leaf.
 
 Refinement splits every cell by each vertex's neighbour counts into the
 other cells, ordering the fragments by their count vectors, until no cell
@@ -193,13 +207,17 @@ def _walk(rows: Sequence[int], known: Container[int] = frozenset()
     twins = len(set(twin)) < n
 
     leaves: dict[int, tuple[int, ...]] = {}
+    paths: dict[int, tuple[int, ...]] = {}
     auts: list[tuple[int, ...]] = []
     visited = 0
 
     def descend(cells: list[list[int]], prefix: tuple[int, ...],
-                fresh: list[int]) -> bool:
-        """Walk one subtree; True when the first leaf is known."""
+                fresh: list[int]) -> int:
+        """Walk one subtree.  Returns the depth at which the walk goes on:
+        ``len(prefix)`` when the subtree is done, less on a backjump, and
+        -1 when the first leaf is known."""
         nonlocal visited
+        depth = len(prefix)
         cells = _refine(nbrs, cells, fresh)
         target = None
         for idx, cell in enumerate(cells):
@@ -210,9 +228,12 @@ def _walk(rows: Sequence[int], known: Container[int] = frozenset()
             cert = pack_payload(nbrs, order)
             visited += 1
             if not leaves and cert in known:
-                return True
+                return -1
             first = leaves.setdefault(cert, order)
-            if first != order and len(auts) < _MAX_STORED_AUTS:
+            if first == order:
+                paths[cert] = prefix
+                return depth
+            if len(auts) < _MAX_STORED_AUTS:
                 # equal certificates: first[p] -> order[p] is an automorphism
                 gamma = [0] * n
                 for p in range(n):
@@ -220,7 +241,15 @@ def _walk(rows: Sequence[int], known: Container[int] = frozenset()
                 gamma = tuple(gamma)
                 if gamma not in auts:
                     auts.append(gamma)
-            return False
+            # back to where the two paths diverge: gamma fixes the common
+            # prefix and maps the first leaf's finished sibling subtree there
+            # onto the current one
+            back = 0
+            for a, b in zip(paths[cert], prefix):
+                if a != b:
+                    break
+                back += 1
+            return back
         cell = cells[target]
         tried: list[int] = []
         reached: set[int] = set()
@@ -237,8 +266,9 @@ def _walk(rows: Sequence[int], known: Container[int] = frozenset()
                 + cells[target + 1:]
             )
             # `cells` is equitable, so only the new singleton [v] can split
-            if descend(child, prefix + (v,), [target]):
-                return True
+            back = descend(child, prefix + (v,), [target])
+            if back < depth:
+                return back
             tried.append(v)
             fixers = [gamma for gamma in auts if all(gamma[x] == x for x in prefix)]
             reached = set(tried)
@@ -252,11 +282,11 @@ def _walk(rows: Sequence[int], known: Container[int] = frozenset()
                             grew = True
             if twins:
                 reached_twins = {twin[u] for u in reached}
-        return False
+        return depth
 
     # degree and profile classes promise nothing about counts: every cell
     # is a splitter
-    if descend(cells, (), list(range(len(cells)))):
+    if descend(cells, (), list(range(len(cells)))) < 0:
         return None, visited
     return leaves, visited
 

@@ -333,3 +333,47 @@ def naive_refine(adj, cells) -> list[list[int]]:
         if len(new_cells) == len(cells):
             return cells
         cells = new_cells
+
+
+def naive_walk_leaves(adj) -> dict[int, tuple[int, ...]]:
+    """Every leaf certificate of the refinement tree, mapped to the vertex
+    order of the first leaf in depth-first order that gives it: the
+    reference for `canon._walk`'s leaves.
+
+    The tree is walked in full, nothing pruned.  It starts from the degree
+    cells, or from the distance-profile cells of a regular graph, in
+    ascending order; each node is refined by `naive_refine` and branches
+    over the vertices of its first smallest non-singleton cell, split off
+    in front of the rest of that cell.  A leaf's certificate is the graph6
+    payload of the relabelled graph: bit (i, j), for each column j in turn
+    and i < j from 0, says whether positions i and j are adjacent."""
+    verts = sorted(adj)
+    if len({len(adj[v]) for v in verts}) == 1:
+        keys = {v: naive_distance_profile(adj, v) for v in verts}
+    else:
+        keys = {v: len(adj[v]) for v in verts}
+    start = [[v for v in verts if keys[v] == key] for key in sorted(set(keys.values()))]
+    leaves: dict[int, tuple[int, ...]] = {}
+
+    def certificate(order):
+        cert = 0
+        for j in range(1, len(order)):
+            for i in range(j):
+                cert = cert << 1 | (order[i] in adj[order[j]])
+        return cert
+
+    def descend(cells):
+        cells = naive_refine(adj, cells)
+        sizes = [len(cell) for cell in cells if len(cell) > 1]
+        if not sizes:
+            order = tuple(cell[0] for cell in cells)
+            leaves.setdefault(certificate(order), order)
+            return
+        target = next(i for i, cell in enumerate(cells) if len(cell) == min(sizes))
+        cell = cells[target]
+        for v in cell:
+            descend(cells[:target] + [[v], [w for w in cell if w != v]]
+                    + cells[target + 1:])
+
+    descend(start)
+    return leaves

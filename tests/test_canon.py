@@ -24,7 +24,7 @@ from girthlab import (
 from girthlab.canon import _distance_profiles, _refine, _walk, canonize
 from girthlab.core import Graph, bit_list, bits, is_connected
 
-from naive_oracles import naive_distance_profile, naive_refine, to_adj
+from naive_oracles import naive_distance_profile, naive_refine, naive_walk_leaves, to_adj
 
 
 def _random_graph(rng, n, p):
@@ -157,7 +157,8 @@ def test_canonising_emitted_classes_visits_pinned_leaf_count(monkeypatch):
     # automorphism from every pair of leaves with equal certificates, and
     # recording one only when a leaf repeats the current best certificate
     # visits 119 leaves here instead of 103.  Starting regular graphs from
-    # their distance-profile cells took 103 to 73
+    # their distance-profile cells took 103 to 73, and backjumping to the
+    # divergence depth on a repeated certificate 73 to 46
     from girthlab import SearchConfig, canon, generate, parse_graph6
 
     out = generate(SearchConfig(k=3, g=5, n_max=14))
@@ -172,7 +173,7 @@ def test_canonising_emitted_classes_visits_pinned_leaf_count(monkeypatch):
     for certs in out.classes_graph6.values():
         for s in certs:
             assert canonical_graph6(parse_graph6(s)) == s
-    assert len(calls) == 73
+    assert len(calls) == 46
 
 
 def _random_regular(rng, n, k):
@@ -289,13 +290,14 @@ def _dense_graph(rng, n, missing):
 def test_closed_twins_cost_one_branch(monkeypatch):
     # adjacent vertices with equal closed neighbourhoods are swapped by an
     # automorphism; without the closed-row check K_20 labels thousands of
-    # leaves and this K_39 minus 7 edges did not finish within a minute
+    # leaves and this K_39 minus 7 edges did not finish within a minute.
+    # Backjumping on a repeated certificate took the latter from 8 to 5
     calls = _count_leaves(monkeypatch)
     assert canonical_graph6(complete_graph(20)) == write_graph6(complete_graph(20))
     assert len(calls) == 1
     calls.clear()
     canonical_graph6(_dense_graph(random.Random(2), 39, 7))
-    assert len(calls) == 8
+    assert len(calls) == 5
 
 
 def test_closed_twin_rule_keeps_certificates(monkeypatch):
@@ -364,6 +366,76 @@ def test_leaf_certificate_set_is_invariant():
         perm = list(range(g.n))
         rng.shuffle(perm)
         assert set(_walk(g.rows)[0]) == set(_walk(_permuted(g, perm).rows)[0])
+
+
+def _cube_graph():
+    # Q_3: vertices 0..7, adjacent when they differ in one bit
+    return graph_from_edges(8, [(v, v ^ b) for v in range(8) for b in (1, 2, 4) if v < v ^ b])
+
+
+def _small_twin_rich_graphs(rng):
+    # graphs on at most 9 vertices whose unpruned trees stay small enough to
+    # walk in full: complete bipartite graphs, and random graphs with
+    # planted leaves on one vertex and a copy of a vertex's neighbourhood
+    graphs = [complete_bipartite_graph(a, b) for a in range(1, 4) for b in range(a, 7 - a)]
+    for _ in range(30):
+        n = rng.randrange(3, 6)
+        edges = {(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5}
+        anchor = rng.randrange(n)
+        for _ in range(rng.randrange(2, 4)):
+            edges.add((anchor, n))
+            n += 1
+        v = rng.randrange(n)
+        edges |= {(w, n) for w in range(n) if (min(v, w), max(v, w)) in edges}
+        graphs.append(graph_from_edges(n + 1, sorted(edges)))
+    return graphs
+
+
+def test_walk_leaves_match_the_unpruned_tree():
+    # orbit and twin pruning and the backjump on a repeated certificate skip
+    # only subtrees whose certificates an earlier leaf gave: every
+    # certificate is met, and its first leaf is the first in depth-first
+    # order of the whole tree
+    rng = random.Random(1981)
+    graphs = [petersen_graph(), complete_graph(4), complete_bipartite_graph(3, 3),
+              cycle_graph(8), _cube_graph()]
+    graphs += _small_twin_rich_graphs(rng)
+    graphs += [_random_graph(rng, rng.randrange(1, 10), rng.uniform(0.2, 0.8))
+               for _ in range(200)]
+    for g in graphs:
+        assert _walk(g.rows)[0] == naive_walk_leaves(to_adj(g))
+
+
+def _hoffman_singleton():
+    # pentagons P_h and pentagrams Q_i (h, i in Z5); vertex j of P_h is
+    # joined to vertex h*i + j of Q_i
+    edges = []
+    for h in range(5):
+        for j in range(5):
+            edges.append((5 * h + j, 5 * h + (j + 1) % 5))
+            edges.append((25 + 5 * h + j, 25 + 5 * h + (j + 2) % 5))
+            edges += [(5 * h + j, 25 + 5 * i + (h * i + j) % 5) for i in range(5)]
+    return graph_from_edges(50, edges)
+
+
+def test_hoffman_singleton_labels_few_leaves_in_every_labelling():
+    # the walk backjumps to where a repeated certificate's path diverged
+    # from its first leaf's, so the cost follows the orbits, not the 252,000
+    # automorphisms: without the backjump these nine labellings labelled
+    # 528 to 31,056 leaves (up to 11 s) for the same 6 certificates
+    hs = _hoffman_singleton()
+    assert regularity(hs) == (True, 7) and girth(hs) == 5
+    graphs = [hs] + [_permuted(hs, random.Random(seed).sample(range(50), 50))
+                     for seed in range(8)]
+    forms, certificates, counts = set(), set(), []
+    for g in graphs:
+        leaves, visited = _walk(g.rows)
+        forms.add(canonical_graph6(g))
+        certificates.add(frozenset(leaves))
+        counts.append(visited)
+    assert len(forms) == 1
+    assert len(certificates) == 1 and len(next(iter(certificates))) == 6
+    assert counts == [13] * 9
 
 
 def test_canonical_form_of_non_regular_graphs_is_pinned(monkeypatch):

@@ -153,10 +153,11 @@ def test_leaves_labelled_is_pinned():
     # certificates computed by one call: a duplicate state costs one leaf,
     # since its first leaf is one of an expanded state's certificates.  The
     # distance-profile cells of complete states took it from 712 to 686,
-    # forced-edge propagation in the lookahead from 686 to 482, and pushing
-    # closed children from 482 to 374
+    # forced-edge propagation in the lookahead from 686 to 482, pushing
+    # closed children from 482 to 374, and backjumping on a repeated leaf
+    # certificate from 374 to 353
     out = generate(SearchConfig(k=3, g=5, n_max=14))
-    assert out.nodes_expanded == 130 and out.leaves_labelled == 374
+    assert out.nodes_expanded == 130 and out.leaves_labelled == 353
 
 
 def test_leaf_index_is_kept_per_order():
@@ -175,12 +176,13 @@ def test_leaves_labelled_counts_one_call(tmp_path):
     # call's own; a resumed call starts with an empty leaf index, so it
     # walks in full the first duplicate of each state expanded before.  The
     # budget stops one node short of the 130-node tree (it was 200 of 201,
-    # with leaves (474, 13), before closed children were pushed)
+    # with leaves (474, 13), before closed children were pushed).
+    # Backjumping on a repeated leaf certificate took (366, 22) to (345, 15)
     config = SearchConfig(k=3, g=5, n_max=14, node_budget=129,
                           checkpoint_path=str(tmp_path / "frontier.txt"))
     first, rest = generate(config), generate(config)
     assert first.suspended and not rest.suspended and rest.nodes_expanded == 130
-    assert (first.leaves_labelled, rest.leaves_labelled) == (366, 22)
+    assert (first.leaves_labelled, rest.leaves_labelled) == (345, 15)
 
 
 @pytest.mark.parametrize("kwargs", [
