@@ -27,11 +27,17 @@ count: y (the 5-cycle count of v) is half the sum of |N(w) & N2(v)| over
 N2(v), never the sum of its parts, so the partition check can still fail.
 Checks run only once every count is in, in their order of derivation.
 
-A pair's cost is counting, not objects: the records and partitions are
-frozen slotted dataclasses, filled through their slot setters rather than
-the generated `__init__`, and the vertex tuples of a partition are listed
-by the passes above (and the case-A pass over each branch) instead of
-being re-read from their masks.
+A pair's cost is counting, not objects.  The partitions are frozen
+slotted dataclasses, filled through their slot setters rather than the
+generated `__init__`, and their vertex tuples are listed by the passes
+above (and the case-A pass over each branch) instead of being re-read from
+their masks.  The pairs of a structured graph repeat the same few dozen
+records thousands of times, so `audit_graph` keeps one table per call,
+keyed by a record's inputs, and builds each distinct record once: equal
+records within one report are one shared object, which is safe because
+records are frozen.  The table dies with the call (with several workers,
+each worker's chunk of roots fills its own), and the per-pair public
+audits use a fresh one.
 """
 from __future__ import annotations
 
@@ -39,7 +45,7 @@ import operator
 import random
 from dataclasses import FrozenInstanceError, dataclass, field, fields
 
-from .core import Graph, bit_list, bits, edges_inside, is_connected, regularity
+from .core import Graph, bit_list, edges_inside, is_connected, regularity
 from .errors import (
     CaseMismatch,
     InternalInconsistency,
@@ -136,21 +142,21 @@ class InequalityRecord:
 
     @staticmethod
     def make(name: str, lhs: int, relation: str, rhs: int, context: str = "") -> "InequalityRecord":
-        # what the generated __init__ does, field by field in field order,
-        # through the slot setters; each pair of an audit builds a dozen
-        # records
-        set_name, set_lhs, set_rhs, set_relation, set_holds, set_context = _RECORD_SLOTS
-        rec = _new(InequalityRecord)
-        set_name(rec, name)
-        set_lhs(rec, lhs)
-        set_rhs(rec, rhs)
-        set_relation(rec, relation)
-        set_holds(rec, RELATION_TESTS[relation](lhs, rhs))
-        set_context(rec, context)
-        return rec
+        return InequalityRecord(name, lhs, rhs, relation,
+                                RELATION_TESTS[relation](lhs, rhs), context)
 
 
-_RECORD_SLOTS = _slot_setters(InequalityRecord)
+def _shared_record(table: dict, name: str, lhs: int, relation: str, rhs: int,
+                   context: str = "") -> InequalityRecord:
+    """The record for these inputs from `table`, built on first use.  One
+    table serves one `audit_graph` call: its pairs repeat a few dozen
+    distinct records thousands of times, and a frozen record can be shared
+    by every partition that displays it."""
+    key = (name, lhs, relation, rhs, context)
+    rec = table.get(key)
+    if rec is None:
+        rec = table[key] = InequalityRecord.make(name, lhs, relation, rhs, context)
+    return rec
 
 
 @dataclass(frozen=True)
@@ -206,13 +212,21 @@ def audit_main_property(g: Graph, u: int) -> MainPropertyAudit:
 
 
 def _main_property(g: Graph, shells) -> MainPropertyAudit:
+    rows = g.rows
     n2 = bit_list(shells.n2)
     found = []
     for i, v1 in enumerate(n2):
+        # a vertex without neighbours beyond N2(u) is in no violation: on a
+        # graph of diameter 2 (Hoffman-Singleton) that is every vertex
+        outside = rows[v1] & shells.n3plus
+        if not outside:
+            continue
         for v2 in n2[i + 1:]:
-            common = g.rows[v1] & g.rows[v2] & shells.n3plus
-            for w in bits(common):
-                found.append((v1, v2, w))
+            common = outside & rows[v2]
+            while common:
+                low = common & -common
+                found.append((v1, v2, low.bit_length() - 1))
+                common ^= low
     return MainPropertyAudit(shells.root, tuple(found))
 
 
@@ -277,7 +291,8 @@ def audit_case_a(g: Graph, u: int, v: int, lam: int) -> CaseAPartition:
     return _case_a(g, k, shells_u, shell_decompose(g, v, k * (k - 1)), lam)
 
 
-def _case_a(g: Graph, k: int, shells_u, shells_v, lam: int) -> CaseAPartition:
+def _case_a(g: Graph, k: int, shells_u, shells_v, lam: int,
+            table: dict | None = None) -> CaseAPartition:
     rows = g.rows
     u, v = shells_u.root, shells_v.root
     if (rows[v] & shells_u.n2).bit_count() < 2:
@@ -340,25 +355,27 @@ def _case_a(g: Graph, k: int, shells_u, shells_v, lam: int) -> CaseAPartition:
         raise InternalInconsistency("5-cycle count of v disagrees with the partition")
 
     d_dot_a = sum(di * ai for di, ai in zip(d, a))
+    if table is None:
+        table = {}
     recs = [
-        InequalityRecord.make("VC_induced", (k - 1) * vc.bit_count(), ">=",
-                              2 * e_cc + e_bc),
-        InequalityRecord.make("VB_induced", (k - 1) * vb.bit_count(), ">=",
-                              e_ab + 2 * e_bb + e_bc),
-        InequalityRecord.make("VAg", sum(d) + sum(a), "<=", two_eps),
-        InequalityRecord.make("TwoEpsVA", d_dot_a, "<=", two_eps - sa),
-        InequalityRecord.make("EAB", e_ab, "<=", d_dot_a + sa * (sa - 1)),
+        _shared_record(table, "VC_induced", (k - 1) * vc.bit_count(), ">=",
+                       2 * e_cc + e_bc),
+        _shared_record(table, "VB_induced", (k - 1) * vb.bit_count(), ">=",
+                       e_ab + 2 * e_bb + e_bc),
+        _shared_record(table, "VAg", sum(d) + sum(a), "<=", two_eps),
+        _shared_record(table, "TwoEpsVA", d_dot_a, "<=", two_eps - sa),
+        _shared_record(table, "EAB", e_ab, "<=", d_dot_a + sa * (sa - 1)),
     ]
     eps_in_range = 0 < two_eps <= k - 1
     if eps_in_range:
-        recs.append(InequalityRecord.make(
-            "Y_bound_caseA", 2 * y, "<", k * (k - 1) ** 2 - two_eps,
+        recs.append(_shared_record(
+            table, "Y_bound_caseA", 2 * y, "<", k * (k - 1) ** 2 - two_eps,
             context="deficit in the excluded range",
         ))
     else:
         spread = max(2 - 2 * k, two_eps ** 2 - two_eps * (k + 1))
-        recs.append(InequalityRecord.make(
-            "Y_bound_caseA", 2 * y, "<=", k * (k - 1) ** 2 + two_eps + spread,
+        recs.append(_shared_record(
+            table, "Y_bound_caseA", 2 * y, "<=", k * (k - 1) ** 2 + two_eps + spread,
         ))
 
     x = None
@@ -426,7 +443,7 @@ def audit_case_b(g: Graph, u: int, v: int, lam: int) -> CaseBPartition:
 
 
 def _case_b(g: Graph, k: int, shells_u, shells_v, lam: int,
-            containment: MainPropertyAudit) -> CaseBPartition:
+            containment: MainPropertyAudit, table: dict | None = None) -> CaseBPartition:
     rows = g.rows
     u, v = shells_u.root, shells_v.root
     n2u = shells_u.n2
@@ -575,45 +592,47 @@ def _case_b(g: Graph, k: int, shells_u, shells_v, lam: int,
     # counts; it is also e(V_B, V_C'')
     s_b2 = vb2.bit_count()
     s_c1 = vc1.bit_count()
+    if table is None:
+        table = {}
     recs = [
-        InequalityRecord.make("VB_induced", (k - 1) * vb.bit_count(), ">=",
-                              e_ab + 2 * e_bb + e_bc),
-        InequalityRecord.make(
-            "VC_induced_new", (k - 1) * vc.bit_count(), ">=",
+        _shared_record(table, "VB_induced", (k - 1) * vb.bit_count(), ">=",
+                       e_ab + 2 * e_bb + e_bc),
+        _shared_record(
+            table, "VC_induced_new", (k - 1) * vc.bit_count(), ">=",
             2 * e_cc + e_bc + (k - 1) * (k - 1 - s_c1) - s_b2 - e_c2_b,
         ),
-        InequalityRecord.make("outer_bound1",
-                              s_b2 + s_c1 + 1 + e_c2_b, "<=", two_eps),
-        InequalityRecord.make("outer_bound2",
-                              2 * (vb2_at_u1.bit_count() + s_c1 + 1), "<=", two_eps,
-                              context="doubled form of the half-deficit bound"),
-        InequalityRecord.make("EAB_new", e_ab, "=", vb2_at_u1.bit_count()),
+        _shared_record(table, "outer_bound1",
+                       s_b2 + s_c1 + 1 + e_c2_b, "<=", two_eps),
+        _shared_record(table, "outer_bound2",
+                       2 * (vb2_at_u1.bit_count() + s_c1 + 1), "<=", two_eps,
+                       context="doubled form of the half-deficit bound"),
+        _shared_record(table, "EAB_new", e_ab, "=", vb2_at_u1.bit_count()),
     ]
     sum_leaf_slack = 0
     for i, (size, (_, e_li_c1, e_li_c2, e_li_b, e_li_out)) in enumerate(
             zip(sizes, leaf_counts), start=1):
         ctx = f"i={i}"
-        recs.append(InequalityRecord.make("LCprime", e_li_c1, "<=", s_c1, ctx))
-        recs.append(InequalityRecord.make("LCdoubleprime", e_li_c2, "<=",
-                                          size * (k - 2), ctx))
-        recs.append(InequalityRecord.make(
-            "Li_expansion", (k - 1) * size, "=",
+        recs.append(_shared_record(table, "LCprime", e_li_c1, "<=", s_c1, ctx))
+        recs.append(_shared_record(table, "LCdoubleprime", e_li_c2, "<=",
+                                   size * (k - 2), ctx))
+        recs.append(_shared_record(
+            table, "Li_expansion", (k - 1) * size, "=",
             e_li_c2 + e_li_c1 + e_li_b + e_li_out, ctx,
         ))
         sum_leaf_slack += size - s_c1
-    recs.append(InequalityRecord.make(
-        "Vout_bound", e_c2_far + e_c2_b, ">=", sum_leaf_slack,
+    recs.append(_shared_record(
+        table, "Vout_bound", e_c2_far + e_c2_b, ">=", sum_leaf_slack,
     ))
     eps_in_range = 0 < two_eps <= k - 1
     if eps_in_range:
-        recs.append(InequalityRecord.make(
-            "Y_bound_caseB", 2 * y, "<", k * (k - 1) ** 2 - two_eps,
+        recs.append(_shared_record(
+            table, "Y_bound_caseB", 2 * y, "<", k * (k - 1) ** 2 - two_eps,
             context="deficit in the excluded range",
         ))
     else:
         assert eps is not None
-        recs.append(InequalityRecord.make(
-            "Y_bound_caseB", 2 * y, "<=",
+        recs.append(_shared_record(
+            table, "Y_bound_caseB", 2 * y, "<=",
             k * (k - 1) ** 2 - (k - 1) * (k - s_c1) + 3 * eps - 2 * s_c1 - 2,
         ))
 
@@ -708,7 +727,7 @@ class AuditReport:
 
 
 def _audit_at_root(args) -> tuple:
-    g, k, shells_of, u, lam, pair_filter = args
+    g, k, shells_of, u, lam, pair_filter, table = args
     rows = g.rows
     shells = shells_of[u]
     outer = _outer_edges(g, k, shells, lam)
@@ -737,9 +756,9 @@ def _audit_at_root(args) -> tuple:
     holds = mp.holds
     for v in near:
         if two >> v & 1:
-            case_a.append(_case_a(g, k, shells, shells_of[v], lam))
+            case_a.append(_case_a(g, k, shells, shells_of[v], lam, table))
         elif holds:
-            case_b.append(_case_b(g, k, shells, shells_of[v], lam, mp))
+            case_b.append(_case_b(g, k, shells, shells_of[v], lam, mp, table))
         else:
             skipped.append((u, v, "containment property fails at this root"))
     return outer, mp, case_a, case_b, skipped, far
@@ -793,11 +812,15 @@ def audit_graph(
         pair_filter = set(pairs if count >= len(pairs) else rng.sample(pairs, count))
 
     report = AuditReport(graph6=write_graph6(g), n=g.n, k=k, lam=lam)
-    tasks = [(g, k, shells_of, u, lam, pair_filter) for u in range(g.n)]
+    # one record table for the whole call, so every distinct record is
+    # built once; it dies with the call
+    table: dict = {}
+    tasks = [(g, k, shells_of, u, lam, pair_filter, table) for u in range(g.n)]
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        # one chunk per worker: g and the shells are pickled once a chunk
+        # one chunk per worker: g, the shells and the record table are
+        # pickled once a chunk, so each chunk fills a table of its own
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_audit_at_root, tasks,
                                     chunksize=-(-g.n // workers)))
@@ -816,11 +839,14 @@ def audit_graph(
                 f"outer edges at root {outer.root}: found {outer.outer_edges_found}, "
                 f"expected {outer.two_eps_expected}"
             )
-        for part in case_a + case_b:
-            for rec in part.records:
-                if not rec.holds:
-                    report._fail(
-                        f"{rec.name} at (u={part.root}, v={part.v}): "
-                        f"{rec.lhs} {rec.relation} {rec.rhs} fails"
-                    )
+        # only the first failure is reported, so the scan ends at it
+        if report.all_passed:
+            failed = next(((part, rec) for part in case_a + case_b
+                           for rec in part.records if not rec.holds), None)
+            if failed is not None:
+                part, rec = failed
+                report._fail(
+                    f"{rec.name} at (u={part.root}, v={part.v}): "
+                    f"{rec.lhs} {rec.relation} {rec.rhs} fails"
+                )
     return report

@@ -462,7 +462,7 @@ def _read_checkpoint(path: str, cfg_key: dict):
     hits: set[tuple[int, str]] = set()
     memo: set[str] = set()
     frontier: list[Rows] = []
-    nodes = 0
+    nodes = stored = None
     with open(path) as fh:
         header = fh.readline().strip()
         if header != CHECKPOINT_MAGIC:
@@ -490,6 +490,10 @@ def _read_checkpoint(path: str, cfg_key: dict):
                 memo.add(line.split(" ", 1)[1])
             else:
                 frontier.append(parse_graph6(line).rows)
+    # a file without its search or its node count cannot be resumed: a
+    # missing #config would let any search adopt its classes and frontier
+    if stored is None or nodes is None:
+        raise GirthLabError(f"checkpoint lacks its #config or #nodes line: {path}")
     return classes, hits, nodes, memo, frontier
 
 

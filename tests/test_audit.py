@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import pickle
 import random
@@ -284,6 +285,9 @@ def test_audit_graph_workers_match():
     seq = audit_graph(dodecahedron_graph())
     par = audit_graph(dodecahedron_graph(), workers=2)
     assert seq.all_passed and seq == par
+    # a forged count, where each worker's chunk fills its own record table
+    seq = audit_graph(dodecahedron_graph(), lam=4)
+    assert not seq.all_passed and seq == audit_graph(dodecahedron_graph(), lam=4, workers=2)
     with pytest.raises(ValueError):
         audit_graph(dodecahedron_graph(), workers=0)
 
@@ -355,9 +359,12 @@ def test_audit_report_is_pinned():
 
 def test_audit_graph_records_match_public_functions():
     # every record of audit_graph is what the per-pair public function
-    # returns for that pair; pairs at roots where containment fails are
+    # returns for that pair (partitions compare their records field by
+    # field), though the report shares equal records and the public
+    # function builds its own; pairs at roots where containment fails are
     # skipped, and the public case-B audit refuses them
-    graphs = [dodecahedron_graph(), _cayley_a5((1, 0, 3, 2, 4), (1, 3, 4, 2, 0))]
+    graphs = [dodecahedron_graph(), _cayley_a5((1, 0, 3, 2, 4), (1, 3, 4, 2, 0)),
+              _cayley_a5((0, 2, 1, 4, 3), (1, 3, 4, 2, 0))]
     for g in graphs:
         lam = girth_profile(g).per_vertex[0]
         for claimed in (lam, lam + 1):
@@ -374,6 +381,33 @@ def test_audit_graph_records_match_public_functions():
             audited = len(report.case_a) + len(report.case_b) + len(report.skipped_pairs)
             assert audited + report.far_pairs == sum(
                 shell_decompose(g, u).n3plus.bit_count() for u in range(g.n))
+
+
+def test_audit_graph_builds_each_distinct_record_once():
+    # one audit_graph call builds each distinct record once and shares it
+    # between the partitions that display it; no record outlives its call
+    graphs = [dodecahedron_graph(), _cayley_a5((1, 0, 3, 2, 4), (1, 3, 4, 2, 0)),
+              _cayley_a5((0, 2, 1, 4, 3), (1, 3, 4, 2, 0))]
+    for g in graphs:
+        lam = girth_profile(g).per_vertex[0]
+        for claimed in (lam, lam + 1):
+            report = audit_graph(g, lam=claimed)
+            records = [rec for part in report.case_a + report.case_b
+                       for rec in part.records]
+            first = {}
+            assert all(first.setdefault(rec, rec) is rec for rec in records)
+            if len(report.case_b) == 600:
+                # the case-B Cayley graph: 13 records at each of 600 pairs
+                assert len(records) == 7800 and len(first) == 35
+            again = audit_graph(g, lam=claimed)
+            assert again == report
+            assert not {id(r) for r in records} & {
+                id(r) for part in again.case_a + again.case_b for r in part.records}
+            # copies keep the values and the sharing
+            for copied in (pickle.loads(pickle.dumps(report)), copy.deepcopy(report)):
+                assert copied == report
+                assert len({id(r) for part in copied.case_a + copied.case_b
+                            for r in part.records}) == len(first)
 
 
 def test_audit_graph_validates_once_and_decomposes_once_per_root(monkeypatch):
@@ -588,8 +622,6 @@ def _audit_results():
 
 
 def test_audit_results_survive_pickle_deepcopy_and_repr():
-    import copy
-
     import girthlab.audit as audit_module
 
     results = _audit_results()

@@ -571,3 +571,23 @@ def test_checkpoint_rejects_mismatched_config(tmp_path):
     generate(SearchConfig(k=3, g=5, n_max=12, node_budget=13, checkpoint_path=path))
     with pytest.raises(GirthLabError):
         generate(SearchConfig(k=3, g=5, n_max=14, checkpoint_path=path))
+
+
+@pytest.mark.parametrize("tag", ["#config ", "#nodes "])
+def test_checkpoint_without_config_or_nodes_is_refused(tmp_path, tag):
+    # without its #config line a cubic g = 5 checkpoint would resume under
+    # g = 6 and report the g = 5 classes it holds
+    from girthlab import GirthLabError
+
+    path = tmp_path / "frontier.txt"
+    generate(SearchConfig(k=3, g=5, n_max=14, node_budget=13, checkpoint_path=str(path)))
+    lines = path.read_text().splitlines()
+    assert sum(line.startswith(tag) for line in lines) == 1
+    path.write_text("\n".join(line for line in lines if not line.startswith(tag)) + "\n")
+    # refused under g = 6 and under its own search, and left in place
+    for g in (6, 5):
+        with pytest.raises(GirthLabError):
+            generate(SearchConfig(k=3, g=g, n_max=14, checkpoint_path=str(path)))
+    with pytest.raises(GirthLabError, match="lacks its #config or #nodes"):
+        generate(SearchConfig(k=3, g=5, n_max=14, checkpoint_path=str(path)))
+    assert path.exists()
