@@ -31,13 +31,17 @@ A pair's cost is counting, not objects.  The partitions are frozen
 slotted dataclasses, filled through their slot setters rather than the
 generated `__init__`, and their vertex tuples are listed by the passes
 above (and the case-A pass over each branch) instead of being re-read from
-their masks.  The pairs of a structured graph repeat the same few dozen
-records thousands of times, so `audit_graph` keeps one table per call,
-keyed by a record's inputs, and builds each distinct record once: equal
-records within one report are one shared object, which is safe because
-records are frozen.  The table dies with the call (with several workers,
-each worker's chunk of roots fills its own), and the per-pair public
-audits use a fresh one.
+their masks.  The pairs of a structured graph repeat a few count vectors
+thousands of times (the 600 case-B pairs of the cubic Cayley graph of A5
+have 6), so `audit_graph` keeps one table per call.  Each case kernel hands
+its counts to a builder that reads nothing else, and the table keeps the
+builder's record tuple under its whole argument tuple, so a pair makes one
+lookup and each distinct record tuple is built once; within a build, each
+distinct record is built once too, keyed by its inputs.  Equal records and
+record tuples within one report are shared objects, which is safe because
+they are frozen.  The table dies with the call (with several workers, each
+worker's chunk of roots fills its own), and the per-pair public audits use
+a fresh one.
 """
 from __future__ import annotations
 
@@ -157,6 +161,18 @@ def _shared_record(table: dict, name: str, lhs: int, relation: str, rhs: int,
     if rec is None:
         rec = table[key] = InequalityRecord.make(name, lhs, relation, rhs, context)
     return rec
+
+
+def _shared_records(table: dict, build, args: tuple) -> tuple:
+    """The record tuple `build(table, *args)` from `table`, built on first
+    use.  A builder reads nothing but its arguments, so the key is the
+    whole argument tuple: a key that left one out would hand a pair the
+    records of another pair that differs only there."""
+    key = (build, args)
+    recs = table.get(key)
+    if recs is None:
+        recs = table[key] = build(table, *args)
+    return recs
 
 
 @dataclass(frozen=True)
@@ -291,6 +307,34 @@ def audit_case_a(g: Graph, u: int, v: int, lam: int) -> CaseAPartition:
     return _case_a(g, k, shells_u, shell_decompose(g, v, k * (k - 1)), lam)
 
 
+def _case_a_records(table: dict, k: int, two_eps: int, s_a: int, s_b: int,
+                    s_c: int, e_ab: int, e_bb: int, e_bc: int, e_cc: int,
+                    d_sum: int, d_dot_a: int, y: int) -> tuple:
+    """The case-A records of a pair from its counts alone: |V_A|, |V_B|,
+    |V_C|, the edge counts of the partition, the sum of the branch counts
+    d_i, their sum over the branches adjacent to v, and y."""
+    recs = [
+        _shared_record(table, "VC_induced", (k - 1) * s_c, ">=", 2 * e_cc + e_bc),
+        _shared_record(table, "VB_induced", (k - 1) * s_b, ">=",
+                       e_ab + 2 * e_bb + e_bc),
+        # the branch indicators sum to |V_A|
+        _shared_record(table, "VAg", d_sum + s_a, "<=", two_eps),
+        _shared_record(table, "TwoEpsVA", d_dot_a, "<=", two_eps - s_a),
+        _shared_record(table, "EAB", e_ab, "<=", d_dot_a + s_a * (s_a - 1)),
+    ]
+    if 0 < two_eps <= k - 1:
+        recs.append(_shared_record(
+            table, "Y_bound_caseA", 2 * y, "<", k * (k - 1) ** 2 - two_eps,
+            context="deficit in the excluded range",
+        ))
+    else:
+        spread = max(2 - 2 * k, two_eps ** 2 - two_eps * (k + 1))
+        recs.append(_shared_record(
+            table, "Y_bound_caseA", 2 * y, "<=", k * (k - 1) ** 2 + two_eps + spread,
+        ))
+    return tuple(recs)
+
+
 def _case_a(g: Graph, k: int, shells_u, shells_v, lam: int,
             table: dict | None = None) -> CaseAPartition:
     rows = g.rows
@@ -354,29 +398,13 @@ def _case_a(g: Graph, k: int, shells_u, shells_v, lam: int,
     if y != e_ab + e_bb + e_bc + e_cc:
         raise InternalInconsistency("5-cycle count of v disagrees with the partition")
 
-    d_dot_a = sum(di * ai for di, ai in zip(d, a))
     if table is None:
         table = {}
-    recs = [
-        _shared_record(table, "VC_induced", (k - 1) * vc.bit_count(), ">=",
-                       2 * e_cc + e_bc),
-        _shared_record(table, "VB_induced", (k - 1) * vb.bit_count(), ">=",
-                       e_ab + 2 * e_bb + e_bc),
-        _shared_record(table, "VAg", sum(d) + sum(a), "<=", two_eps),
-        _shared_record(table, "TwoEpsVA", d_dot_a, "<=", two_eps - sa),
-        _shared_record(table, "EAB", e_ab, "<=", d_dot_a + sa * (sa - 1)),
-    ]
+    recs = _shared_records(table, _case_a_records, (
+        k, two_eps, sa, vb.bit_count(), vc.bit_count(), e_ab, e_bb, e_bc, e_cc,
+        sum(d), sum([di * ai for di, ai in zip(d, a)]), y,
+    ))
     eps_in_range = 0 < two_eps <= k - 1
-    if eps_in_range:
-        recs.append(_shared_record(
-            table, "Y_bound_caseA", 2 * y, "<", k * (k - 1) ** 2 - two_eps,
-            context="deficit in the excluded range",
-        ))
-    else:
-        spread = max(2 - 2 * k, two_eps ** 2 - two_eps * (k + 1))
-        recs.append(_shared_record(
-            table, "Y_bound_caseA", 2 * y, "<=", k * (k - 1) ** 2 + two_eps + spread,
-        ))
 
     x = None
     rest = rows[v] & ~shells_u.n2
@@ -385,7 +413,7 @@ def _case_a(g: Graph, k: int, shells_u, shells_v, lam: int,
 
     return _build_case_a(
         u, v, lam, two_eps, tuple(in_a), tuple(in_b), tuple(in_c),
-        tuple(branch_sets), tuple(d), tuple(a), y, x, eps_in_range, tuple(recs),
+        tuple(branch_sets), tuple(d), tuple(a), y, x, eps_in_range, recs,
     )
 
 
@@ -442,6 +470,61 @@ def audit_case_b(g: Graph, u: int, v: int, lam: int) -> CaseBPartition:
                    _main_property(g, shells_u))
 
 
+def _case_b_records(table: dict, k: int, two_eps: int, s_b: int, s_c: int,
+                    e_ab: int, e_bb: int, e_bc: int, e_cc: int, s_b2: int,
+                    s_c1: int, e_c2_b: int, e_c2_far: int, s_b2_u1: int, y: int,
+                    sizes: tuple[int, ...],
+                    leaf_counts: tuple[tuple[int, int, int, int], ...]) -> tuple:
+    """The case-B records of a pair from its counts alone: |V_B|, |V_C|, the
+    edge counts of the partition, |V_B''|, |V_C'|, the edges from V_C'' to
+    V_B and to the vertices beyond v, N(v) and N2(v), |V_B'' & N(u1)|, y,
+    and per leaf set its size and its edges to V_C', to the rest of V_C'',
+    to V_B and out of N2(v) other than to its own vertex of N(v)."""
+    recs = [
+        _shared_record(table, "VB_induced", (k - 1) * s_b, ">=",
+                       e_ab + 2 * e_bb + e_bc),
+        # the leaf sets partition V_C'', so e(V_C'', V_B) is the sum of
+        # their counts; it is also e(V_B, V_C'')
+        _shared_record(
+            table, "VC_induced_new", (k - 1) * s_c, ">=",
+            2 * e_cc + e_bc + (k - 1) * (k - 1 - s_c1) - s_b2 - e_c2_b,
+        ),
+        _shared_record(table, "outer_bound1",
+                       s_b2 + s_c1 + 1 + e_c2_b, "<=", two_eps),
+        _shared_record(table, "outer_bound2", 2 * (s_b2_u1 + s_c1 + 1), "<=",
+                       two_eps, context="doubled form of the half-deficit bound"),
+        _shared_record(table, "EAB_new", e_ab, "=", s_b2_u1),
+    ]
+    sum_leaf_slack = 0
+    for i, (size, (e_li_c1, e_li_c2, e_li_b, e_li_out)) in enumerate(
+            zip(sizes, leaf_counts, strict=True), start=1):
+        ctx = f"i={i}"
+        recs.append(_shared_record(table, "LCprime", e_li_c1, "<=", s_c1, ctx))
+        recs.append(_shared_record(table, "LCdoubleprime", e_li_c2, "<=",
+                                   size * (k - 2), ctx))
+        recs.append(_shared_record(
+            table, "Li_expansion", (k - 1) * size, "=",
+            e_li_c2 + e_li_c1 + e_li_b + e_li_out, ctx,
+        ))
+        sum_leaf_slack += size - s_c1
+    recs.append(_shared_record(
+        table, "Vout_bound", e_c2_far + e_c2_b, ">=", sum_leaf_slack,
+    ))
+    if 0 < two_eps <= k - 1:
+        recs.append(_shared_record(
+            table, "Y_bound_caseB", 2 * y, "<", k * (k - 1) ** 2 - two_eps,
+            context="deficit in the excluded range",
+        ))
+    else:
+        # 2e = k(k-1)^2 - 2*lambda is even, since k(k-1) is
+        eps = two_eps // 2
+        recs.append(_shared_record(
+            table, "Y_bound_caseB", 2 * y, "<=",
+            k * (k - 1) ** 2 - (k - 1) * (k - s_c1) + 3 * eps - 2 * s_c1 - 2,
+        ))
+    return tuple(recs)
+
+
 def _case_b(g: Graph, k: int, shells_u, shells_v, lam: int,
             containment: MainPropertyAudit, table: dict | None = None) -> CaseBPartition:
     rows = g.rows
@@ -458,7 +541,6 @@ def _case_b(g: Graph, k: int, shells_u, shells_v, lam: int,
             f"containment property fails at root {u}; first witness {violations[0]}"
         )
     two_eps = k * (k - 1) ** 2 - 2 * lam
-    eps = two_eps // 2 if two_eps % 2 == 0 else None
 
     v_prime = contacts.bit_length() - 1
     row_vp = rows[v_prime]
@@ -530,8 +612,7 @@ def _case_b(g: Graph, k: int, shells_u, shells_v, lam: int,
             stray += (r & beyond_vp).bit_count()
         else:
             e_ab += (r & vb).bit_count()
-    leaf_counts = []
-    leaf_tuples = []
+    leaf_inside, leaf_counts, leaf_tuples = [], [], []
     e_c2_b = e_c2_far = 0
     for vi, li in zip(v_rest, leaf_sets):
         off_li = vc2 & ~li
@@ -554,18 +635,19 @@ def _case_b(g: Graph, k: int, shells_u, shells_v, lam: int,
             e_c2_far += (r & out_far).bit_count()
         e_cc2 += c1 + inside + c2
         e_c2_b += b
-        leaf_counts.append((inside // 2, c1, c2, b, out))
+        leaf_inside.append(inside)
+        leaf_counts.append((c1, c2, b, out))
         leaf_tuples.append(tuple(members))
 
     # absence identity: nothing in V_C' or {v} touches N2(u) beyond v'
     if stray:
         raise InternalInconsistency("edge from V_C' or v into N2(u) away from v'")
     union = 0
-    for li, counts in zip(leaf_sets, leaf_counts):
+    for li, inside in zip(leaf_sets, leaf_inside):
         if li & union:
             raise InternalInconsistency("leaf sets overlap")
         union |= li
-        if counts[0]:
+        if inside:
             raise InternalInconsistency("edge inside a leaf set")
     if union != vc2:
         raise InternalInconsistency("leaf sets do not cover V_C''")
@@ -588,53 +670,14 @@ def _case_b(g: Graph, k: int, shells_u, shells_v, lam: int,
     if y != e_ab + e_bb + e_bc + e_cc:
         raise InternalInconsistency("5-cycle count of v disagrees with the partition")
 
-    # the leaf sets partition V_C'', so e(V_C'', V_B) is the sum of their
-    # counts; it is also e(V_B, V_C'')
-    s_b2 = vb2.bit_count()
-    s_c1 = vc1.bit_count()
     if table is None:
         table = {}
-    recs = [
-        _shared_record(table, "VB_induced", (k - 1) * vb.bit_count(), ">=",
-                       e_ab + 2 * e_bb + e_bc),
-        _shared_record(
-            table, "VC_induced_new", (k - 1) * vc.bit_count(), ">=",
-            2 * e_cc + e_bc + (k - 1) * (k - 1 - s_c1) - s_b2 - e_c2_b,
-        ),
-        _shared_record(table, "outer_bound1",
-                       s_b2 + s_c1 + 1 + e_c2_b, "<=", two_eps),
-        _shared_record(table, "outer_bound2",
-                       2 * (vb2_at_u1.bit_count() + s_c1 + 1), "<=", two_eps,
-                       context="doubled form of the half-deficit bound"),
-        _shared_record(table, "EAB_new", e_ab, "=", vb2_at_u1.bit_count()),
-    ]
-    sum_leaf_slack = 0
-    for i, (size, (_, e_li_c1, e_li_c2, e_li_b, e_li_out)) in enumerate(
-            zip(sizes, leaf_counts), start=1):
-        ctx = f"i={i}"
-        recs.append(_shared_record(table, "LCprime", e_li_c1, "<=", s_c1, ctx))
-        recs.append(_shared_record(table, "LCdoubleprime", e_li_c2, "<=",
-                                   size * (k - 2), ctx))
-        recs.append(_shared_record(
-            table, "Li_expansion", (k - 1) * size, "=",
-            e_li_c2 + e_li_c1 + e_li_b + e_li_out, ctx,
-        ))
-        sum_leaf_slack += size - s_c1
-    recs.append(_shared_record(
-        table, "Vout_bound", e_c2_far + e_c2_b, ">=", sum_leaf_slack,
+    recs = _shared_records(table, _case_b_records, (
+        k, two_eps, vb.bit_count(), vc.bit_count(), e_ab, e_bb, e_bc, e_cc,
+        vb2.bit_count(), vc1.bit_count(), e_c2_b, e_c2_far, vb2_at_u1.bit_count(),
+        y, tuple(sizes), tuple(leaf_counts),
     ))
     eps_in_range = 0 < two_eps <= k - 1
-    if eps_in_range:
-        recs.append(_shared_record(
-            table, "Y_bound_caseB", 2 * y, "<", k * (k - 1) ** 2 - two_eps,
-            context="deficit in the excluded range",
-        ))
-    else:
-        assert eps is not None
-        recs.append(_shared_record(
-            table, "Y_bound_caseB", 2 * y, "<=",
-            k * (k - 1) ** 2 - (k - 1) * (k - s_c1) + 3 * eps - 2 * s_c1 - 2,
-        ))
 
     # the leaf sets partition V_C'' (checked above), and the pass met V_B''
     # in increasing order, so the matching is already sorted
@@ -643,7 +686,7 @@ def _case_b(g: Graph, k: int, shells_u, shells_v, lam: int,
         u, v, lam, two_eps, v_prime, u1, tuple(v_rest), (u1,),
         tuple(in_b), tuple(in_b1), tuple(in_b2), tuple(sorted(in_c1 + in_c2)),
         tuple(in_c1), tuple(in_c2), tuple(leaf_tuples), tuple(matching),
-        y, eps_in_range, tuple(recs),
+        y, eps_in_range, recs,
     )
 
 

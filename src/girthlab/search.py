@@ -134,6 +134,13 @@ class SearchConfig:
                              "raise `cap` explicitly for longer runs")
         if self.lambda_filter is not None and self.lambda_filter < 0:
             raise ValueError("lambda_filter must be nonnegative")
+        # with girth exactly g no vertex lies on more girth cycles than the
+        # bound; at_least mode keeps larger girths, whose bound is larger
+        if self.girth_mode == GIRTH_EXACT and self.lambda_filter is not None:
+            bound = vertex_cycle_bound(self.k, self.g)
+            if self.lambda_filter > bound:
+                raise ValueError(f"lambda {self.lambda_filter} above the per-vertex "
+                                 f"maximum {bound} for k={self.k}, g={self.g}")
         if self.worker_count < 1:
             raise ValueError("worker_count must be at least 1")
         if self.node_budget is not None and self.node_budget < 1:
@@ -599,9 +606,6 @@ def confirm_nonexistence(k: int, epsilon2: int, n_max: int, **kwargs) -> SearchO
 def find_vgr(k: int, g: int, lam: int, n_max: int, **kwargs) -> SearchOutcome:
     """All isomorphism classes of connected k-regular girth-g graphs with
     every vertex on exactly `lam` shortest cycles, up to n_max vertices."""
-    bound = vertex_cycle_bound(k, g)
-    if lam > bound:
-        raise ValueError(f"lambda {lam} above the per-vertex maximum {bound}")
     config = SearchConfig(k=k, g=g, n_max=n_max, girth_mode=GIRTH_EXACT,
                           lambda_filter=lam, **kwargs)
     return generate(config)

@@ -410,6 +410,75 @@ def test_audit_graph_builds_each_distinct_record_once():
                             for r in part.records}) == len(first)
 
 
+def test_audit_graph_shares_each_record_tuple():
+    # pairs with equal counts share one record tuple: (pairs, distinct
+    # record tuples, distinct records) per report, at the true count and
+    # at both forged neighbours
+    graphs = [(_cayley_a5((0, 2, 1, 4, 3), (1, 3, 4, 2, 0)), (600, 6, 35)),
+              (dodecahedron_graph(), (120, 2, 17)),
+              (_cayley_a5((1, 0, 3, 2, 4), (1, 3, 4, 2, 0)), (120, 1, 6))]
+    for g, expected in graphs:
+        lam = girth_profile(g).per_vertex[0]
+        for claimed in (lam - 1, lam, lam + 1):
+            report = audit_graph(g, lam=claimed)
+            parts = report.case_a + report.case_b
+            assert (len(parts), len({id(p.records) for p in parts}),
+                    len({id(r) for p in parts for r in p.records})) == expected
+
+
+def _builder_calls(monkeypatch, run):
+    # every (builder, argument tuple) that the kernels hand to the table
+    import girthlab.audit as audit_module
+
+    calls = []
+    shared = audit_module._shared_records
+
+    def spy(table, build, args):
+        calls.append((build, args))
+        return shared(table, build, args)
+
+    monkeypatch.setattr(audit_module, "_shared_records", spy)
+    run()
+    monkeypatch.undo()
+    return calls
+
+
+def _plus_one_each(args):
+    # the argument tuple with +1 on one integer, for each integer in it,
+    # nested tuples included
+    for i, arg in enumerate(args):
+        if isinstance(arg, tuple):
+            for inner in _plus_one_each(arg):
+                yield args[:i] + (inner,) + args[i + 1:]
+        else:
+            yield args[:i] + (arg + 1,) + args[i + 1:]
+
+
+def test_record_builders_read_every_argument(monkeypatch):
+    # a builder's records are keyed by its whole argument tuple, so each
+    # argument must reach the records: +1 on any one of them alone changes
+    # what the builder returns.  The deficits cover both Y-bound forms
+    # (lambda = 5 puts 2e = 2 in the excluded range)
+    from girthlab.audit import _case_a_records, _case_b_records
+
+    seen = Counter()
+    for involution in ((0, 2, 1, 4, 3), (1, 0, 3, 2, 4)):
+        g = _cayley_a5(involution, (1, 3, 4, 2, 0))
+        for claimed in (1, 2, 5):
+            calls = _builder_calls(monkeypatch, lambda: audit_graph(g, lam=claimed))
+            for build, args in dict.fromkeys(calls):
+                base = build({}, *args)
+                assert base == build({}, *args)
+                variants = list(_plus_one_each(args))
+                assert len(variants) == {_case_a_records: 12,
+                                         _case_b_records: 14 + 2 + 2 * 4}[build]
+                for changed in variants:
+                    assert build({}, *changed) != base, (build.__name__, args, changed)
+                seen[build.__name__, 0 < 12 - 2 * claimed <= 2] += 1
+    assert set(seen) == {(name, in_range) for name in ("_case_a_records", "_case_b_records")
+                         for in_range in (False, True)}
+
+
 def test_audit_graph_validates_once_and_decomposes_once_per_root(monkeypatch):
     import girthlab.audit as audit_module
 

@@ -174,6 +174,18 @@ def test_search_range_violation_exit_2(capsys):
     assert code == 2
 
 
+def test_search_exact_lambda_above_the_vertex_bound_exit_2(capsys):
+    # at most vertex_cycle_bound(3, 5) = 6 five-cycles meet at a vertex
+    code, out, err = run_cli(capsys, "search", "--k", "3", "--g", "5", "--max-n", "16",
+                             "--girth-mode", "exact", "--lambda", "40")
+    assert code == 2 and out == ""
+    assert err == "search: lambda 40 above the per-vertex maximum 6 for k=3, g=5\n"
+    # girth at least 5 admits larger girths, whose bound is larger
+    code, out, _ = run_cli(capsys, "search", "--k", "3", "--g", "5", "--max-n", "10",
+                           "--lambda", "7")
+    assert code == 0 and json.loads(out)["per_n_hits"] == {}
+
+
 def test_search_contradiction_exit_1(capsys, monkeypatch):
     from girthlab.search import SearchOutcome
 

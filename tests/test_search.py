@@ -416,6 +416,23 @@ def test_lambda_filter_counts():
     assert out.per_n_classes == {10: 1}
 
 
+def test_exact_mode_refuses_lambda_above_the_vertex_bound():
+    # vertex_cycle_bound(3, 5) = 6: no cubic girth-5 vertex lies on 7 or
+    # more 5-cycles, so the exact search is refused before it expands a node
+    for lam in (7, 40):
+        config = SearchConfig(k=3, g=5, n_max=16, girth_mode=GIRTH_EXACT, lambda_filter=lam)
+        with pytest.raises(ValueError, match="per-vertex maximum 6"):
+            config.validate()
+        with pytest.raises(ValueError, match="per-vertex maximum 6"):
+            generate(config)
+        with pytest.raises(ValueError, match="per-vertex maximum 6"):
+            find_vgr(3, 5, lam, 16)
+    SearchConfig(k=3, g=5, n_max=16, girth_mode=GIRTH_EXACT, lambda_filter=6).validate()
+    # girth at least 5 admits girth 7, whose bound is 12
+    out = generate(SearchConfig(k=3, g=5, n_max=10, lambda_filter=7))
+    assert out.per_n_classes == {10: 1} and out.total_hits == 0
+
+
 def test_order_cap_and_validation():
     with pytest.raises(ValueError):
         generate(SearchConfig(k=3, g=5, n_max=22))  # above default cap 20
