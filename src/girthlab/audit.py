@@ -73,9 +73,9 @@ def _between(rows, a: int, b: int) -> int:
 def _require_girth5_regular(g: Graph) -> int:
     is_reg, k = regularity(g)
     if not is_reg or k is None or k < 3:
-        raise NotEligible("audits need a k-regular graph with k >= 3")
+        raise NotEligible("audit needs a k-regular graph with k >= 3")
     if girth(g) != 5:
-        raise NotEligible(f"audits need girth 5, got {girth(g)}")
+        raise NotEligible(f"audit needs girth 5, got {girth(g)}")
     return k
 
 
@@ -727,10 +727,8 @@ def audit_gprime_degree(g: Graph, u: int, u1_index: int, lam: int) -> GPrimeAudi
         for j in range(i + 1, k):
             m = _between(g.rows, branches[i], branches[j])
             matrix[i][j] = matrix[j][i] = m
-    two_eps = k * (k - 1) ** 2 - 2 * lam
-    if two_eps % 2:
-        raise InternalInconsistency(f"odd deficit {two_eps} from claimed count {lam}")
-    eps = two_eps // 2
+    # 2e = k(k-1)^2 - 2*lambda is even, since k(k-1) is
+    eps = (k * (k - 1) ** 2 - 2 * lam) // 2
     row = u1_index - 1
     degree = sum(matrix[row])
     total = sum(matrix[i][j] for i in range(k) for j in range(i + 1, k))
@@ -823,13 +821,9 @@ def audit_graph(
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
-    is_reg, k = regularity(g)
     if not is_connected(g):
         raise NotEligible("audit needs a connected graph")
-    if not is_reg or k is None or k < 3:
-        raise NotEligible("audit needs a k-regular graph with k >= 3")
-    if girth(g) != 5:
-        raise NotEligible(f"audit needs girth 5, got {girth(g)}")
+    k = _require_girth5_regular(g)
     profile = girth_profile(g)
     counts = set(profile.per_vertex)
     if len(counts) != 1:

@@ -94,8 +94,8 @@ class Graph:
 class GraphBuilder:
     """Accumulates edges, then freezes into an immutable Graph."""
 
-    def __init__(self, n: int, cap: int | None = None):
-        cap = max_vertices() if cap is None else cap
+    def __init__(self, n: int):
+        cap = max_vertices()
         if not 0 <= n <= cap:
             raise ValueError(f"vertex count {n} outside 0..{cap}")
         self.n = n
@@ -119,8 +119,8 @@ class GraphBuilder:
         return Graph(self.n, tuple(self._rows))
 
 
-def graph_from_edges(n: int, pairs, cap: int | None = None) -> Graph:
-    return GraphBuilder(n, cap=cap).add_edges(pairs).freeze()
+def graph_from_edges(n: int, pairs) -> Graph:
+    return GraphBuilder(n).add_edges(pairs).freeze()
 
 
 def graph_from_rows(rows) -> Graph:

@@ -11,7 +11,9 @@ This module owns the graph6 payload layout.  `pack_payload` is its one
 encoder: it packs the upper triangle of a relabelled graph into one int,
 which `write_graph6` takes under the identity order and
 `canon.canonical_graph6` takes as the canonical certificate, and
-`graph6_line` pads either into a line.  `parse_graph6` is its one decoder.
+`graph6_line` pads either into a line.  `graph6_payload` is its one
+decoder, the inverse of `graph6_line`, and `parse_graph6` rebuilds the rows
+from it.
 """
 from __future__ import annotations
 
@@ -99,15 +101,16 @@ def write_graph6(g: Graph) -> str:
     return graph6_line(g.n, pack_payload([bit_list(r) for r in g.rows], range(g.n)))
 
 
-def parse_graph6(line: str, cap: int | None = None) -> Graph:
-    """Decode one graph6 line; the ``>>graph6<<`` header is tolerated."""
+def graph6_payload(line: str) -> tuple[int, int]:
+    """(n, payload) of one graph6 line, the inverse of `graph6_line`; the
+    ``>>graph6<<`` header is tolerated."""
     line = line.strip()
     if line.startswith(GRAPH6_HEADER):
         line = line[len(GRAPH6_HEADER):]
     if line.startswith(":"):
         raise Graph6Error("sparse6 input passed to the graph6 parser; use parse_sparse6", offset=0)
     n, start = _decode_order(line)
-    cap = max_vertices() if cap is None else cap
+    cap = max_vertices()
     if n > cap:
         raise Graph6Error(f"graph order {n} exceeds the configured maximum {cap}", offset=0)
     nbits = n * (n - 1) // 2
@@ -124,7 +127,12 @@ def parse_graph6(line: str, cap: int | None = None) -> Graph:
     pad = 6 * need - nbits
     if payload & ((1 << pad) - 1):
         raise Graph6Error("nonzero padding bits", offset=start + need - 1)
-    payload >>= pad
+    return n, payload >> pad
+
+
+def parse_graph6(line: str) -> Graph:
+    """Decode one graph6 line; the ``>>graph6<<`` header is tolerated."""
+    n, payload = graph6_payload(line)
     # the last column holds the lowest bits; bit b of column j is i = j-1-b
     rows = [0] * n
     for j in range(n - 1, 0, -1):
@@ -184,7 +192,7 @@ def write_sparse6(g: Graph) -> str:
     return ":" + _encode_order(n) + _pack_bits(acc, width)
 
 
-def parse_sparse6(line: str, cap: int | None = None) -> Graph:
+def parse_sparse6(line: str) -> Graph:
     """Decode one sparse6 line; loops and repeated edges are rejected since
     the in-memory representation is a simple graph."""
     line = line.strip()
@@ -193,14 +201,14 @@ def parse_sparse6(line: str, cap: int | None = None) -> Graph:
     if not line.startswith(":"):
         raise Graph6Error("sparse6 input must start with ':'", offset=0)
     n, start = _decode_order(line, 1)
-    cap = max_vertices() if cap is None else cap
+    cap = max_vertices()
     if n > cap:
         raise Graph6Error(f"graph order {n} exceeds the configured maximum {cap}", offset=0)
     chars = line[start:]
     # a string of bits: slicing it stays linear, shifting an int would not
     bit_stream = format(_unpack_bits(chars, start, "payload"), f"0{6 * len(chars)}b")
     k = _edge_bit_width(n)
-    builder = GraphBuilder(n, cap=cap)
+    builder = GraphBuilder(n)
     seen: set[tuple[int, int]] = set()
     cur = 0
     pos = 0
@@ -225,10 +233,10 @@ def parse_sparse6(line: str, cap: int | None = None) -> Graph:
     return builder.freeze()
 
 
-def parse_any(line: str, cap: int | None = None) -> Graph:
+def parse_any(line: str) -> Graph:
     """Dispatch on the format: sparse6 when the payload starts with ':'
     (after an optional header), graph6 otherwise."""
     stripped = line.strip()
     if stripped.startswith(SPARSE6_HEADER) or stripped.startswith(":"):
-        return parse_sparse6(stripped, cap=cap)
-    return parse_graph6(stripped, cap=cap)
+        return parse_sparse6(stripped)
+    return parse_graph6(stripped)

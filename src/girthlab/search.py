@@ -37,47 +37,49 @@ partners already chosen, so their children are isomorphic.  All three are
 sound under the memo below: a dropped child has no completion, or has the
 completions of an emitted sibling up to isomorphism, and a closed child has
 the completions of the child it replaces, so every class is still met, and
-the memo only ever holds keys of states that were expanded.  None of them
-changes the canonical form or what a memo key means: a closed state is
-keyed like any other.
+the memo only ever holds certificates of states that were expanded.  None
+of them changes the canonical form: a closed state is labelled like any
+other.
 
 Isomorph rejection on partial states: the complete graphs reachable from a
 partial state are all k-regular girth-compatible supergraphs that add edges
 only at its unsaturated vertices, and neither the pivot order nor the labels
 of fresh vertices restricts which those are.  They therefore depend only on
-the isomorphism class of the state.  The depth-first search keys every
-popped state on its canonical graph6 and expands only the first state of
-each class, so every class of complete graphs is met at exactly one leaf.
-The memo holds the keys of expanded states only, and every child of
-an expanded state is either processed or still open, so the memo stays
-valid across a suspension: checkpoints store it next to the open frontier,
-and a resumed run skips what earlier runs expanded.  Workers start from the
-memo of the split phase (or of the checkpoint) and each grow their own copy,
-so a split run may repeat work but never loses a class; their memos are
-merged when the run is checkpointed.
+the isomorphism class of the state.  The depth-first search expands only
+the first popped state of each class, so every class of complete graphs is
+met at exactly one leaf.
 
-Spotting a duplicate costs one root-to-leaf path of the refinement tree.
-Beside the memo, each call keeps an in-memory index, per order, of the leaf
-certificates of every state it walked in full whose key is in the memo.
-The certificates one walk meets are an isomorphism invariant, and a
-certificate rebuilds its graph (see `canon`), so a popped state whose first
-leaf is in the index is isomorphic to a state already expanded, and is
-skipped after that one leaf.  Every later state of a class this call
-expanded is skipped so: its first leaf is one of that class's certificates.  Every other state is walked in full,
-which gives its key; a key already in the memo, from a resumed checkpoint or
-the split phase, still marks a duplicate.  The index changes which states
-are expanded in no case, only what refusing a duplicate costs, so nodes,
-output and checkpoints are the same without it.  `leaves_labelled` counts
-the certificates computed by one call, summed over its workers.
+One memo refuses the duplicates: per order, every leaf certificate of every
+expanded state.  The certificates one walk of the refinement tree meets are
+an isomorphism invariant, and a certificate rebuilds its graph (see
+`canon`), so a popped state whose first leaf is in the memo is isomorphic
+to a state already expanded, and is refused after that one leaf.  A state
+of an expanded class meets only that class's certificates, all in the
+memo, so a state walked in full is always of a new class: it is expanded,
+and its certificates join the memo.  Every child of an expanded state is
+either processed or still open, so the memo stays valid across a
+suspension.  A checkpoint stores it, one `#memo` graph6 line per
+certificate, next to the open frontier, and a resumed run refuses each
+duplicate at its first leaf as an uninterrupted run does: a chain of
+one-worker calls labels exactly the uninterrupted run's leaves.  Workers
+start from the memo of the checkpoint or of the split phase, which holds
+the certificates of the states it expanded and not those of its open
+frontier.  Each grows its own copy, so a split run may repeat work but
+never loses a class; their memos are merged per order when the run is
+checkpointed.  `leaves_labelled` counts the certificates computed by one
+call, summed over its workers.
 
-A complete graph is emitted as its memo key, the canonical graph6 that
-`canonical_graph6` and `are_isomorphic` also compute; that string is the
-class in outputs and checkpoints.  Equal keys mean isomorphic graphs, so a
-class met by two workers is still emitted once.  Format 5 of the
-checkpoint stores these keys.  Older formats are refused: format 4 stored
-regular classes labelled from the one degree cell rather than from the
-distance-profile cells (see `canon`), and format 3 stored classes canonised
-with girth-cycle counts as vertex colours.
+A complete graph is emitted as the graph6 line of its least certificate,
+the canonical graph6 that `canonical_graph6` and `are_isomorphic` also
+compute; that string is the class in outputs and checkpoints.  Equal
+strings mean isomorphic graphs, so a class met by two workers is still
+emitted once.  Format 6 of the checkpoint stores the memo above.  Older
+formats are refused: format 5 stored only each expanded class's least
+certificate, so a duplicate whose first leaf is another certificate would
+be walked in full and expanded again; format 4 stored regular classes
+labelled from the one degree cell rather than from the distance-profile
+cells (see `canon`), and format 3 stored classes canonised with
+girth-cycle counts as vertex colours.
 """
 from __future__ import annotations
 
@@ -90,14 +92,14 @@ from dataclasses import dataclass, field
 from .canon import _walk
 from .core import Graph, is_connected
 from .errors import GirthLabError, InternalInconsistency
-from .formats import graph6_line, parse_graph6, write_graph6
+from .formats import graph6_line, graph6_payload, parse_graph6, write_graph6
 from .girth import girth, girth_profile
 from .classify import vertex_cycle_bound
 
 GIRTH_EXACT = "exact"
 GIRTH_AT_LEAST = "at_least"
 
-CHECKPOINT_MAGIC = "#girthlab-checkpoint 5"
+CHECKPOINT_MAGIC = "#girthlab-checkpoint 6"
 
 
 def default_order_cap(k: int) -> int:
@@ -339,102 +341,100 @@ def _evaluate(state: Rows, cfg_key: dict) -> bool | None:
     return lam is not None and set(girth_profile(g).per_vertex) == {lam}
 
 
-def _record(state: Rows, key: str, cfg_key: dict, classes: set, hits: set) -> None:
-    """File a complete state under its memo key, the class string."""
+def _record(state: Rows, leaves: dict, cfg_key: dict, classes: set, hits: set) -> None:
+    """File a complete state under its class string, the graph6 line of its
+    least leaf certificate."""
     hit = _evaluate(state, cfg_key)
     if hit is not None:
-        classes.add((len(state), key))
+        entry = (len(state), graph6_line(len(state), min(leaves)))
+        classes.add(entry)
         if hit:
-            hits.add((len(state), key))
+            hits.add(entry)
 
 
-def _admit(state: Rows, seen: set[str], index: dict[int, set[int]]
-           ) -> tuple[str | None, int]:
-    """Memo test of one state: (key, leaves labelled), where the key, its
-    canonical graph6, is added to `seen`, or is None when a state of its
-    class is in `seen` already.  ``index[n]`` holds the leaf certificates of
-    the order-n states walked here whose keys are in `seen`; a state whose
-    first leaf is among them is isomorphic to one of them, and is refused
-    after one root-to-leaf path."""
-    n = len(state)
-    known = index.setdefault(n, set())
+def _admit(state: Rows, memo: dict[int, set[int]]
+           ) -> tuple[dict[int, tuple[int, ...]] | None, int]:
+    """Memo test of one state: (leaves, leaves labelled).  ``memo[n]`` holds
+    every leaf certificate of the order-n states expanded so far.  A state
+    whose first leaf is among them is refused after that one leaf, and
+    `leaves` is None; otherwise its class is new, and the certificates it
+    met, the keys of `leaves`, join the memo."""
+    known = memo.setdefault(len(state), set())
     leaves, visited = _walk(state, known)
-    if leaves is None:
-        return None, visited
-    known.update(leaves)
-    key = graph6_line(n, min(leaves))
-    if key in seen:
-        return None, visited
-    seen.add(key)
-    return key, visited
+    if leaves is not None:
+        known.update(leaves)
+    return leaves, visited
 
 
 def _run_frontier(frontier: list[Rows], cfg_key: dict, budget: int | None,
-                  seen: set[str]) -> dict:
+                  memo: dict[int, set[int]]) -> dict:
     """Depth-first processing of a frontier of partial graphs that expands
     only the first state of each isomorphism class.
 
-    `seen` is the memo: the keys of states already expanded, by this call
-    or by the runs before it; this call adds the keys it expands.  Returns
-    per-class sets, the number of first-seen states expanded, the leaves
-    labelled, the memo, and any unexpanded leftover when the node budget
-    runs out.  Changes nothing but `seen`: safe as a worker.
+    `memo` holds, per order, the leaf certificates of the states already
+    expanded, by this call or by the runs before it; this call adds those
+    of the states it expands.  Returns per-class sets, the number of
+    first-seen states expanded, the leaves labelled, the memo, and any
+    unexpanded leftover when the node budget runs out.  Changes nothing but
+    `memo`: safe as a worker.
     """
     k, g, n_max = cfg_key["k"], cfg_key["g"], cfg_key["n_max"]
     classes: set[tuple[int, str]] = set()
     hits: set[tuple[int, str]] = set()
-    index: dict[int, set[int]] = {}
     stack = list(frontier)
     nodes = labelled = 0
     while stack:
         if budget is not None and nodes >= budget:
             return {"classes": classes, "hits": hits, "nodes": nodes,
-                    "labelled": labelled, "memo": seen, "leftover": stack}
+                    "labelled": labelled, "memo": memo, "leftover": stack}
         state = stack.pop()
-        key, visited = _admit(state, seen, index)
+        leaves, visited = _admit(state, memo)
         labelled += visited
-        if key is None:
+        if leaves is None:
             continue
         nodes += 1
         kids = _children(state, k, g, n_max)
         if kids is None:
-            _record(state, key, cfg_key, classes, hits)
+            _record(state, leaves, cfg_key, classes, hits)
             continue
         stack.extend(kids)
     return {"classes": classes, "hits": hits, "nodes": nodes, "labelled": labelled,
-            "memo": seen, "leftover": []}
+            "memo": memo, "leftover": []}
 
 
 def _split_frontier(cfg_key: dict, target: int, budget: int | None
-                    ) -> tuple[list[Rows], list[tuple[Rows, str]], set[str], int]:
+                    ) -> tuple[list[Rows], list[tuple[Rows, dict]], dict[int, set[int]],
+                               int, int]:
     """Breadth-expand from the root, one state per isomorphism class, until
     at least `target` open states exist or `budget` nodes are expanded.
     Returns the open states, the complete states met on the way with their
-    keys, the memo (the keys of the expanded states, one per node) and the
-    leaves labelled."""
+    leaves, the memo of the expanded states, the nodes expanded and the
+    leaves labelled.  The certificates of the open states stay out of that
+    memo, as the workers would otherwise refuse their own frontier."""
     root = (0,)
-    seen: set[str] = set()
-    index: dict[int, set[int]] = {}
-    key, labelled = _admit(root, seen, index)
-    open_states: list[tuple[Rows, str]] = [(root, key)]
-    complete: list[tuple[Rows, str]] = []
-    memo: set[str] = set()
+    admitted: dict[int, set[int]] = {}
+    leaves, labelled = _admit(root, admitted)
+    open_states: list[tuple[Rows, dict]] = [(root, leaves)]
+    complete: list[tuple[Rows, dict]] = []
+    memo: dict[int, set[int]] = {}
+    nodes = 0
     while open_states and len(open_states) < target:
-        if budget is not None and len(memo) >= budget:
+        if budget is not None and nodes >= budget:
             break
         open_states.sort(key=lambda entry: len(entry[0]))
-        state, key = open_states.pop(0)
-        memo.add(key)
+        state, leaves = open_states.pop(0)
+        memo.setdefault(len(state), set()).update(leaves)
+        nodes += 1
         kids = _children(state, cfg_key["k"], cfg_key["g"], cfg_key["n_max"])
         if kids is None:
-            complete.append((state, key))
+            complete.append((state, leaves))
             continue
         for kid in kids:
-            key, visited = _admit(kid, seen, index)
+            leaves, visited = _admit(kid, admitted)
             labelled += visited
-            if key is not None:
-                open_states.append((kid, key))
-    return [state for state, _ in open_states], complete, memo, labelled
+            if leaves is not None:
+                open_states.append((kid, leaves))
+    return [state for state, _ in open_states], complete, memo, nodes, labelled
 
 
 def _write_checkpoint(path: str, cfg_key: dict, classes, hits, nodes, memo,
@@ -452,8 +452,9 @@ def _write_checkpoint(path: str, cfg_key: dict, classes, hits, nodes, memo,
                 fh.write(f"#seen {cert}\n")
             for n, cert in sorted(hits):
                 fh.write(f"#hit {cert}\n")
-            for key in sorted(memo):
-                fh.write(f"#memo {key}\n")
+            for n, certs in sorted(memo.items()):
+                for cert in sorted(certs):
+                    fh.write(f"#memo {graph6_line(n, cert)}\n")
             for state in frontier:
                 fh.write(write_graph6(Graph(len(state), state)) + "\n")
             fh.flush()
@@ -467,13 +468,13 @@ def _write_checkpoint(path: str, cfg_key: dict, classes, hits, nodes, memo,
 def _read_checkpoint(path: str, cfg_key: dict):
     classes: set[tuple[int, str]] = set()
     hits: set[tuple[int, str]] = set()
-    memo: set[str] = set()
+    memo: dict[int, set[int]] = {}
     frontier: list[Rows] = []
     nodes = stored = None
     with open(path) as fh:
         header = fh.readline().strip()
         if header != CHECKPOINT_MAGIC:
-            raise GirthLabError(f"not a checkpoint file: {path}")
+            raise GirthLabError(f"not a {CHECKPOINT_MAGIC[1:]} file: {path}")
         for line in fh:
             line = line.strip()
             if not line:
@@ -494,7 +495,8 @@ def _read_checkpoint(path: str, cfg_key: dict):
                 cert = line.split(" ", 1)[1]
                 hits.add((parse_graph6(cert).n, cert))
             elif line.startswith("#memo "):
-                memo.add(line.split(" ", 1)[1])
+                n, cert = graph6_payload(line.split(" ", 1)[1])
+                memo.setdefault(n, set()).add(cert)
             else:
                 frontier.append(parse_graph6(line).rows)
     # a file without its search or its node count cannot be resumed: a
@@ -517,7 +519,7 @@ def generate(config: SearchConfig) -> SearchOutcome:
 
     classes: set[tuple[int, str]] = set()
     hits: set[tuple[int, str]] = set()
-    memo: set[str] = set()
+    memo: dict[int, set[int]] = {}
     nodes = labelled = 0
     budget = config.node_budget
     resumed = bool(config.checkpoint_path) and os.path.exists(config.checkpoint_path)
@@ -525,14 +527,13 @@ def generate(config: SearchConfig) -> SearchOutcome:
         classes, hits, nodes, memo, frontier = _read_checkpoint(config.checkpoint_path,
                                                                 cfg_key)
     elif config.worker_count > 1:
-        frontier, complete, memo, labelled = _split_frontier(
+        frontier, complete, memo, spent, labelled = _split_frontier(
             cfg_key, config.worker_count * 16, budget)
-        spent = len(memo)
         nodes += spent
         if budget is not None:
             budget -= spent
-        for state, key in complete:
-            _record(state, key, cfg_key, classes, hits)
+        for state, leaves in complete:
+            _record(state, leaves, cfg_key, classes, hits)
     else:
         frontier = [(0,)]
 
@@ -555,7 +556,8 @@ def generate(config: SearchConfig) -> SearchOutcome:
         hits |= part["hits"]
         nodes += part["nodes"]
         labelled += part["labelled"]
-        memo |= part["memo"]
+        for n, certs in part["memo"].items():
+            memo.setdefault(n, set()).update(certs)
         leftover.extend(part["leftover"])
 
     outcome = SearchOutcome(nodes_expanded=nodes, leaves_labelled=labelled)

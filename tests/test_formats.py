@@ -87,7 +87,7 @@ def test_header_tolerated():
     assert parse_any(">>sparse6<<" + write_sparse6(g)) == g
 
 
-def test_graph6_error_offsets():
+def test_graph6_error_offsets(monkeypatch):
     with pytest.raises(Graph6Error):
         parse_graph6("")
     with pytest.raises(Graph6Error) as err:
@@ -100,8 +100,10 @@ def test_graph6_error_offsets():
     with pytest.raises(Graph6Error, match="padding"):
         # n=3 uses 3 bits; set a padding bit: group 000001 -> chr(64) = '@'...
         parse_graph6("B" + chr(63 + 1))
+    line = write_graph6(complete_graph(4))
+    monkeypatch.setenv("GIRTHLAB_MAX_N", "3")
     with pytest.raises(Graph6Error, match="maximum"):
-        parse_graph6(write_graph6(complete_graph(4)), cap=3)
+        parse_graph6(line)
 
 
 def test_sparse6_order_prefix_error_offsets():
@@ -134,13 +136,14 @@ def test_graph6_rejects_each_nonzero_padding_bit():
     assert widths == {0, 2, 3, 5}
 
 
-def test_large_order_prefix_round_trip():
+def test_large_order_prefix_round_trip(monkeypatch):
     # 3-byte order form (n > 62) survives a round trip under a raised cap
-    b = GraphBuilder(70, cap=256)
+    monkeypatch.setenv("GIRTHLAB_MAX_N", "256")
+    b = GraphBuilder(70)
     for i in range(69):
         b.add_edge(i, i + 1)
     g = b.freeze()
-    assert parse_graph6(write_graph6(g), cap=256) == g
+    assert parse_graph6(write_graph6(g)) == g
 
 
 def test_sparse6_round_trip_and_reference():

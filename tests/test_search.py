@@ -163,26 +163,41 @@ def test_leaves_labelled_is_pinned():
 def test_leaf_index_is_kept_per_order():
     # a certificate is a payload int without its order: the edgeless graphs
     # on one and on two vertices both have certificate 0
-    seen: set[str] = set()
-    index: dict[int, set[int]] = {}
-    assert search._admit((0,), seen, index) == ("@", 1)
-    assert search._admit((0, 0), seen, index) == ("A?", 1)
-    assert search._admit((0, 0), seen, index) == (None, 1)
-    assert seen == {"@", "A?"} and index == {1: {0}, 2: {0}}
+    memo: dict[int, set[int]] = {}
+    assert search._admit((0,), memo) == ({0: (0,)}, 1)
+    assert search._admit((0, 0), memo) == ({0: (0, 1)}, 1)
+    assert search._admit((0, 0), memo) == (None, 1)
+    assert memo == {1: {0}, 2: {0}}
 
 
 def test_leaves_labelled_counts_one_call(tmp_path):
     # nodes_expanded adds up over resumed calls, leaves_labelled is the
-    # call's own; a resumed call starts with an empty leaf index, so it
-    # walks in full the first duplicate of each state expanded before.  The
-    # budget stops one node short of the 130-node tree (it was 200 of 201,
-    # with leaves (474, 13), before closed children were pushed).
-    # Backjumping on a repeated leaf certificate took (366, 22) to (345, 15)
+    # call's own.  The budget stops one node short of the 130-node tree (it
+    # was 200 of 201, with leaves (474, 13), before closed children were
+    # pushed).  Backjumping on a repeated leaf certificate took (366, 22) to
+    # (345, 15).  The checkpoint now carries every leaf certificate of the
+    # expanded states, so the resumed call refuses each duplicate at its
+    # first leaf, as the uninterrupted run does, instead of walking in full
+    # the first duplicate of each class expanded before: (345, 15) became
+    # (345, 8), which sums to the uninterrupted run's 353
     config = SearchConfig(k=3, g=5, n_max=14, node_budget=129,
                           checkpoint_path=str(tmp_path / "frontier.txt"))
     first, rest = generate(config), generate(config)
     assert first.suspended and not rest.suspended and rest.nodes_expanded == 130
-    assert (first.leaves_labelled, rest.leaves_labelled) == (345, 15)
+    assert (first.leaves_labelled, rest.leaves_labelled) == (345, 8)
+
+
+def _admit_by_least_certificate(state, memo):
+    # the canonical-key memo: every state walked in full, and refused when
+    # its least certificate, its canonical graph6, was expanded before
+    from girthlab.canon import _walk
+
+    leaves, visited = _walk(state)
+    known = memo.setdefault(len(state), set())
+    if min(leaves) in known:
+        return None, visited
+    known.update(leaves)
+    return leaves, visited
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -193,17 +208,16 @@ def test_leaves_labelled_counts_one_call(tmp_path):
     dict(k=3, g=5, n_max=14, lambda_filter=6, worker_count=2),
 ])
 def test_leaf_index_changes_no_decision(monkeypatch, kwargs):
-    # the leaf-certificate index only makes refusing a duplicate cheaper:
-    # with every walk taken in full, the search expands the same states
-    from girthlab.canon import _walk
-
-    indexed = generate(SearchConfig(**kwargs))
-    monkeypatch.setattr(search, "_walk", lambda rows, known: _walk(rows))
+    # refusing a state at its first leaf only makes refusing a duplicate
+    # cheaper: with every walk taken in full and states keyed on their
+    # least certificate, the search expands the same states
+    memoised = generate(SearchConfig(**kwargs))
+    monkeypatch.setattr(search, "_admit", _admit_by_least_certificate)
     plain = generate(SearchConfig(**kwargs))
-    assert indexed.classes_graph6 == plain.classes_graph6
-    assert indexed.hits_graph6 == plain.hits_graph6
-    assert indexed.nodes_expanded == plain.nodes_expanded
-    assert indexed.leaves_labelled < plain.leaves_labelled
+    assert memoised.classes_graph6 == plain.classes_graph6
+    assert memoised.hits_graph6 == plain.hits_graph6
+    assert memoised.nodes_expanded == plain.nodes_expanded
+    assert memoised.leaves_labelled < plain.leaves_labelled
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -499,10 +513,28 @@ def test_checkpointed_memo_repeats_no_work(tmp_path):
     assert out.classes_graph6 == generate(SearchConfig(k=3, g=5, n_max=14)).classes_graph6
 
 
+@pytest.mark.parametrize("budget", [1, 7, 13, 50, 129])
+def test_resume_chain_labels_the_uninterrupted_leaves(tmp_path, budget):
+    # every leaf certificate of the expanded states travels through the
+    # checkpoint, so a chain of one-worker calls refuses each duplicate at
+    # its first leaf, as the uninterrupted run does, and labels its 353
+    # leaves in all
+    path = str(tmp_path / "frontier.txt")
+    config = SearchConfig(k=3, g=5, n_max=14, node_budget=budget, checkpoint_path=path)
+    labelled = 0
+    for _ in range(200):
+        out = generate(config)
+        labelled += out.leaves_labelled
+        if not out.suspended:
+            break
+    assert not out.suspended and out.nodes_expanded == 130
+    assert labelled == 353
+
+
 def test_checkpoint_written_without_closed_children_resumes(monkeypatch, tmp_path):
-    # a format-5 file written before closed children were pushed holds bare
-    # children in its frontier and their classes in its memo; every class is
-    # still met when the run resumes with the closure on
+    # a file written without the closure holds bare children in its
+    # frontier and their certificates in its memo; every class is still met
+    # when the run resumes with the closure on
     path = str(tmp_path / "frontier.txt")
     monkeypatch.setattr(search, "_viable", _bare_child)
     first = generate(SearchConfig(k=3, g=5, n_max=16, node_budget=400, checkpoint_path=path))
@@ -518,13 +550,34 @@ def test_checkpoint_rejects_older_format(tmp_path):
     path = tmp_path / "frontier.txt"
     generate(SearchConfig(k=3, g=5, n_max=12, node_budget=13, checkpoint_path=str(path)))
     lines = path.read_text().splitlines()
-    assert lines[0] == search.CHECKPOINT_MAGIC == "#girthlab-checkpoint 5"
+    assert lines[0] == search.CHECKPOINT_MAGIC == "#girthlab-checkpoint 6"
     assert any(line.startswith("#memo ") for line in lines)
-    # a format-4 file, memo included: its regular classes were labelled
-    # from the one degree cell
-    path.write_text("\n".join(["#girthlab-checkpoint 4"] + lines[1:]) + "\n")
+    # a format-5 file's #memo lines hold only each class's least
+    # certificate; a format-4 file's regular classes were labelled from the
+    # one degree cell
+    for older in ("#girthlab-checkpoint 5", "#girthlab-checkpoint 4"):
+        path.write_text("\n".join([older] + lines[1:]) + "\n")
+        with pytest.raises(GirthLabError):
+            generate(SearchConfig(k=3, g=5, n_max=12, checkpoint_path=str(path)))
+
+
+@pytest.mark.parametrize("memo", ["not graph6", "C~~", "B@"])
+def test_checkpoint_rejects_a_corrupted_memo_line(tmp_path, memo):
+    # a #memo line must decode as a graph6 certificate: a bad byte, a
+    # trailing byte and a nonzero padding bit are refused, by the API and by
+    # the CLI with exit 2
+    from girthlab import GirthLabError, cli
+
+    path = tmp_path / "frontier.txt"
+    generate(SearchConfig(k=3, g=5, n_max=12, node_budget=13, checkpoint_path=str(path)))
+    lines = path.read_text().splitlines()
+    at = next(i for i, line in enumerate(lines) if line.startswith("#memo "))
+    lines[at] = "#memo " + memo
+    path.write_text("\n".join(lines) + "\n")
     with pytest.raises(GirthLabError):
         generate(SearchConfig(k=3, g=5, n_max=12, checkpoint_path=str(path)))
+    assert cli.main(["search", "--k", "3", "--g", "5", "--max-n", "12",
+                     "--checkpoint", str(path)]) == 2
 
 
 def test_checkpoint_frontier_lines_are_bare_graph6(tmp_path):
