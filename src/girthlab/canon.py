@@ -14,9 +14,12 @@ cell of a regular graph, so the tree would branch over all n vertices of a
 rigid one.  A regular graph starts instead from its cells of equal
 distance profile, in ascending profile order: the profile of v is the
 sequence, over its BFS layers ``L_0 = {v}``, ``L_1``, ..., of the layer
-size and the number of edges inside the layer.  All n profiles come from
-one all-sources pass of `core.bfs_layers`, with `core.layer_edge_counts` at
-each depth (`_distance_profiles`).  An isomorphism maps BFS layers onto BFS
+size and the number of edges inside the layer.  All n profiles are read
+off one all-sources layer pass, a `core.Layers` (`_distance_profiles`):
+`canonical_graph6` passes the graph's own ``g.layers``, so the layers and
+edge counts that the girth and the girth-5 counter already grew are read
+again rather than recomputed, while a search state, a bare tuple of rows,
+gets a pass of its own.  An isomorphism maps BFS layers onto BFS
 layers, so the profile is an isomorphism invariant, as the degree is.  A
 random cubic graph of girth 5 on 40 to 64 vertices then labels about one
 leaf instead of n; a vertex-transitive graph has one profile, so its tree
@@ -88,11 +91,9 @@ straight off the least certificate; `formats` owns that layout.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import islice
 from typing import Container, Sequence
 
-from .core import (Graph, bfs_layers, bit_list, bits, edge_pairs, graph_from_rows,
-                   layer_edge_counts)
+from .core import Graph, Layers, bit_list, bits, graph_from_rows
 from .formats import graph6_line, pack_payload
 
 
@@ -147,18 +148,18 @@ def _refine(nbrs: Sequence[Sequence[int]], cells: list[list[int]],
 _MAX_STORED_AUTS = 256
 
 
-def _distance_profiles(nbrs: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+def _distance_profiles(layers: Layers) -> list[tuple[int, ...]]:
     """The distance profile of every vertex v, ``(|L_0|, e_0, |L_1|, e_1,
     ...)`` over its nonempty BFS layers ``L_0 = {v}``, ``L_1``, ..., where
-    ``e_d`` counts the edges inside ``L_d``: one all-sources pass of
-    `bfs_layers`, with `layer_edge_counts` at each depth."""
-    edges = edge_pairs(nbrs)
-    profiles = [[1, 0] for _ in nbrs]
-    for layer in islice(bfs_layers(nbrs), 1, None):
-        inside = layer_edge_counts(edges, layer)
-        for profile, mask, e in zip(profiles, layer, inside):
+    ``e_d`` counts the edges inside ``L_d``: the whole pass of `layers`,
+    with `Layers.inside` at each depth."""
+    profiles = [[1, 0] for _ in layers.nbrs]
+    d = 1
+    while (layer := layers.layer(d)) is not None:
+        for profile, mask, e in zip(profiles, layer, layers.inside(d)):
             if mask:
                 profile += (mask.bit_count(), e)
+        d += 1
     return [tuple(p) for p in profiles]
 
 
@@ -178,9 +179,11 @@ def _twin_keys(rows: Sequence[int]) -> Sequence[int]:
     return [c if counts[c] > 1 else r for r, c in zip(rows, closed)]
 
 
-def _walk(rows: Sequence[int], known: Container[int] = frozenset()
+def _walk(rows: Sequence[int], known: Container[int] = frozenset(),
+          layers: Layers | None = None
           ) -> tuple[dict[int, tuple[int, ...]] | None, int]:
-    """Walk the refinement tree of the graph with adjacency `rows`.
+    """Walk the refinement tree of the graph with adjacency `rows`, whose
+    layer pass is `layers` when the caller has one.
 
     Returns (leaves, visited): `leaves` maps every leaf certificate met to
     the order of the first leaf that gave it, and `visited` counts the
@@ -192,14 +195,16 @@ def _walk(rows: Sequence[int], known: Container[int] = frozenset()
     commute with relabelling.
     """
     n = len(rows)
-    nbrs = [bit_list(r) for r in rows]
+    nbrs = [bit_list(r) for r in rows] if layers is None else layers.nbrs
     groups: dict = {}
     for v in range(n):
         groups.setdefault(len(nbrs[v]), []).append(v)
     if len(groups) == 1:
         # regular: refinement cannot split the one degree cell
         groups = {}
-        for v, profile in enumerate(_distance_profiles(nbrs)):
+        if layers is None:
+            layers = Layers(nbrs)
+        for v, profile in enumerate(_distance_profiles(layers)):
             groups.setdefault(profile, []).append(v)
     cells = [groups[key] for key in sorted(groups)]
     twin = _twin_keys(rows)
@@ -291,13 +296,14 @@ def _walk(rows: Sequence[int], known: Container[int] = frozenset()
     return leaves, visited
 
 
-def canonize(rows: Sequence[int]) -> tuple[tuple[int, ...], int]:
+def canonize(rows: Sequence[int], layers: Layers | None = None
+             ) -> tuple[tuple[int, ...], int]:
     """Return (order, certificate) minimising the adjacency bitstring.
 
     ``order[p]`` is the original vertex placed at position p; the tree is
-    `_walk`'s.
+    `_walk`'s, from the layer pass `layers` of these rows when given.
     """
-    leaves, _ = _walk(rows)
+    leaves, _ = _walk(rows, layers=layers)
     best_cert = min(leaves)
     return leaves[best_cert], best_cert
 
@@ -318,8 +324,9 @@ def relabel(g: Graph, order: Sequence[int]) -> Graph:
 
 def canonical_graph6(g: Graph) -> str:
     """graph6 line of the canonically relabelled graph: the dedup key for
-    isomorphism classes.  The certificate is the graph6 payload already."""
-    return graph6_line(g.n, canonize(g.rows)[1])
+    isomorphism classes.  The certificate is the graph6 payload already;
+    the distance profiles come off ``g.layers``."""
+    return graph6_line(g.n, canonize(g.rows, g.layers)[1])
 
 
 def are_isomorphic(g1: Graph, g2: Graph) -> bool:

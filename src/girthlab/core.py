@@ -4,11 +4,20 @@ graphs used throughout the test corpus.
 Vertices are the integers 0..n-1; there are no labels.  Adjacency is stored
 as one Python int per vertex (bit j of ``rows[i]`` set iff ij is an edge),
 so neighbourhood intersections and shell computations are single int ops.
+
+The breadth-first layers of every vertex come from one all-sources pass,
+`bfs_layers`.  A `Graph` that an analysis receives keeps that pass in
+``g.layers``, a `Layers` object built on first use and grown one depth at
+a time, so the girth, the girth-5 counts, the canonical distance profiles
+and the audit's shells of one graph share a single pass.  The object lives
+and dies with its `Graph` instance: equal but distinct instances share
+nothing, and copies and pickles carry only ``n`` and ``rows``.
 """
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Iterator, Sequence
 
@@ -65,6 +74,15 @@ class Graph:
 
     n: int
     rows: tuple[int, ...]
+
+    @cached_property
+    def layers(self) -> "Layers":
+        """This instance's breadth-first layers, built on first use."""
+        return Layers([bit_list(r) for r in self.rows])
+
+    def __reduce__(self):
+        # `layers` is derived: copies and pickles start without it
+        return (Graph, (self.n, self.rows))
 
     @property
     def m(self) -> int:
@@ -232,6 +250,50 @@ def edge_pairs(nbrs: Sequence[Sequence[int]]) -> list[tuple[int, int]]:
     """Every edge once, as (x, y) with x < y, in lexicographic order, from
     ascending neighbour lists."""
     return [(x, y) for x, ys in enumerate(nbrs) for y in ys if x < y]
+
+
+class Layers:
+    """One `bfs_layers` pass over a graph, grown one depth at a time as its
+    readers ask, with what they share: the ascending neighbour lists
+    `nbrs`, the edge list `edges` (`edge_pairs`), the layers of each depth
+    reached, the edges inside each layer (`inside`), and the girth once
+    `girth.girth` has found it.  Growing is not locked: one thread at a
+    time may read a `Layers`.
+    """
+
+    __slots__ = ("nbrs", "edges", "girth", "_depths", "_inside", "_pass")
+
+    def __init__(self, nbrs: list[list[int]]):
+        self.nbrs = nbrs
+        self.edges = edge_pairs(nbrs)
+        #: 0 until `girth.girth` has run, then the girth, None for a forest
+        self.girth: int | None = 0
+        self._depths: list[list[VertexSet]] = []
+        self._inside: dict[int, list[int]] = {}
+        self._pass: Iterator[list[VertexSet]] | None = bfs_layers(nbrs)
+
+    def layer(self, d: int) -> list[VertexSet] | None:
+        """``[L_d(v) for v in range(n)]``, or None past the last depth at
+        which some layer is nonempty.  The list is shared: do not change
+        it."""
+        depths = self._depths
+        while len(depths) <= d:
+            if self._pass is None:
+                return None
+            layer = next(self._pass, None)
+            if layer is None:
+                self._pass = None
+                return None
+            depths.append(layer)
+        return depths[d]
+
+    def inside(self, d: int) -> list[int]:
+        """``e(L_d(v))`` for every v (`layer_edge_counts`); d must be a
+        depth that `layer` reaches.  Shared, like the layers."""
+        counts = self._inside.get(d)
+        if counts is None:
+            counts = self._inside[d] = layer_edge_counts(self.edges, self.layer(d))
+        return counts
 
 
 def layer_edge_counts(edges: Sequence[tuple[int, int]], layer: Sequence[VertexSet]

@@ -1,36 +1,38 @@
 """Girth, shell decompositions, and girth-cycle counts per vertex and per
 edge.
 
-The girth and the fast counter read breadth-first layers off one
-all-sources pass of `core.bfs_layers`.  Two counting engines are provided:
-a general depth-first path enumerator that works for any girth, and a fast
-layer-based counter valid for regular graphs of girth 5 (the count of
-shortest cycles through a vertex equals the number of edges inside its
-second layer).  They must agree wherever both apply, and the test suite
-enforces that.
+The girth, the shells and the fast counter read the breadth-first layers
+of a `Graph` off ``g.layers`` (`core.Layers`), the one all-sources
+`core.bfs_layers` pass that the graph keeps for every analysis of it: the
+girth grows that pass only as deep as the girth needs, the girth-5 counter
+and the shells read its second layers, and the girth itself is kept there
+once found.  Two counting engines are provided: a general depth-first path
+enumerator that works for any girth, and a fast layer-based counter valid
+for regular graphs of girth 5 (the count of shortest cycles through a
+vertex equals the number of edges inside its second layer).  They must
+agree wherever both apply, and the test suite enforces that.  The path
+enumerator reads nothing off the layers, so that it stays an independent
+check on them.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
-from itertools import islice
 
-from .core import (Graph, VertexSet, bfs_layers, bit_list, bits, edge_pairs,
-                   layer_edge_counts, regularity)
+from .core import Graph, Layers, VertexSet, bits, regularity
 from .errors import InternalInconsistency
 
 Edge = tuple[int, int]
 
 
-@lru_cache(maxsize=8192)
 def girth(g: Graph) -> int | None:
     """Length of a shortest cycle, or None for a forest.
 
-    One all-sources pass of `bfs_layers`, tested at each depth d >= 1
-    first for a cycle of length 2d, then for one of length 2d + 1.  Each
-    test is reached only when the earlier ones found no shorter cycle, and
-    fires exactly when the girth is its length; a pass in which no layer
-    grows leaves a forest.
+    Read off ``g.layers``, where it is kept once found.  The pass is tested
+    at each depth d >= 1 first for a cycle of length 2d, then for one of
+    length 2d + 1, and grown no deeper than the depth at which one fires.
+    Each test is reached only when the earlier ones found no shorter
+    cycle, and fires exactly when the girth is its length; a pass in which
+    no layer grows leaves a forest.
 
     Odd test: some edge xy has a vertex w in ``L_d(x) & L_d(y)``.  The two
     d-walks from w and the edge close an odd walk of length 2d + 1, which
@@ -48,13 +50,18 @@ def girth(g: Graph) -> int | None:
     ``|L_d(w)|`` falls short of the edges leading into it, which by
     symmetry of distance is the sum over z of (deg(z) - 1) ``|L_{d-1}(z)|``.
     """
-    nbrs = [bit_list(r) for r in g.rows]
-    edges = edge_pairs(nbrs)
-    degree = [len(ys) for ys in nbrs]
-    layers = bfs_layers(nbrs)
-    next(layers)
+    layers = g.layers
+    if layers.girth == 0:
+        layers.girth = _girth_of(layers)
+    return layers.girth
+
+
+def _girth_of(layers: Layers) -> int | None:
+    edges = layers.edges
+    degree = [len(ys) for ys in layers.nbrs]
     stubs = None  # edges leading out of the previous layers, from d = 2 on
-    for d, layer in enumerate(layers, start=1):
+    d = 1
+    while (layer := layers.layer(d)) is not None:
         sizes = [mask.bit_count() for mask in layer]
         if stubs is not None and sum(sizes) < stubs:
             return 2 * d
@@ -62,6 +69,7 @@ def girth(g: Graph) -> int | None:
             if layer[x] & layer[y]:
                 return 2 * d + 1
         stubs = sum((k - 1) * size for k, size in zip(degree, sizes))
+        d += 1
     return None
 
 
@@ -80,7 +88,8 @@ class ShellDecomposition:
 
 
 def shell_decompose(g: Graph, u: int, second_shell: int | None = None) -> ShellDecomposition:
-    """Shells by breadth-first distance from u.
+    """Shells by breadth-first distance from u; the second is ``L_2(u)`` of
+    ``g.layers``.
 
     For a k-regular graph of girth at least 5 the second shell must have
     exactly k(k-1) vertices; that is asserted whenever the hypotheses hold.
@@ -90,15 +99,9 @@ def shell_decompose(g: Graph, u: int, second_shell: int | None = None) -> ShellD
     """
     if not 0 <= u < g.n:
         raise ValueError(f"vertex {u} outside 0..{g.n - 1}")
-    rows = g.rows
-    n1 = rows[u]
-    n2 = 0
-    rest = n1
-    while rest:
-        low = rest & -rest
-        n2 |= rows[low.bit_length() - 1]
-        rest ^= low
-    n2 &= ~n1 & ~(1 << u)
+    n1 = g.rows[u]
+    second = g.layers.layer(2)
+    n2 = second[u] if second is not None else 0
     n3plus = g.vertex_mask() & ~n1 & ~n2 & ~(1 << u)
     if second_shell is None:
         second_shell = second_shell_size(g)
@@ -157,7 +160,10 @@ def _profile_by_paths(g: Graph, length: int) -> GirthProfile:
     """Count cycles of exactly `length` by anchored path enumeration.
 
     Each cycle is counted once: its minimal vertex comes first and the
-    smaller of that vertex's two cycle-neighbours second.
+    smaller of that vertex's two cycle-neighbours second.  The last vertex
+    is drawn from the anchor's neighbours, so every path recursed into
+    closes.  Only the adjacency rows are read, never ``g.layers``: the
+    enumerator is the reference that the layer counts are checked against.
     """
     n = g.n
     per_vertex = [0] * n
@@ -180,10 +186,13 @@ def _profile_by_paths(g: Graph, length: int) -> GirthProfile:
 
         def extend(v: int, used: int, remaining: int) -> None:
             if remaining == 0:
-                if rows[v] & anchor_bit and path[1] < v:
+                if path[1] < v:
                     record(path)
                 return
-            for w in bits(rows[v] & allowed_all & ~used):
+            allowed = allowed_all & ~used
+            if remaining == 1:
+                allowed &= rows[anchor]
+            for w in bits(rows[v] & allowed):
                 path.append(w)
                 extend(w, used | (1 << w), remaining - 1)
                 path.pop()
@@ -198,7 +207,7 @@ def _profile_by_paths(g: Graph, length: int) -> GirthProfile:
 
 def _profile_girth5_regular(g: Graph) -> GirthProfile:
     """Fast counter for regular graphs of girth 5, from the second layers
-    ``L_2(v)`` of one all-sources `bfs_layers` pass.
+    ``L_2(v)`` of ``g.layers``.
 
     At girth 5 the ball of radius 2 around v is a tree, so an edge inside
     ``L_2(v)`` closes exactly one 5-cycle through v, and every 5-cycle
@@ -208,17 +217,17 @@ def _profile_girth5_regular(g: Graph) -> GirthProfile:
     ``L_2(x) & L_2(y)``.  Every second layer must have k(k-1) vertices;
     another size raises InternalInconsistency.
     """
-    nbrs = [bit_list(r) for r in g.rows]
-    edges = edge_pairs(nbrs)
-    second = next(islice(bfs_layers(nbrs), 2, None), [0] * g.n)
-    k = len(nbrs[0])
-    for v, layer in enumerate(second):
+    layers = g.layers
+    second = layers.layer(2)
+    k = len(layers.nbrs[0])
+    for v, layer in enumerate(second or [0] * g.n):
         if layer.bit_count() != k * (k - 1):
             raise InternalInconsistency(
                 f"second shell of {v} has {layer.bit_count()} vertices, "
                 f"expected k(k-1) = {k * (k - 1)}"
             )
-    per_vertex = layer_edge_counts(edges, second)
+    edges = layers.edges
+    per_vertex = layers.inside(2)
     per_edge = {(x, y): (second[x] & second[y]).bit_count() for x, y in edges}
     total, rem = divmod(sum(per_vertex), 5)
     if rem:

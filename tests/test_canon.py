@@ -22,7 +22,7 @@ from girthlab import (
     write_graph6,
 )
 from girthlab.canon import _distance_profiles, _refine, _walk, canonize
-from girthlab.core import Graph, bit_list, bits, is_connected
+from girthlab.core import Graph, bits, is_connected
 
 from naive_oracles import naive_distance_profile, naive_refine, naive_walk_leaves, to_adj
 
@@ -517,7 +517,7 @@ def test_distance_profiles_match_per_vertex_search():
     kinds = set()
     for g in graphs:
         adj = to_adj(g)
-        assert _distance_profiles([bit_list(r) for r in g.rows]) == [
+        assert _distance_profiles(g.layers) == [
             naive_distance_profile(adj, v) for v in range(g.n)]
         kinds.add((regularity(g)[0], is_connected(g)))
     assert kinds == {(True, True), (True, False), (False, True), (False, False)}

@@ -6,6 +6,7 @@ from girthlab import (
     Status,
     TheoremContradiction,
     check_bounds,
+    InternalInconsistency,
     classify,
     complete_bipartite_graph,
     complete_graph,
@@ -19,6 +20,7 @@ from girthlab import (
     path_graph,
     petersen_graph,
     refute_signature,
+    signature,
     vertex_cycle_bound,
 )
 from girthlab.girth import GirthProfile
@@ -106,6 +108,25 @@ def test_forged_profile_raises_theorem_contradiction():
     forged.validate()
     with pytest.raises(TheoremContradiction):
         classify(d, profile=forged)
+
+
+def test_signatures_read_in_one_pass_match_signature():
+    from girthlab.classify import _signatures
+
+    # a triangle with a pendant edge into a chorded 5-cycle: four kinds of
+    # signature, read off the profile at once and vertex by vertex
+    g = graph_from_edges(8, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5),
+                             (5, 6), (6, 7), (7, 3), (3, 5)])
+    profile = girth_profile(g)
+    expected = {signature(g, v, profile) for v in range(g.n)}
+    assert _signatures(g, profile) == expected and len(expected) == 4
+    # a count of 7 at vertex 3 of Petersen, whose edges there sum to 12
+    p = petersen_graph()
+    prof = girth_profile(p)
+    forged = GirthProfile(5, 12, prof.per_vertex[:3] + (7,) + prof.per_vertex[4:],
+                          dict(prof.per_edge))
+    with pytest.raises(InternalInconsistency, match="signature of 3 sums to 12, expected 14"):
+        classify(p, profile=forged)
 
 
 def test_known_nonexistence_examples():

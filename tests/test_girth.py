@@ -1,4 +1,3 @@
-import importlib
 import random
 from itertools import islice
 
@@ -147,6 +146,44 @@ def test_profile_against_subset_oracle():
         assert profile.per_edge == per_edge
 
 
+def test_path_enumerator_matches_subset_oracle_girths_3_to_9():
+    # cycles and the smallest regular graphs of girths 3 to 6, each cycle
+    # with a pendant vertex, theta graphs, and small random graphs
+    from girthlab.girth import _profile_by_paths
+
+    graphs = [cycle_graph(n) for n in range(3, 10)]
+    graphs += [graph_from_edges(n + 1, list(cycle_graph(n).edges()) + [(0, n)])
+               for n in range(3, 10)]
+    graphs += [complete_graph(4), complete_bipartite_graph(3, 3), petersen_graph(),
+               heawood_graph(), complete_graph(5),
+               graph_from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (2, 3)])]
+    for paths in ((1, 2, 2), (2, 2, 3), (3, 3, 3), (3, 3, 4)):
+        # two poles 0 and 1 joined by internally disjoint paths of these
+        # lengths: girth the sum of the two shortest, not regular
+        edges, n = [], 2
+        for length in paths:
+            inner = list(range(n, n + length - 1))
+            n += length - 1
+            walk = [0] + inner + [1]
+            edges += zip(walk, walk[1:])
+        graphs.append(graph_from_edges(n, edges))
+    rng = random.Random(909)
+    graphs += [_random_graph(rng, rng.randrange(4, 9), rng.uniform(0.2, 0.6))
+               for _ in range(40)]
+    regular = set()
+    for g in graphs:
+        gr = girth(g)
+        if gr is None:
+            continue
+        profile = _profile_by_paths(g, gr)
+        total, per_vertex, per_edge = naive_profile(to_adj(g), gr)
+        assert profile.total_girth_cycles == total
+        assert list(profile.per_vertex) == [per_vertex[v] for v in range(g.n)]
+        assert profile.per_edge == per_edge
+        regular.add((gr, len({r.bit_count() for r in g.rows}) == 1))
+    assert {(gr, reg) for gr in range(3, 10) for reg in (True, False)} <= regular
+
+
 def test_known_profiles():
     p = girth_profile(petersen_graph())
     assert (p.girth, p.total_girth_cycles) == (5, 12)
@@ -173,20 +210,14 @@ def test_engine_equivalence_on_girth5_regular():
         assert fast.total_girth_cycles == slow.total_girth_cycles
 
 
-def test_girth5_engine_checks_every_second_layer(monkeypatch):
-    girth_module = importlib.import_module("girthlab.girth")
-    layers = girth_module.bfs_layers
-
-    def short_second_layer(nbrs):
-        # vertex 7 loses one vertex of its second layer
-        for d, layer in enumerate(layers(nbrs)):
-            if d == 2:
-                layer[7] &= layer[7] - 1
-            yield layer
-
-    monkeypatch.setattr(girth_module, "bfs_layers", short_second_layer)
+def test_girth5_engine_checks_every_second_layer():
+    g = dodecahedron_graph()
+    assert girth(g) == 5
+    # vertex 7 loses one vertex of the second layer that girth grew
+    second = g.layers.layer(2)
+    second[7] &= second[7] - 1
     with pytest.raises(InternalInconsistency, match="second shell of 7"):
-        girth_profile(dodecahedron_graph(), engine="girth5")
+        girth_profile(g, engine="girth5")
 
 
 def test_engine_preconditions():
