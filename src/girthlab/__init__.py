@@ -77,7 +77,7 @@ from .girth import (
     girth,
     girth_profile,
     shell_decompose,
-    signature,
+    signatures,
 )
 from .search import (
     GIRTH_AT_LEAST,

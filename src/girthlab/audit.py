@@ -27,27 +27,25 @@ count: y (the 5-cycle count of v) is half the sum of |N(w) & N2(v)| over
 N2(v), never the sum of its parts, so the partition check can still fail.
 Checks run only once every count is in, in their order of derivation.
 
-A pair's cost is counting, not objects.  The partitions are frozen
-slotted dataclasses, filled through their slot setters rather than the
-generated `__init__`, and their vertex tuples are listed by the passes
-above (and the case-A pass over each branch) instead of being re-read from
-their masks.  The pairs of a structured graph repeat a few count vectors
-thousands of times (the 600 case-B pairs of the cubic Cayley graph of A5
-have 6), so `audit_graph` keeps one table per call.  Each case kernel hands
-its counts to a builder that reads nothing else, and the table keeps the
-builder's record tuple under its whole argument tuple, so a pair makes one
-lookup and each distinct record tuple is built once; within a build, each
-distinct record is built once too, keyed by its inputs.  Equal records and
-record tuples within one report are shared objects, which is safe because
-they are frozen.  The table dies with the call (with several workers, each
-worker's chunk of roots fills its own), and the per-pair public audits use
-a fresh one.
+The results are plain frozen dataclasses.  A partition's vertex tuples are
+listed by the passes above (and the case-A pass over each branch) instead
+of being re-read from their masks.  The pairs of a structured graph repeat
+a few count vectors thousands of times (the 600 case-B pairs of the cubic
+Cayley graph of A5 have 6), so `audit_graph` keeps one record table per
+call.  Each case kernel hands its counts to a builder that reads nothing
+else, and the table keeps the builder's record tuple under its whole
+argument tuple, so a pair makes one lookup and each distinct record tuple
+is built once; within a build, each distinct record is built once too,
+keyed by its inputs.  Equal records and record tuples within one report
+are shared objects, which is safe because they are frozen.  The table dies
+with the call (with several workers, each worker's chunk of roots fills
+its own), and the per-pair public audits use a fresh one.
 """
 from __future__ import annotations
 
 import operator
 import random
-from dataclasses import FrozenInstanceError, dataclass, field, fields
+from dataclasses import dataclass, field
 
 from .core import Graph, bit_list, edges_inside, is_connected, regularity
 from .errors import (
@@ -86,54 +84,8 @@ RELATION_TESTS = {
     "<": operator.lt,
 }
 
-_new = object.__new__
 
-
-def _frozen_slotted(cls):
-    """`dataclass(frozen=True, slots=True)`, refusing every assignment and
-    deletion with FrozenInstanceError.  Before Python 3.12 the generated
-    `__setattr__` and `__delattr__` name the class as it was before its
-    slots were added, so for a name that is not a field they raised
-    TypeError from `super()`."""
-    cls = dataclass(frozen=True, slots=True)(cls)
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    cls.__setattr__ = __setattr__
-    cls.__delattr__ = __delattr__
-    return cls
-
-
-def _slot_setters(cls) -> tuple:
-    """The `__set__` of each field's slot descriptor, in field order.  A
-    frozen slotted dataclass refuses attribute assignment, but a slot's own
-    member descriptor still writes it, without the name lookup that the
-    generated `__init__` makes through `object.__setattr__` per field."""
-    return tuple(cls.__dict__[f.name].__set__ for f in fields(cls))
-
-
-def _slotted_constructor(cls):
-    """A constructor of the frozen slotted dataclass `cls` from its field
-    values in field order, filling the slots through their setters.  Each
-    audited pair builds one partition, and through the generated `__init__`
-    keyword parsing and per-field `object.__setattr__` are a large share of
-    a pair's cost."""
-    setters = _slot_setters(cls)
-
-    def build(*values):
-        obj = _new(cls)
-        for set_slot, value in zip(setters, values, strict=True):
-            set_slot(obj, value)
-        return obj
-
-    return build
-
-
-@_frozen_slotted
+@dataclass(frozen=True)
 class InequalityRecord:
     """One audited relation, stored exactly as displayed: lhs relation rhs."""
 
@@ -257,7 +209,7 @@ def _check_v_exterior(g: Graph, shells, v: int) -> None:
         raise ValueError("v lies in N2(u): not exterior to the root")
 
 
-@_frozen_slotted
+@dataclass(frozen=True)
 class CaseAPartition:
     """Audit state for an exterior vertex with at least two second-shell
     neighbours: the split of N2(v) into first-shell, second-shell, and
@@ -282,15 +234,6 @@ class CaseAPartition:
     @property
     def all_hold(self) -> bool:
         return all(r.holds for r in self.records)
-
-    @property
-    def d_sum_on_va(self) -> int:
-        """Sum of d_i over branches adjacent to v (the measurable quantity
-        of the two-branch boundary sub-case)."""
-        return sum(di for di, ai in zip(self.d, self.a) if ai)
-
-
-_build_case_a = _slotted_constructor(CaseAPartition)
 
 
 def audit_case_a(g: Graph, u: int, v: int, lam: int) -> CaseAPartition:
@@ -411,13 +354,13 @@ def _case_a(g: Graph, k: int, shells_u, shells_v, lam: int,
     if sa == two_eps and rest.bit_count() == 1:
         x = rest.bit_length() - 1
 
-    return _build_case_a(
+    return CaseAPartition(
         u, v, lam, two_eps, tuple(in_a), tuple(in_b), tuple(in_c),
         tuple(branch_sets), tuple(d), tuple(a), y, x, eps_in_range, recs,
     )
 
 
-@_frozen_slotted
+@dataclass(frozen=True)
 class CaseBPartition:
     """Audit state for a distance-3 vertex with a unique second-shell
     neighbour: the refined split of N2(v) through that neighbour, the
@@ -447,9 +390,6 @@ class CaseBPartition:
     @property
     def all_hold(self) -> bool:
         return all(r.holds for r in self.records)
-
-
-_build_case_b = _slotted_constructor(CaseBPartition)
 
 
 def audit_case_b(g: Graph, u: int, v: int, lam: int) -> CaseBPartition:
@@ -682,7 +622,7 @@ def _case_b(g: Graph, k: int, shells_u, shells_v, lam: int,
     # the leaf sets partition V_C'' (checked above), and the pass met V_B''
     # in increasing order, so the matching is already sorted
     in_c2 = sorted([w for members in leaf_tuples for w in members])
-    return _build_case_b(
+    return CaseBPartition(
         u, v, lam, two_eps, v_prime, u1, tuple(v_rest), (u1,),
         tuple(in_b), tuple(in_b1), tuple(in_b2), tuple(sorted(in_c1 + in_c2)),
         tuple(in_c1), tuple(in_c2), tuple(leaf_tuples), tuple(matching),

@@ -8,7 +8,7 @@ from enum import Enum
 
 from .core import Graph, is_connected, regularity
 from .errors import InternalInconsistency, NotEligible, TheoremContradiction
-from .girth import GirthProfile, girth, girth_profile
+from .girth import GirthProfile, girth, girth_profile, signatures
 
 
 def vertex_cycle_bound(k: int, g: int) -> int:
@@ -119,9 +119,9 @@ def classify(g: Graph, profile: GirthProfile | None = None) -> ClassificationRep
     is_vgr = is_reg and len(lam_values) == 1
     lambda_vertex = lam_values.pop() if is_vgr else None
 
-    signatures = _signatures(g, profile)
-    is_gr = is_reg and len(signatures) == 1
-    common_signature = signatures.pop() if is_gr else None
+    distinct = set(signatures(g, profile))
+    is_gr = is_reg and len(distinct) == 1
+    common_signature = distinct.pop() if is_gr else None
 
     edge_values = set(profile.per_edge.values())
     is_egr = is_reg and len(edge_values) == 1
@@ -158,27 +158,6 @@ def classify(g: Graph, profile: GirthProfile | None = None) -> ClassificationRep
         two_epsilon=two_eps,
         moore_deficit=deficit,
     )
-
-
-def _signatures(g: Graph, profile: GirthProfile) -> set[tuple[int, ...]]:
-    """The distinct `girth.signature` values of g's vertices, read off
-    ``profile.per_edge`` in one pass over the edges, with its check that
-    each vertex's signature sums to twice its count."""
-    incident: list[list[int]] = [[] for _ in range(g.n)]
-    per_edge = profile.per_edge
-    for edge in g.layers.edges:
-        c = per_edge[edge]
-        incident[edge[0]].append(c)
-        incident[edge[1]].append(c)
-    signatures = set()
-    for v, counts in enumerate(incident):
-        sig = tuple(sorted(counts))
-        if sum(sig) != 2 * profile.per_vertex[v]:
-            raise InternalInconsistency(
-                f"signature of {v} sums to {sum(sig)}, expected {2 * profile.per_vertex[v]}"
-            )
-        signatures.add(sig)
-    return signatures
 
 
 @dataclass(frozen=True)

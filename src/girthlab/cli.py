@@ -25,7 +25,7 @@ from .errors import (
     NotEligible,
 )
 from .formats import parse_any, write_graph6, write_sparse6
-from .girth import girth_profile, signature
+from .girth import girth_profile, signatures
 from .search import (
     GIRTH_AT_LEAST,
     GIRTH_EXACT,
@@ -143,9 +143,9 @@ def cmd_analyze(args) -> int:
             "bounds": bounds,
         })
         if args.csv:
-            for v in range(g.n):
+            for v, sig in enumerate(signatures(g, profile)):
                 csv_rows.append((index, label, v, profile.per_vertex[v],
-                                 "|".join(map(str, signature(g, v, profile)))))
+                                 "|".join(map(str, sig))))
 
     if args.csv:
         with open(args.csv, "w") as fh:

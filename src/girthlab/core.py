@@ -95,9 +95,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return self.rows[v].bit_count()
 
-    def neighbors(self, v: int) -> VertexSet:
-        return self.rows[v]
-
     def vertex_mask(self) -> VertexSet:
         return (1 << self.n) - 1
 

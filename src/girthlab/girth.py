@@ -261,15 +261,22 @@ def girth_profile(g: Graph, engine: str = "auto") -> GirthProfile:
     return profile
 
 
-def signature(g: Graph, v: int, profile: GirthProfile) -> tuple[int, ...]:
-    """Sorted tuple of per-edge girth-cycle counts over the edges at v."""
-    if not 0 <= v < g.n:
-        raise ValueError(f"vertex {v} outside 0..{g.n - 1}")
-    sig = tuple(sorted(
-        profile.per_edge[(v, w) if v < w else (w, v)] for w in bits(g.rows[v])
-    ))
-    if sum(sig) != 2 * profile.per_vertex[v]:
-        raise InternalInconsistency(
-            f"signature of {v} sums to {sum(sig)}, expected {2 * profile.per_vertex[v]}"
-        )
-    return sig
+def signatures(g: Graph, profile: GirthProfile) -> list[tuple[int, ...]]:
+    """Each vertex's sorted tuple of per-edge girth-cycle counts over its
+    edges, read off ``profile.per_edge`` in one pass over the edges, with
+    the check that each sums to twice the vertex's count."""
+    incident: list[list[int]] = [[] for _ in range(g.n)]
+    per_edge = profile.per_edge
+    for edge in g.layers.edges:
+        c = per_edge[edge]
+        incident[edge[0]].append(c)
+        incident[edge[1]].append(c)
+    sigs = []
+    for v, counts in enumerate(incident):
+        sig = tuple(sorted(counts))
+        if sum(sig) != 2 * profile.per_vertex[v]:
+            raise InternalInconsistency(
+                f"signature of {v} sums to {sum(sig)}, expected {2 * profile.per_vertex[v]}"
+            )
+        sigs.append(sig)
+    return sigs

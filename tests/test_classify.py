@@ -7,6 +7,7 @@ from girthlab import (
     TheoremContradiction,
     check_bounds,
     InternalInconsistency,
+    bit_list,
     classify,
     complete_bipartite_graph,
     complete_graph,
@@ -20,7 +21,7 @@ from girthlab import (
     path_graph,
     petersen_graph,
     refute_signature,
-    signature,
+    signatures,
     vertex_cycle_bound,
 )
 from girthlab.girth import GirthProfile
@@ -110,16 +111,16 @@ def test_forged_profile_raises_theorem_contradiction():
         classify(d, profile=forged)
 
 
-def test_signatures_read_in_one_pass_match_signature():
-    from girthlab.classify import _signatures
-
+def test_signatures_match_the_edge_counts_at_every_vertex():
     # a triangle with a pendant edge into a chorded 5-cycle: four kinds of
-    # signature, read off the profile at once and vertex by vertex
+    # signature, against each vertex's edge counts read one edge at a time
     g = graph_from_edges(8, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5),
                              (5, 6), (6, 7), (7, 3), (3, 5)])
     profile = girth_profile(g)
-    expected = {signature(g, v, profile) for v in range(g.n)}
-    assert _signatures(g, profile) == expected and len(expected) == 4
+    expected = [tuple(sorted(profile.per_edge[min(v, w), max(v, w)]
+                             for w in bit_list(g.rows[v])))
+                for v in range(g.n)]
+    assert signatures(g, profile) == expected and len(set(expected)) == 4
     # a count of 7 at vertex 3 of Petersen, whose edges there sum to 12
     p = petersen_graph()
     prof = girth_profile(p)

@@ -23,7 +23,7 @@ from girthlab import (
     path_graph,
     petersen_graph,
     shell_decompose,
-    signature,
+    signatures,
 )
 from girthlab.core import bfs_layers, edge_pairs, layer_edge_counts
 from girthlab.girth import GirthProfile
@@ -230,15 +230,14 @@ def test_engine_preconditions():
 
 
 def test_signatures():
-    p = petersen_graph()
-    prof = girth_profile(p)
-    assert all(signature(p, v, prof) == (4, 4, 4) for v in range(10))
-    c = cycle_graph(5)
-    prof = girth_profile(c)
-    assert all(signature(c, v, prof) == (1, 1) for v in range(5))
-    d = dodecahedron_graph()
-    prof = girth_profile(d)
-    assert all(signature(d, v, prof) == (2, 2, 2) for v in range(20))
+    for g, sig in ((petersen_graph(), (4, 4, 4)), (cycle_graph(5), (1, 1)),
+                   (dodecahedron_graph(), (2, 2, 2)), (heawood_graph(), (8, 8, 8))):
+        prof = girth_profile(g)
+        # the counts of each vertex's edges, read here one edge at a time
+        for v in range(g.n):
+            assert sorted(prof.per_edge[min(v, w), max(v, w)]
+                          for w in bit_list(g.rows[v])) == list(sig)
+        assert signatures(g, prof) == [sig] * g.n
 
 
 def test_handshake_identities_random_regular_corpus():
