@@ -38,8 +38,11 @@ argument tuple, so a pair makes one lookup and each distinct record tuple
 is built once; within a build, each distinct record is built once too,
 keyed by its inputs.  Equal records and record tuples within one report
 are shared objects, which is safe because they are frozen.  The table dies
-with the call (with several workers, each worker's chunk of roots fills
-its own), and the per-pair public audits use a fresh one.
+with the call, and the per-pair public audits use a fresh one.
+
+The audit runs in one process.  Its output is as large as its work (every
+pair's partition and records), so a process pool would spend about as long
+sending the results back as one process spends building them.
 """
 from __future__ import annotations
 
@@ -707,8 +710,8 @@ class AuditReport:
             self.first_failure = message
 
 
-def _audit_at_root(args) -> tuple:
-    g, k, shells_of, u, lam, pair_filter, table = args
+def _audit_at_root(g: Graph, k: int, shells_of: list, u: int, lam: int,
+                   pair_filter: set | None, table: dict) -> tuple:
     rows = g.rows
     shells = shells_of[u]
     outer = _outer_edges(g, k, shells, lam)
@@ -749,18 +752,14 @@ def audit_graph(
     g: Graph,
     lam: int | None = None,
     scope: str | tuple = "all",
-    workers: int = 1,
 ) -> AuditReport:
     """Audit every root of a connected vertex-girth-regular girth-5 graph.
 
     `lam` defaults to the measured common per-vertex count; passing a
     different value exercises the forged-claim paths.  `scope` is "all" or
     ("sample", count, seed) to restrict the exterior pairs audited;
-    outer-edge and containment audits always run at every root.  `workers`
-    > 1 spreads the roots over that many processes.
+    outer-edge and containment audits always run at every root.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
     if not is_connected(g):
         raise NotEligible("audit needs a connected graph")
     k = _require_girth5_regular(g)
@@ -792,19 +791,9 @@ def audit_graph(
     # one record table for the whole call, so every distinct record is
     # built once; it dies with the call
     table: dict = {}
-    tasks = [(g, k, shells_of, u, lam, pair_filter, table) for u in range(g.n)]
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        # one chunk per worker: g, the shells and the record table are
-        # pickled once a chunk, so each chunk fills a table of its own
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_audit_at_root, tasks,
-                                    chunksize=-(-g.n // workers)))
-    else:
-        results = [_audit_at_root(t) for t in tasks]
-
-    for outer, mp, case_a, case_b, skipped, far in results:
+    for u in range(g.n):
+        outer, mp, case_a, case_b, skipped, far = _audit_at_root(
+            g, k, shells_of, u, lam, pair_filter, table)
         report.outer.append(outer)
         report.main_property.append(mp)
         report.case_a.extend(case_a)

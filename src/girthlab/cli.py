@@ -69,15 +69,15 @@ def _read_inputs(source: str) -> list[tuple[str, Graph]]:
     return graphs
 
 
-def _bad_workers(command: str, workers: int) -> bool:
+def _bad_workers(workers: int) -> bool:
     """Report a worker count below 1, or above the machine's CPU count,
-    which would only oversubscribe it; True means the command must refuse
+    which would only oversubscribe it; True means the search must refuse
     to run."""
     cpus = os.cpu_count() or 1
     if workers < 1:
-        print(f"{command}: --workers {workers} must be at least 1", file=sys.stderr)
+        print(f"search: --workers {workers} must be at least 1", file=sys.stderr)
     elif workers > cpus:
-        print(f"{command}: --workers {workers} exceeds the {cpus} CPUs of this machine",
+        print(f"search: --workers {workers} exceeds the {cpus} CPUs of this machine",
               file=sys.stderr)
     else:
         return False
@@ -206,8 +206,6 @@ def _audit_dict(report: AuditReport, full: bool) -> dict:
 
 
 def cmd_audit(args) -> int:
-    if _bad_workers("audit", args.workers):
-        return EXIT_INPUT
     try:
         graphs = _read_inputs(args.input)
     except (GirthLabError, ValueError) as exc:
@@ -232,8 +230,7 @@ def cmd_audit(args) -> int:
     any_failure = False
     for label, g in graphs:
         try:
-            report = audit_graph(g, lam=args.forced_lambda, scope=scope,
-                                 workers=args.workers)
+            report = audit_graph(g, lam=args.forced_lambda, scope=scope)
         except NotEligible as exc:
             ineligible.append({"input": label, "reason": str(exc)})
             entries.append({"input": label, "eligible": False, "reason": str(exc)})
@@ -257,7 +254,7 @@ def cmd_audit(args) -> int:
 
 
 def cmd_search(args) -> int:
-    if _bad_workers("search", args.workers):
+    if _bad_workers(args.workers):
         return EXIT_INPUT
     mode = GIRTH_EXACT if args.girth_mode == "exact" else GIRTH_AT_LEAST
     parameters = {
@@ -362,8 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scope", default="all", help="all or sample:<n>,<seed>")
     p.add_argument("--lambda", dest="forced_lambda", type=int, default=None,
                    help="claimed per-vertex cycle count (forging this flips records)")
-    p.add_argument("--workers", type=int, default=1,
-                   help="worker processes, at most the CPU count")
     p.add_argument("--full-records", action="store_true",
                    help="emit every record, not only failing ones")
     add_common(p)

@@ -537,20 +537,28 @@ def generate(config: SearchConfig) -> SearchOutcome:
     else:
         frontier = [(0,)]
 
-    # budget == 0: the split used the whole budget, so its frontier is left over
-    if config.worker_count == 1 or len(frontier) <= 1 or budget == 0:
+    leftover: list[Rows] = []
+    if config.worker_count == 1 or len(frontier) <= 1:
         parts = [_run_frontier(frontier, cfg_key, budget, memo)]
     else:
         shares = [frontier[i::config.worker_count] for i in range(config.worker_count)]
         shares = [s for s in shares if s]
+        budgets = [budget] * len(shares)
         if budget is not None:
-            budget = max(1, budget // len(shares))
-        from concurrent.futures import ProcessPoolExecutor
+            # split the remaining budget exactly, so that the call expands at
+            # most node_budget nodes; the shares past the first `budget` get
+            # none, so they start no process and their states are left over
+            each, extra = divmod(budget, len(shares))
+            budgets = [each + (i < extra) for i in range(len(shares))][:budget]
+            leftover = [state for share in shares[budget:] for state in share]
+            shares = shares[:budget]
+        parts = []
+        if shares:
+            from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=config.worker_count) as pool:
-            parts = list(pool.map(_run_frontier, shares, [cfg_key] * len(shares),
-                                  [budget] * len(shares), [memo] * len(shares)))
-    leftover: list[Rows] = []
+            with ProcessPoolExecutor(max_workers=len(shares)) as pool:
+                parts = list(pool.map(_run_frontier, shares, [cfg_key] * len(shares),
+                                      budgets, [memo] * len(shares)))
     for part in parts:
         classes |= part["classes"]
         hits |= part["hits"]
@@ -598,9 +606,7 @@ def confirm_nonexistence(k: int, epsilon2: int, n_max: int, **kwargs) -> SearchO
     n <= n_max has every vertex on exactly (k(k-1)^2 - epsilon2)/2 shortest
     cycles, for 0 < epsilon2 <= k-1.  A hit sets `contradiction` and would
     mean an engine bug."""
-    config = SearchConfig(k=k, g=5, n_max=n_max, girth_mode=GIRTH_EXACT,
-                          lambda_filter=nonexistence_lambda(k, epsilon2), **kwargs)
-    outcome = generate(config)
+    outcome = find_vgr(k, 5, nonexistence_lambda(k, epsilon2), n_max, **kwargs)
     outcome.contradiction = outcome.total_hits > 0
     return outcome
 

@@ -281,17 +281,6 @@ def test_audit_graph_dodecahedron_counts():
     assert all(m.holds for m in report.main_property)
 
 
-def test_audit_graph_workers_match():
-    seq = audit_graph(dodecahedron_graph())
-    par = audit_graph(dodecahedron_graph(), workers=2)
-    assert seq.all_passed and seq == par
-    # a forged count, where each worker's chunk fills its own record table
-    seq = audit_graph(dodecahedron_graph(), lam=4)
-    assert not seq.all_passed and seq == audit_graph(dodecahedron_graph(), lam=4, workers=2)
-    with pytest.raises(ValueError):
-        audit_graph(dodecahedron_graph(), workers=0)
-
-
 def test_audit_graph_sampled_scope_deterministic():
     a = audit_graph(dodecahedron_graph(), scope=("sample", 30, 11))
     b = audit_graph(dodecahedron_graph(), scope=("sample", 30, 11))

@@ -234,7 +234,6 @@ def test_resume_chain_with_fixed_budget_completes(capsys, tmp_path):
 
 @pytest.mark.parametrize("command", [
     ("search", "--k", "3", "--max-n", "10"),
-    ("audit", "named:petersen"),
 ])
 def test_workers_above_cpu_count_rejected(capsys, monkeypatch, command):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
@@ -245,12 +244,21 @@ def test_workers_above_cpu_count_rejected(capsys, monkeypatch, command):
 @pytest.mark.parametrize("workers", ["0", "-1"])
 @pytest.mark.parametrize("command", [
     ("search", "--k", "3", "--max-n", "10"),
-    ("audit", "named:dodecahedron"),
 ])
 def test_non_positive_workers_rejected(capsys, command, workers):
     code, out, err = run_cli(capsys, *command, "--workers", workers)
     assert code == 2 and out == ""
     assert f"--workers {workers} must be at least 1" in err
+
+
+def test_audit_has_no_workers_option(capsys):
+    # the audit runs in one process, so --workers is an unknown argument,
+    # refused by the parser with exit 2
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["audit", "named:dodecahedron", "--workers", "1"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert "unrecognized arguments: --workers 1" in captured.err
 
 
 @pytest.mark.parametrize("budget", ["0", "-1"])

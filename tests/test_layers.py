@@ -5,8 +5,6 @@ import copy
 import pickle
 import random
 
-import pytest
-
 import girthlab.core as core
 from girthlab import (
     audit_graph,
@@ -22,7 +20,7 @@ from girthlab import (
     write_graph6,
 )
 
-from test_canon import _permuted, _random_cubic_girth5
+from test_canon import _random_cubic_girth5
 
 
 def _analyse(g):
@@ -92,14 +90,3 @@ def test_analysed_graph_copies_without_its_layers():
         assert h == g and h is not g
         assert vars(h) == {"n": g.n, "rows": g.rows}
         assert girth(h) == 5
-
-
-@pytest.mark.parametrize("lam", [None, 4])
-def test_audit_workers_match_on_analysed_instance(lam):
-    g = _permuted(dodecahedron_graph(), random.Random(3).sample(range(20), 20))
-    # girth and classification grow the pass to depth 2 of 5, so the
-    # workers receive an instance whose pass is part-grown
-    classify(g)
-    seq = audit_graph(g, lam=lam)
-    assert seq.all_passed is (lam is None)
-    assert seq == audit_graph(g, lam=lam, workers=2)

@@ -109,6 +109,14 @@ def test_published_counts_where_the_lookahead_cuts_most():
     assert out.per_n_classes == {19: 1}
 
 
+def test_published_counts_quartic_girth5():
+    # Meringer, J. Graph Theory 30 (1999): connected quartic graphs of
+    # girth >= 5 on 19, 20 and 21 vertices; about 2 s on one core
+    out = generate(SearchConfig(k=4, g=5, n_max=21, cap=21))
+    assert out.per_n_classes == {19: 1, 20: 2, 21: 8}
+    assert out.nodes_expanded == 10362
+
+
 @pytest.mark.slow
 @pytest.mark.parametrize("n_max", [18, 20])  # n <= 20: about a minute on one core
 def test_published_counts_cubic_slow(n_max):
@@ -493,6 +501,18 @@ def test_budgeted_resume_chain_matches_uninterrupted_run(tmp_path, budget, worke
     assert out.classes_graph6 == full.classes_graph6
     assert out.hits_graph6 == full.hits_graph6 == [full.classes_graph6[10][0]]
     assert not os.path.exists(path)
+
+
+def test_node_budget_bounds_a_multi_worker_call(tmp_path):
+    # the split phase expands 28 nodes and leaves 33 open states, and the
+    # rest of the budget is split exactly between the two workers' shares:
+    # a share given no budget starts no process
+    path = str(tmp_path / "frontier.txt")
+    for budget in range(1, 41):
+        out = generate(SearchConfig(k=3, g=5, n_max=16, worker_count=2,
+                                    node_budget=budget, checkpoint_path=path))
+        assert out.suspended and out.nodes_expanded <= budget
+        os.remove(path)
 
 
 def test_checkpointed_memo_repeats_no_work(tmp_path):
