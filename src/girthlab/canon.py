@@ -70,7 +70,8 @@ of the whole tree.  A certificate rebuilds its graph, so two graphs of one
 order that share a single leaf certificate are isomorphic.  `_walk` is the
 one tree walk: `canonize` takes the least certificate it meets, and the
 search passes the certificates of the states it expanded as `known`, so
-that a duplicate state stops at its first leaf.
+that a duplicate state stops at its first leaf, and groups an expanded
+state's children by the automorphisms the walk stored.
 
 Refinement splits every cell by each vertex's neighbour counts into the
 other cells, ordering the fragments by their count vectors, until no cell
@@ -181,14 +182,16 @@ def _twin_keys(rows: Sequence[int]) -> Sequence[int]:
 
 def _walk(rows: Sequence[int], known: Container[int] = frozenset(),
           layers: Layers | None = None
-          ) -> tuple[dict[int, tuple[int, ...]] | None, int]:
+          ) -> tuple[dict[int, tuple[int, ...]] | None, int, list[tuple[int, ...]]]:
     """Walk the refinement tree of the graph with adjacency `rows`, whose
     layer pass is `layers` when the caller has one.
 
-    Returns (leaves, visited): `leaves` maps every leaf certificate met to
-    the order of the first leaf that gave it, and `visited` counts the
-    leaves labelled.  When the first leaf's certificate is in `known`, the
-    walk stops there and `leaves` is None.  ``order[p]`` is the original
+    Returns (leaves, visited, auts): `leaves` maps every leaf certificate
+    met to the order of the first leaf that gave it, `visited` counts the
+    leaves labelled, and `auts` holds the automorphisms the walk found,
+    ``gamma[v]`` the image of v, up to `_MAX_STORED_AUTS` of them.  When
+    the first leaf's certificate is in `known`, the walk stops there and
+    `leaves` is None.  ``order[p]`` is the original
     vertex placed at position p.  Vertices start partitioned by degree, or,
     when that gives one cell, by distance profile; both are isomorphism
     invariants, sorted by value, so the starting cells and their order
@@ -292,8 +295,8 @@ def _walk(rows: Sequence[int], known: Container[int] = frozenset(),
     # degree and profile classes promise nothing about counts: every cell
     # is a splitter
     if descend(cells, (), list(range(len(cells)))) < 0:
-        return None, visited
-    return leaves, visited
+        return None, visited, auts
+    return leaves, visited, auts
 
 
 def canonize(rows: Sequence[int], layers: Layers | None = None
@@ -303,7 +306,7 @@ def canonize(rows: Sequence[int], layers: Layers | None = None
     ``order[p]`` is the original vertex placed at position p; the tree is
     `_walk`'s, from the layer pass `layers` of these rows when given.
     """
-    leaves, _ = _walk(rows, layers=layers)
+    leaves, _, _ = _walk(rows, layers=layers)
     best_cert = min(leaves)
     return leaves[best_cert], best_cert
 

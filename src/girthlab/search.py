@@ -33,13 +33,41 @@ vertices, and only below k fresh slots, so the search still needs no n_max
 until the last k - 1 slots.  The twin rule (`_one_per_row`) tries only the
 first of the candidate partners that share a row: swapping two such twins
 is an automorphism of the partial graph that fixes the pivot and the
-partners already chosen, so their children are isomorphic.  All three are
-sound under the memo below: a dropped child has no completion, or has the
-completions of an emitted sibling up to isomorphism, and a closed child has
-the completions of the child it replaces, so every class is still met, and
-the memo only ever holds certificates of states that were expanded.  None
-of them changes the canonical form: a closed state is labelled like any
-other.
+partners already chosen, so their children are isomorphic.
+
+A third cut, the orbit rule (`_last_of_each_orbit`), costs no labelling
+either: it uses the automorphisms that the walk of the expanded state
+found and stored (`canon._walk`), as McKay's isomorph-free generation
+prunes by the parent's automorphisms ("Isomorph-free exhaustive
+generation", J. Algorithms 26, 1998).  The pivot
+completions, a partner set S and r fresh vertices each, are listed in
+generation order; those that the stored automorphisms fixing the pivot p
+map onto one another form one orbit, and only the last listed member of
+each orbit is passed to `_viable` and pushed.  Each dropped sibling is one
+that the memo would have refused at its first leaf, in three steps.  An
+automorphism gamma that fixes p maps child(r, S) onto child(r, gamma S), so
+the members of an orbit are isomorphic.  `_forced_closure` reaches the same
+fixpoint in any order, as an edge forced at some state stays forced, or
+turns into a contradiction, once more edges are added; so `_viable`
+commutes with gamma, and the members are all dropped or all pushed as
+isomorphic states.  The stack is last in, first out, so the last listed
+member is popped before its siblings, and its class has been expanded, by
+it or by a state before it, when they would be popped.  A one-worker run
+therefore expands the states, and finds the classes and hits, that it
+finds without the rule; it labels one leaf fewer for each dropped sibling
+that `_viable` keeps, and the frontier of a checkpoint lacks those
+siblings.  The representative is picked by its place in the list, so no
+hash order reaches the run.  The breadth-first split phase of a
+multi-worker run admits the kept member where it would have admitted the
+first listed one: the classes are the same, the states handed to the
+workers may differ.
+
+All four rules are sound under the memo below: a dropped child has no
+completion, or has the completions of an emitted sibling up to
+isomorphism, and a closed child has the completions of the child it
+replaces, so every class is still met, and the memo only ever holds
+certificates of states that were expanded.  None of them changes the
+canonical form: a closed state is labelled like any other.
 
 Isomorph rejection on partial states: the complete graphs reachable from a
 partial state are all k-regular girth-compatible supergraphs that add edges
@@ -90,7 +118,7 @@ import time
 from dataclasses import dataclass, field
 
 from .canon import _walk
-from .core import Graph, is_connected
+from .core import Graph, bit_list, is_connected
 from .errors import GirthLabError, InternalInconsistency
 from .formats import graph6_line, graph6_payload, parse_graph6, write_graph6
 from .girth import girth, girth_profile
@@ -203,7 +231,7 @@ def _near_mask(rows: list[int], src: int, limit: int) -> int:
     return seen
 
 
-def _viable(rows: list[int], k: int, g: int, n_max: int) -> Rows | None:
+def _viable(rows: Rows, k: int, g: int, n_max: int) -> Rows | None:
     """Lookahead: the state to push in place of the child `rows`, or None
     when the child has no completion.  With k fresh slots left every vertex
     has enough open partners, so the check runs only when fewer remain.  A
@@ -219,7 +247,7 @@ def _viable(rows: list[int], k: int, g: int, n_max: int) -> Rows | None:
         return tuple(rows)
     stubs = k * len(rows) - sum(r.bit_count() for r in rows)
     for f in range(fresh, 0, -1):
-        if not (stubs + k * f) % 2 and _forced_closure(rows + [0] * f, k, g):
+        if not (stubs + k * f) % 2 and _forced_closure(list(rows) + [0] * f, k, g):
             return tuple(rows)
     closed = list(rows)
     if stubs % 2 or not _forced_closure(closed, k, g):
@@ -282,34 +310,33 @@ def _one_per_row(rows: list[int], candidates: list[int]) -> list[int]:
     return list(first.values())
 
 
-def _children(state: Rows, k: int, g: int, n_max: int) -> list[Rows] | None:
+def _children(state: Rows, k: int, g: int, n_max: int,
+              auts: list[tuple[int, ...]]) -> list[Rows] | None:
     """Expand one pivot-completion step; None means the state is complete
     (every vertex saturated).  Each child is replaced by what `_viable`
     returns: dropped when it has no completion, closed under its forced
     edges when no fresh vertex can be added.  Of twin partners only the
-    first is tried (`_one_per_row`)."""
+    first is tried (`_one_per_row`), and of the completions that the
+    automorphisms `auts` of the state map onto one another only the last
+    listed (`_last_of_each_orbit`)."""
     t = len(state)
     deg = [r.bit_count() for r in state]
     unsaturated = [v for v in range(t) if deg[v] < k]
     if not unsaturated:
         return None
-    children: list[Rows] = []
     p = unsaturated[0]
     rows = list(state)
+    completions: list[Rows] = []
 
     def choose(remaining: int, min_w: int) -> None:
         if remaining == 0:
-            kid = _viable(rows, k, g, n_max)
-            if kid is not None:
-                children.append(kid)
+            completions.append(tuple(rows))
             return
         # fill the rest with fresh vertices attached to the pivot
         if t + remaining <= n_max:
             child = rows + [1 << p] * remaining
             child[p] |= ((1 << remaining) - 1) << t
-            kid = _viable(child, k, g, n_max)
-            if kid is not None:
-                children.append(kid)
+            completions.append(tuple(child))
         blocked = _near_mask(rows, p, g - 2)
         for w in _one_per_row(rows, [w for w in range(min_w, t)
                                      if deg[w] < k and not blocked >> w & 1]):
@@ -322,14 +349,56 @@ def _children(state: Rows, k: int, g: int, n_max: int) -> list[Rows] | None:
             deg[w] -= 1
 
     choose(k - deg[p], p + 1)
+    children: list[Rows] = []
+    for child in _last_of_each_orbit(completions, state, p, auts):
+        kid = _viable(child, k, g, n_max)
+        if kid is not None:
+            children.append(kid)
     return children
 
 
-def _evaluate(state: Rows, cfg_key: dict) -> bool | None:
+def _last_of_each_orbit(completions: list[Rows], state: Rows, p: int,
+                        auts: list[tuple[int, ...]]) -> list[Rows]:
+    """The completions of the pivot p of `state`, in their order, that no
+    later one shares an orbit with.  A completion joins p to a set S of
+    vertices of the state and to r fresh ones; it is keyed by S and its
+    order.  An automorphism gamma of the state that fixes p maps the child
+    of (S, r) onto the child of (gamma S, r), so the children of one orbit
+    are isomorphic.  The orbits are the connected parts of the completions
+    under the automorphisms in `auts` that fix p."""
+    fixers = [gamma for gamma in auts if gamma[p] == p]
+    if not fixers:
+        return completions
+    # the vertices of the state that p is not joined to yet
+    open_ = ((1 << len(state)) - 1) ^ state[p]
+    index = {(child[p] & open_, len(child)): i for i, child in enumerate(completions)}
+    # union-find whose root is the last listed member of its part
+    root = list(range(len(completions)))
+
+    def find(i: int) -> int:
+        while root[i] != i:
+            root[i] = root[root[i]]
+            i = root[i]
+        return i
+
+    for gamma in fixers:
+        image = [1 << v for v in gamma]
+        for (partners, order), i in index.items():
+            mapped = 0
+            for w in bit_list(partners):
+                mapped |= image[w]
+            j = index.get((mapped, order))
+            if j is not None:
+                a, b = find(i), find(j)
+                if a != b:
+                    root[min(a, b)] = max(a, b)
+    return [child for i, child in enumerate(completions) if find(i) == i]
+
+
+def _evaluate(g: Graph, cfg_key: dict) -> bool | None:
     """Check a saturated graph and apply the filter: whether it is a hit,
     or None for an exact-girth rejection.  The girth-cycle profile is
     computed, and validated, only when a count is filtered on."""
-    g = Graph(len(state), state)
     if not is_connected(g):
         raise InternalInconsistency("grown graph is disconnected")
     gr = girth(g)
@@ -341,29 +410,35 @@ def _evaluate(state: Rows, cfg_key: dict) -> bool | None:
     return lam is not None and set(girth_profile(g).per_vertex) == {lam}
 
 
-def _record(state: Rows, leaves: dict, cfg_key: dict, classes: set, hits: set) -> None:
+def _record(graph: Graph, leaves: dict, cfg_key: dict, classes: set, hits: set) -> None:
     """File a complete state under its class string, the graph6 line of its
     least leaf certificate."""
-    hit = _evaluate(state, cfg_key)
+    hit = _evaluate(graph, cfg_key)
     if hit is not None:
-        entry = (len(state), graph6_line(len(state), min(leaves)))
+        entry = (graph.n, graph6_line(graph.n, min(leaves)))
         classes.add(entry)
         if hit:
             hits.add(entry)
 
 
-def _admit(state: Rows, memo: dict[int, set[int]]
-           ) -> tuple[dict[int, tuple[int, ...]] | None, int]:
-    """Memo test of one state: (leaves, leaves labelled).  ``memo[n]`` holds
-    every leaf certificate of the order-n states expanded so far.  A state
-    whose first leaf is among them is refused after that one leaf, and
-    `leaves` is None; otherwise its class is new, and the certificates it
-    met, the keys of `leaves`, join the memo."""
-    known = memo.setdefault(len(state), set())
-    leaves, visited = _walk(state, known)
+def _admit(graph: Graph, memo: dict[int, set[int]]
+           ) -> tuple[dict[int, tuple[int, ...]] | None, int, list[tuple[int, ...]]]:
+    """Memo test of one state: (leaves, leaves labelled, automorphisms
+    found), as `_walk` gives them.  ``memo[n]`` holds every leaf
+    certificate of the order-n states expanded so far.  A state whose first
+    leaf is among them is refused after that one leaf, and `leaves` is
+    None; otherwise its class is new, and the certificates it met, the keys
+    of `leaves`, join the memo.  A regular state is walked over
+    ``graph.layers``, so a complete state is evaluated on the same pass."""
+    known = memo.setdefault(graph.n, set())
+    rows = graph.rows
+    # the first and last degrees differ in most partial states
+    regular = (rows[0].bit_count() == rows[-1].bit_count()
+               and len({r.bit_count() for r in rows}) == 1)
+    leaves, visited, auts = _walk(rows, known, graph.layers if regular else None)
     if leaves is not None:
         known.update(leaves)
-    return leaves, visited
+    return leaves, visited, auts
 
 
 def _run_frontier(frontier: list[Rows], cfg_key: dict, budget: int | None,
@@ -388,14 +463,15 @@ def _run_frontier(frontier: list[Rows], cfg_key: dict, budget: int | None,
             return {"classes": classes, "hits": hits, "nodes": nodes,
                     "labelled": labelled, "memo": memo, "leftover": stack}
         state = stack.pop()
-        leaves, visited = _admit(state, memo)
+        graph = Graph(len(state), state)
+        leaves, visited, auts = _admit(graph, memo)
         labelled += visited
         if leaves is None:
             continue
         nodes += 1
-        kids = _children(state, k, g, n_max)
+        kids = _children(state, k, g, n_max, auts)
         if kids is None:
-            _record(state, leaves, cfg_key, classes, hits)
+            _record(graph, leaves, cfg_key, classes, hits)
             continue
         stack.extend(kids)
     return {"classes": classes, "hits": hits, "nodes": nodes, "labelled": labelled,
@@ -403,7 +479,7 @@ def _run_frontier(frontier: list[Rows], cfg_key: dict, budget: int | None,
 
 
 def _split_frontier(cfg_key: dict, target: int, budget: int | None
-                    ) -> tuple[list[Rows], list[tuple[Rows, dict]], dict[int, set[int]],
+                    ) -> tuple[list[Rows], list[tuple[Graph, dict]], dict[int, set[int]],
                                int, int]:
     """Breadth-expand from the root, one state per isomorphism class, until
     at least `target` open states exist or `budget` nodes are expanded.
@@ -411,30 +487,31 @@ def _split_frontier(cfg_key: dict, target: int, budget: int | None
     leaves, the memo of the expanded states, the nodes expanded and the
     leaves labelled.  The certificates of the open states stay out of that
     memo, as the workers would otherwise refuse their own frontier."""
-    root = (0,)
+    root = Graph(1, (0,))
     admitted: dict[int, set[int]] = {}
-    leaves, labelled = _admit(root, admitted)
-    open_states: list[tuple[Rows, dict]] = [(root, leaves)]
-    complete: list[tuple[Rows, dict]] = []
+    leaves, labelled, auts = _admit(root, admitted)
+    open_states: list[tuple[Graph, dict, list]] = [(root, leaves, auts)]
+    complete: list[tuple[Graph, dict]] = []
     memo: dict[int, set[int]] = {}
     nodes = 0
     while open_states and len(open_states) < target:
         if budget is not None and nodes >= budget:
             break
-        open_states.sort(key=lambda entry: len(entry[0]))
-        state, leaves = open_states.pop(0)
-        memo.setdefault(len(state), set()).update(leaves)
+        open_states.sort(key=lambda entry: entry[0].n)
+        graph, leaves, auts = open_states.pop(0)
+        memo.setdefault(graph.n, set()).update(leaves)
         nodes += 1
-        kids = _children(state, cfg_key["k"], cfg_key["g"], cfg_key["n_max"])
+        kids = _children(graph.rows, cfg_key["k"], cfg_key["g"], cfg_key["n_max"], auts)
         if kids is None:
-            complete.append((state, leaves))
+            complete.append((graph, leaves))
             continue
         for kid in kids:
-            leaves, visited = _admit(kid, admitted)
+            kid_graph = Graph(len(kid), kid)
+            leaves, visited, auts = _admit(kid_graph, admitted)
             labelled += visited
             if leaves is not None:
-                open_states.append((kid, leaves))
-    return [state for state, _ in open_states], complete, memo, nodes, labelled
+                open_states.append((kid_graph, leaves, auts))
+    return [graph.rows for graph, _, _ in open_states], complete, memo, nodes, labelled
 
 
 def _write_checkpoint(path: str, cfg_key: dict, classes, hits, nodes, memo,
@@ -532,8 +609,8 @@ def generate(config: SearchConfig) -> SearchOutcome:
         nodes += spent
         if budget is not None:
             budget -= spent
-        for state, leaves in complete:
-            _record(state, leaves, cfg_key, classes, hits)
+        for graph, leaves in complete:
+            _record(graph, leaves, cfg_key, classes, hits)
     else:
         frontier = [(0,)]
 

@@ -318,7 +318,7 @@ def test_closed_twin_rule_keeps_certificates(monkeypatch):
 def _first_leaf_hit(g, h):
     # whether h's walk stops at its first leaf against g's leaf certificates
     known = set(_walk(g.rows)[0])
-    leaves, visited = _walk(h.rows, known)
+    leaves, visited, _ = _walk(h.rows, known)
     if leaves is None:
         assert visited == 1
         return True
@@ -429,7 +429,7 @@ def test_hoffman_singleton_labels_few_leaves_in_every_labelling():
                      for seed in range(8)]
     forms, certificates, counts = set(), set(), []
     for g in graphs:
-        leaves, visited = _walk(g.rows)
+        leaves, visited, _ = _walk(g.rows)
         forms.add(canonical_graph6(g))
         certificates.add(frozenset(leaves))
         counts.append(visited)
@@ -448,9 +448,9 @@ def test_canonical_form_of_non_regular_graphs_is_pinned(monkeypatch):
     walked = set()
     walk = search._walk
 
-    def recording(rows, known):
+    def recording(rows, known, layers):
         walked.add(tuple(rows))
-        return walk(rows, known)
+        return walk(rows, known, layers)
 
     monkeypatch.setattr(search, "_walk", recording)
     monkeypatch.setattr(search, "_viable", lambda rows, k, g, n_max: tuple(rows))

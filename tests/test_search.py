@@ -162,19 +162,22 @@ def test_leaves_labelled_is_pinned():
     # since its first leaf is one of an expanded state's certificates.  The
     # distance-profile cells of complete states took it from 712 to 686,
     # forced-edge propagation in the lookahead from 686 to 482, pushing
-    # closed children from 482 to 374, and backjumping on a repeated leaf
-    # certificate from 374 to 353
+    # closed children from 482 to 374, backjumping on a repeated leaf
+    # certificate from 374 to 353, and pushing one child per orbit of the
+    # parent's automorphisms from 353 to 337 (430 to 343 at quartic n <= 12)
     out = generate(SearchConfig(k=3, g=5, n_max=14))
-    assert out.nodes_expanded == 130 and out.leaves_labelled == 353
+    assert out.nodes_expanded == 130 and out.leaves_labelled == 337
+    out = generate(SearchConfig(k=4, g=4, n_max=12))
+    assert out.nodes_expanded == 105 and out.leaves_labelled == 343
 
 
 def test_leaf_index_is_kept_per_order():
     # a certificate is a payload int without its order: the edgeless graphs
     # on one and on two vertices both have certificate 0
     memo: dict[int, set[int]] = {}
-    assert search._admit((0,), memo) == ({0: (0,)}, 1)
-    assert search._admit((0, 0), memo) == ({0: (0, 1)}, 1)
-    assert search._admit((0, 0), memo) == (None, 1)
+    assert search._admit(Graph(1, (0,)), memo) == ({0: (0,)}, 1, [])
+    assert search._admit(Graph(2, (0, 0)), memo) == ({0: (0, 1)}, 1, [])
+    assert search._admit(Graph(2, (0, 0)), memo) == (None, 1, [])
     assert memo == {1: {0}, 2: {0}}
 
 
@@ -187,25 +190,27 @@ def test_leaves_labelled_counts_one_call(tmp_path):
     # expanded states, so the resumed call refuses each duplicate at its
     # first leaf, as the uninterrupted run does, instead of walking in full
     # the first duplicate of each class expanded before: (345, 15) became
-    # (345, 8), which sums to the uninterrupted run's 353
+    # (345, 8), which sums to the uninterrupted run's 353.  Pushing one
+    # child per orbit of the parent's automorphisms made it (332, 5), which
+    # sums to 337
     config = SearchConfig(k=3, g=5, n_max=14, node_budget=129,
                           checkpoint_path=str(tmp_path / "frontier.txt"))
     first, rest = generate(config), generate(config)
     assert first.suspended and not rest.suspended and rest.nodes_expanded == 130
-    assert (first.leaves_labelled, rest.leaves_labelled) == (345, 8)
+    assert (first.leaves_labelled, rest.leaves_labelled) == (332, 5)
 
 
-def _admit_by_least_certificate(state, memo):
+def _admit_by_least_certificate(graph, memo):
     # the canonical-key memo: every state walked in full, and refused when
     # its least certificate, its canonical graph6, was expanded before
     from girthlab.canon import _walk
 
-    leaves, visited = _walk(state)
-    known = memo.setdefault(len(state), set())
+    leaves, visited, auts = _walk(graph.rows)
+    known = memo.setdefault(graph.n, set())
     if min(leaves) in known:
-        return None, visited
+        return None, visited, auts
     known.update(leaves)
-    return leaves, visited
+    return leaves, visited, auts
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -245,6 +250,44 @@ def test_pruning_keeps_every_class(monkeypatch, kwargs):
     assert pruned.classes_graph6 == plain.classes_graph6
     assert pruned.hits_graph6 == plain.hits_graph6
     assert pruned.nodes_expanded < plain.nodes_expanded
+
+
+_orbit_walk = search._walk
+
+
+def _walk_without_automorphisms(rows, known, layers):
+    # the walk as it is, but handing the search no automorphism to group
+    # siblings by
+    leaves, visited, _ = _orbit_walk(rows, known, layers)
+    return leaves, visited, []
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(k=3, g=3, n_max=10),
+    dict(k=3, g=4, n_max=12),
+    dict(k=3, g=5, n_max=14),
+    dict(k=3, g=6, n_max=18),
+    dict(k=4, g=3, n_max=9),
+    dict(k=4, g=4, n_max=12),
+    dict(k=3, g=4, n_max=12, girth_mode=GIRTH_EXACT, lambda_filter=2),
+    dict(k=3, g=5, n_max=14, lambda_filter=6, worker_count=2),
+])
+def test_sibling_orbits_keep_every_class(monkeypatch, kwargs):
+    # a child dropped for sharing an orbit of the parent's pivot-fixing
+    # automorphisms with a later sibling is one that the memo would refuse
+    # at its first leaf, as that sibling is popped first: without the
+    # automorphisms the search emits the same classes and hits, and with one
+    # worker it expands the same nodes and labels more leaves
+    pruned = generate(SearchConfig(**kwargs))
+    monkeypatch.setattr(search, "_walk", _walk_without_automorphisms)
+    plain = generate(SearchConfig(**kwargs))
+    assert pruned.total_classes > 0
+    assert pruned.classes_graph6 == plain.classes_graph6
+    assert pruned.hits_graph6 == plain.hits_graph6
+    assert pruned.total_hits > 0 or kwargs.get("lambda_filter") is None
+    if kwargs.get("worker_count", 1) == 1:
+        assert pruned.nodes_expanded == plain.nodes_expanded
+        assert pruned.leaves_labelled < plain.leaves_labelled
 
 
 _closing_viable = search._viable
@@ -537,7 +580,7 @@ def test_checkpointed_memo_repeats_no_work(tmp_path):
 def test_resume_chain_labels_the_uninterrupted_leaves(tmp_path, budget):
     # every leaf certificate of the expanded states travels through the
     # checkpoint, so a chain of one-worker calls refuses each duplicate at
-    # its first leaf, as the uninterrupted run does, and labels its 353
+    # its first leaf, as the uninterrupted run does, and labels its 337
     # leaves in all
     path = str(tmp_path / "frontier.txt")
     config = SearchConfig(k=3, g=5, n_max=14, node_budget=budget, checkpoint_path=path)
@@ -548,7 +591,7 @@ def test_resume_chain_labels_the_uninterrupted_leaves(tmp_path, budget):
         if not out.suspended:
             break
     assert not out.suspended and out.nodes_expanded == 130
-    assert labelled == 353
+    assert labelled == 337
 
 
 def test_checkpoint_written_without_closed_children_resumes(monkeypatch, tmp_path):
