@@ -18,13 +18,13 @@ size and the number of edges inside the layer.  All n profiles are read
 off one all-sources layer pass, a `core.Layers` (`_distance_profiles`):
 `canonical_graph6` passes the graph's own ``g.layers``, so the layers and
 edge counts that the girth and the girth-5 counter already grew are read
-again rather than recomputed, while a search state, a bare tuple of rows,
-gets a pass of its own.  An isomorphism maps BFS layers onto BFS
-layers, so the profile is an isomorphism invariant, as the degree is.  A
-random cubic graph of girth 5 on 40 to 64 vertices then labels about one
-leaf instead of n; a vertex-transitive graph has one profile, so its tree
-and form are those of the degree cell.  Profiles are tuples, so no two
-distinct ones collide.
+again rather than recomputed, and the search passes each state's, whose
+neighbour lists it carried from the parent state.  An isomorphism maps
+BFS layers onto BFS layers, so the profile is an isomorphism invariant,
+as the degree is.  A random cubic graph of girth 5 on 40 to 64 vertices
+then labels about one leaf instead of n; a vertex-transitive graph has
+one profile, so its tree and form are those of the degree cell.  Profiles
+are tuples, so no two distinct ones collide.
 
 Two leaves with equal certificates give an automorphism, the map from the
 first leaf's order to the second's.  A dict from certificate to the order
@@ -56,6 +56,27 @@ decided once per call, so twin-free graphs (every regular graph of girth
 at least 5) pay nothing for it.  The fresh vertices of a partial search
 state are open twins, and the universal vertices of a dense graph are
 closed twins, so K_n labels one leaf.
+
+Twins also end a branch early.  When every non-singleton cell of an
+equitable partition is a class of mutual twins, the node has one leaf
+below it, and the walk emits that leaf at once, the cells' vertices
+concatenated in cell order.  This is exact.  A vertex outside a twin class
+C is joined to all of C or to none of it, so individualising the first
+vertex of C splits no other cell, and C less that vertex stays one cell:
+refinement leaves the partition as it was, with one more singleton in
+place, and every non-singleton cell still a twin class.  The other members
+of C are twins of the vertex tried, so the walk tries no other child.
+Each level below the node therefore has one child, whichever cell it
+targets, and the one leaf lists every cell in its current order.  The
+walk meets the same leaf with the same certificate, labels it once as
+before, and finds the same automorphism when it repeats a certificate.  A
+backjump from it goes back to the same depth: the paths to two leaves
+with one certificate part above both of the nodes at which they stop,
+since a node on both paths would stop both walks and the two leaves would
+be one, so cutting each path at its node keeps the depth at which they
+part.  Only the refinements of the levels in between are skipped; the star
+K_{1,5}, one degree cell of five twins, labels its leaf off the root's
+refinement.
 
 The certificates met by one walk are an isomorphism invariant, which makes
 a single leaf an exact isomorphism test (McKay, "Isomorph-free exhaustive
@@ -153,15 +174,22 @@ def _distance_profiles(layers: Layers) -> list[tuple[int, ...]]:
     """The distance profile of every vertex v, ``(|L_0|, e_0, |L_1|, e_1,
     ...)`` over its nonempty BFS layers ``L_0 = {v}``, ``L_1``, ..., where
     ``e_d`` counts the edges inside ``L_d``: the whole pass of `layers`,
-    with `Layers.inside` at each depth."""
-    profiles = [[1, 0] for _ in layers.nbrs]
+    with `Layers.inside` at each depth.  One column of sizes and one of
+    edge counts per depth are zipped into rows; past its eccentricity a
+    vertex's layers are empty and hold no edge, so its row ends in pairs
+    ``0, 0``, which are cut (a layer before a nonempty one is nonempty)."""
+    n = len(layers.nbrs)
+    columns = [[1] * n, [0] * n]
     d = 1
     while (layer := layers.layer(d)) is not None:
-        for profile, mask, e in zip(profiles, layer, layers.inside(d)):
-            if mask:
-                profile += (mask.bit_count(), e)
+        columns.append([mask.bit_count() for mask in layer])
+        columns.append(layers.inside(d))
         d += 1
-    return [tuple(p) for p in profiles]
+    profiles = list(zip(*columns))
+    for v, profile in enumerate(profiles):
+        if not profile[-2]:
+            profiles[v] = profile[:2 * profile[::2].index(0)]
+    return profiles
 
 
 def _twin_keys(rows: Sequence[int]) -> Sequence[int]:
@@ -231,8 +259,12 @@ def _walk(rows: Sequence[int], known: Container[int] = frozenset(),
         for idx, cell in enumerate(cells):
             if len(cell) > 1 and (target is None or len(cell) < len(cells[target])):
                 target = idx
-        if target is None:
-            order = tuple(c[0] for c in cells)
+        # a partition whose every non-singleton cell is a class of mutual
+        # twins has one leaf below it, in this cell order (see module notes)
+        if target is None or twins and all(
+                twin[v] == twin[cell[0]] for cell in cells if len(cell) > 1
+                for v in cell):
+            order = tuple(v for cell in cells for v in cell)
             cert = pack_payload(nbrs, order)
             visited += 1
             if not leaves and cert in known:

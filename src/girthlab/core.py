@@ -10,8 +10,10 @@ The breadth-first layers of every vertex come from one all-sources pass,
 ``g.layers``, a `Layers` object built on first use and grown one depth at
 a time, so the girth, the girth-5 counts, the canonical distance profiles
 and the audit's shells of one graph share a single pass.  The object lives
-and dies with its `Graph` instance: equal but distinct instances share
-nothing, and copies and pickles carry only ``n`` and ``rows``.
+and dies with its `Graph` instance: equal but distinct instances share no
+pass, and copies and pickles carry only ``n`` and ``rows``.  The search
+seeds a child state's ``layers`` with neighbour lists shared with its
+parent's, which is safe because no reader changes a list.
 """
 from __future__ import annotations
 
@@ -219,8 +221,12 @@ def bfs_layers(nbrs: Sequence[Sequence[int]]) -> Iterator[list[VertexSet]]:
     at distance d - 1 from a neighbour of v, and every vertex at distance
     d - 1 from a neighbour is within distance d of v, so ``L_d(v)`` is the
     union of the neighbours' ``L_{d-1}`` less the ball ``B_{d-1}(v)``: one
-    int OR per (vertex, neighbour) pair and depth.  Each yielded list is
-    new; the caller may keep it.
+    int OR per (vertex, neighbour) pair and depth.  Once every ball holds
+    all n vertices, as it does after the eccentricity of each vertex of a
+    connected graph, no later layer can be nonempty, so the pass stops
+    without computing the empty one; a graph with a ball that never fills,
+    a disconnected one, stops at the first depth at which no layer grows.
+    Each yielded list is new; the caller may keep it.
     """
     n = len(nbrs)
     layer = [1 << v for v in range(n)]
@@ -228,6 +234,8 @@ def bfs_layers(nbrs: Sequence[Sequence[int]]) -> Iterator[list[VertexSet]]:
     unseen = [((1 << n) - 1) ^ bit for bit in layer]
     while True:
         yield layer
+        if not any(unseen):
+            return
         prev = layer
         layer = []
         grew = 0
@@ -252,22 +260,32 @@ def edge_pairs(nbrs: Sequence[Sequence[int]]) -> list[tuple[int, int]]:
 class Layers:
     """One `bfs_layers` pass over a graph, grown one depth at a time as its
     readers ask, with what they share: the ascending neighbour lists
-    `nbrs`, the edge list `edges` (`edge_pairs`), the layers of each depth
-    reached, the edges inside each layer (`inside`), and the girth once
-    `girth.girth` has found it.  Growing is not locked: one thread at a
-    time may read a `Layers`.
+    `nbrs`, the edge list `edges` (`edge_pairs`, built on first use, as a
+    reader of the lists alone, such as a canonical walk of a non-regular
+    graph, never needs it), the layers of each depth reached, the edges
+    inside each layer (`inside`), and the girth once `girth.girth` has
+    found it.  The lists are read, never changed, so a caller may build
+    them from another graph's lists that share most rows.  Growing is not
+    locked: one thread at a time may read a `Layers`.
     """
 
-    __slots__ = ("nbrs", "edges", "girth", "_depths", "_inside", "_pass")
+    __slots__ = ("nbrs", "girth", "_edges", "_depths", "_inside", "_pass")
 
     def __init__(self, nbrs: list[list[int]]):
         self.nbrs = nbrs
-        self.edges = edge_pairs(nbrs)
         #: 0 until `girth.girth` has run, then the girth, None for a forest
         self.girth: int | None = 0
+        self._edges: list[tuple[int, int]] | None = None
         self._depths: list[list[VertexSet]] = []
         self._inside: dict[int, list[int]] = {}
         self._pass: Iterator[list[VertexSet]] | None = bfs_layers(nbrs)
+
+    @property
+    def edges(self) -> list[tuple[int, int]]:
+        """Every edge once (`edge_pairs`).  Shared, like the layers."""
+        if self._edges is None:
+            self._edges = edge_pairs(self.nbrs)
+        return self._edges
 
     def layer(self, d: int) -> list[VertexSet] | None:
         """``[L_d(v) for v in range(n)]``, or None past the last depth at

@@ -97,6 +97,17 @@ never loses a class; their memos are merged per order when the run is
 checkpointed.  `leaves_labelled` counts the certificates computed by one
 call, summed over its workers.
 
+A child carries its parent's neighbour lists (`_child_graph`): its
+`Graph` comes with a `core.Layers` that shares the parent's list of every
+row the child left as it was, and lists afresh only the rows it changed
+(the pivot, its partners, the ends of forced edges) and the rows it
+added.  `_admit` walks every state over its ``graph.layers``, so the walk
+builds no lists of its own, a regular state's distance profiles come off
+the same pass, and a complete state is evaluated on it.  A list depends
+on its row alone, so nothing else of the parent is carried: the walk's
+starting partition, in particular, must depend only on the child's
+isomorphism class for the memo to stay an isomorphism test.
+
 A complete graph is emitted as the graph6 line of its least certificate,
 the canonical graph6 that `canonical_graph6` and `are_isomorphic` also
 compute; that string is the class in outputs and checkpoints.  Equal
@@ -118,7 +129,7 @@ import time
 from dataclasses import dataclass, field
 
 from .canon import _walk
-from .core import Graph, bit_list, is_connected
+from .core import Graph, Layers, bit_list, is_connected
 from .errors import GirthLabError, InternalInconsistency
 from .formats import graph6_line, graph6_payload, parse_graph6, write_graph6
 from .girth import girth, girth_profile
@@ -246,13 +257,13 @@ def _viable(rows: Rows, k: int, g: int, n_max: int) -> Rows | None:
     if fresh >= k:
         return tuple(rows)
     stubs = k * len(rows) - sum(r.bit_count() for r in rows)
-    for f in range(fresh, 0, -1):
-        if not (stubs + k * f) % 2 and _forced_closure(list(rows) + [0] * f, k, g):
-            return tuple(rows)
-    closed = list(rows)
-    if stubs % 2 or not _forced_closure(closed, k, g):
-        return None
-    return tuple(closed)
+    for f in range(fresh, -1, -1):
+        if (stubs + k * f) % 2:
+            continue
+        closed = list(rows) + [0] * f
+        if _forced_closure(closed, k, g):
+            return tuple(closed) if f == 0 else tuple(rows)
+    return None
 
 
 def _forced_closure(rows: list[int], k: int, g: int) -> bool:
@@ -270,7 +281,14 @@ def _forced_closure(rows: list[int], k: int, g: int) -> bool:
     changed = True
     while changed:
         changed = False
-        for v, m in enumerate(missing):
+        # the vertices unsaturated when the pass starts, ascending; one
+        # saturated since then is skipped
+        rest = unsaturated
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            v = bit.bit_length() - 1
+            m = missing[v]
             if not m:
                 continue
             near = _near_mask(rows, v, g - 2)
@@ -294,7 +312,7 @@ def _forced_closure(rows: list[int], k: int, g: int) -> bool:
                 if partners:
                     near = _near_mask(rows, v, g - 2)
             missing[v] = 0
-            unsaturated ^= 1 << v
+            unsaturated ^= bit
             changed = True
     return True
 
@@ -421,6 +439,22 @@ def _record(graph: Graph, leaves: dict, cfg_key: dict, classes: set, hits: set) 
             hits.add(entry)
 
 
+def _child_graph(parent: Graph, rows: Rows) -> Graph:
+    """The `Graph` of a child `rows` of the state `parent`, whose layer
+    pass starts from the parent's neighbour lists: a row the child shares
+    with the parent keeps its list, and only the changed rows (the pivot,
+    its partners and the ends of forced edges) and the new ones are listed
+    afresh.  Only these lists are carried, never anything the parent's walk
+    derived from them."""
+    nbrs = [ys if row == was else bit_list(row)
+            for ys, row, was in zip(parent.layers.nbrs, rows, parent.rows)]
+    nbrs += [bit_list(row) for row in rows[parent.n:]]
+    graph = Graph(len(rows), rows)
+    # `layers` is a cached property: seed its slot in the instance
+    graph.__dict__["layers"] = Layers(nbrs)
+    return graph
+
+
 def _admit(graph: Graph, memo: dict[int, set[int]]
            ) -> tuple[dict[int, tuple[int, ...]] | None, int, list[tuple[int, ...]]]:
     """Memo test of one state: (leaves, leaves labelled, automorphisms
@@ -428,14 +462,12 @@ def _admit(graph: Graph, memo: dict[int, set[int]]
     certificate of the order-n states expanded so far.  A state whose first
     leaf is among them is refused after that one leaf, and `leaves` is
     None; otherwise its class is new, and the certificates it met, the keys
-    of `leaves`, join the memo.  A regular state is walked over
-    ``graph.layers``, so a complete state is evaluated on the same pass."""
+    of `leaves`, join the memo.  The state is walked over ``graph.layers``,
+    whose neighbour lists a child carries from its parent
+    (`_child_graph`), so a complete state is evaluated on the walk's
+    pass."""
     known = memo.setdefault(graph.n, set())
-    rows = graph.rows
-    # the first and last degrees differ in most partial states
-    regular = (rows[0].bit_count() == rows[-1].bit_count()
-               and len({r.bit_count() for r in rows}) == 1)
-    leaves, visited, auts = _walk(rows, known, graph.layers if regular else None)
+    leaves, visited, auts = _walk(graph.rows, known, graph.layers)
     if leaves is not None:
         known.update(leaves)
     return leaves, visited, auts
@@ -456,24 +488,23 @@ def _run_frontier(frontier: list[Rows], cfg_key: dict, budget: int | None,
     k, g, n_max = cfg_key["k"], cfg_key["g"], cfg_key["n_max"]
     classes: set[tuple[int, str]] = set()
     hits: set[tuple[int, str]] = set()
-    stack = list(frontier)
+    stack = [Graph(len(state), state) for state in frontier]
     nodes = labelled = 0
     while stack:
         if budget is not None and nodes >= budget:
-            return {"classes": classes, "hits": hits, "nodes": nodes,
-                    "labelled": labelled, "memo": memo, "leftover": stack}
-        state = stack.pop()
-        graph = Graph(len(state), state)
+            return {"classes": classes, "hits": hits, "nodes": nodes, "labelled": labelled,
+                    "memo": memo, "leftover": [graph.rows for graph in stack]}
+        graph = stack.pop()
         leaves, visited, auts = _admit(graph, memo)
         labelled += visited
         if leaves is None:
             continue
         nodes += 1
-        kids = _children(state, k, g, n_max, auts)
+        kids = _children(graph.rows, k, g, n_max, auts)
         if kids is None:
             _record(graph, leaves, cfg_key, classes, hits)
             continue
-        stack.extend(kids)
+        stack.extend(_child_graph(graph, kid) for kid in kids)
     return {"classes": classes, "hits": hits, "nodes": nodes, "labelled": labelled,
             "memo": memo, "leftover": []}
 
@@ -506,7 +537,7 @@ def _split_frontier(cfg_key: dict, target: int, budget: int | None
             complete.append((graph, leaves))
             continue
         for kid in kids:
-            kid_graph = Graph(len(kid), kid)
+            kid_graph = _child_graph(graph, kid)
             leaves, visited, auts = _admit(kid_graph, admitted)
             labelled += visited
             if leaves is not None:

@@ -338,7 +338,16 @@ def naive_refine(adj, cells) -> list[list[int]]:
 def naive_walk_leaves(adj) -> dict[int, tuple[int, ...]]:
     """Every leaf certificate of the refinement tree, mapped to the vertex
     order of the first leaf in depth-first order that gives it: the
-    reference for `canon._walk`'s leaves.
+    reference for `canon._walk`'s leaves."""
+    leaves: dict[int, tuple[int, ...]] = {}
+    for cert, order in naive_walk_orders(adj):
+        leaves.setdefault(cert, order)
+    return leaves
+
+
+def naive_walk_orders(adj) -> list[tuple[int, tuple[int, ...]]]:
+    """(certificate, vertex order) of every leaf of the refinement tree, in
+    depth-first order.
 
     The tree is walked in full, nothing pruned.  It starts from the degree
     cells, or from the distance-profile cells of a regular graph, in
@@ -353,7 +362,7 @@ def naive_walk_leaves(adj) -> dict[int, tuple[int, ...]]:
     else:
         keys = {v: len(adj[v]) for v in verts}
     start = [[v for v in verts if keys[v] == key] for key in sorted(set(keys.values()))]
-    leaves: dict[int, tuple[int, ...]] = {}
+    orders: list[tuple[int, tuple[int, ...]]] = []
 
     def certificate(order):
         cert = 0
@@ -367,7 +376,7 @@ def naive_walk_leaves(adj) -> dict[int, tuple[int, ...]]:
         sizes = [len(cell) for cell in cells if len(cell) > 1]
         if not sizes:
             order = tuple(cell[0] for cell in cells)
-            leaves.setdefault(certificate(order), order)
+            orders.append((certificate(order), order))
             return
         target = next(i for i, cell in enumerate(cells) if len(cell) == min(sizes))
         cell = cells[target]
@@ -376,4 +385,4 @@ def naive_walk_leaves(adj) -> dict[int, tuple[int, ...]]:
                     + cells[target + 1:])
 
     descend(start)
-    return leaves
+    return orders

@@ -24,7 +24,8 @@ from girthlab import (
 from girthlab.canon import _distance_profiles, _refine, _walk, canonize
 from girthlab.core import Graph, bits, is_connected
 
-from naive_oracles import naive_distance_profile, naive_refine, naive_walk_leaves, to_adj
+from naive_oracles import (naive_distance_profile, naive_refine, naive_walk_leaves,
+                           naive_walk_orders, to_adj)
 
 
 def _random_graph(rng, n, p):
@@ -391,19 +392,77 @@ def _small_twin_rich_graphs(rng):
     return graphs
 
 
+def _fresh_block_states():
+    # the states a cubic girth-5 search walks whose last two vertices are
+    # fresh twins hanging off the pivot; the lookahead is switched off, so
+    # the set does not shrink as it sharpens
+    from girthlab import SearchConfig, generate, search
+
+    walked = []
+    walk = search._walk
+
+    def recording(rows, known, layers):
+        walked.append(tuple(rows))
+        return walk(rows, known, layers)
+
+    patch = pytest.MonkeyPatch()
+    patch.setattr(search, "_walk", recording)
+    patch.setattr(search, "_viable", lambda rows, k, g, n_max: tuple(rows))
+    try:
+        generate(SearchConfig(k=3, g=5, n_max=16))
+    finally:
+        patch.undo()
+    states = [Graph(len(rows), rows) for rows in walked
+              if len(rows) > 2 and rows[-1] == rows[-2]]
+    assert len(states) > 100 and max(g.n for g in states) == 16
+    return states
+
+
 def test_walk_leaves_match_the_unpruned_tree():
-    # orbit and twin pruning and the backjump on a repeated certificate skip
-    # only subtrees whose certificates an earlier leaf gave: every
-    # certificate is met, and its first leaf is the first in depth-first
-    # order of the whole tree
+    # orbit and twin pruning, the backjump on a repeated certificate and
+    # the leaf at a partition of twin classes skip only subtrees whose
+    # certificates an earlier leaf gave: every certificate is met, and its
+    # first leaf is the first in depth-first order of the whole tree; each
+    # automorphism found maps a first leaf onto a leaf of the tree with the
+    # same certificate; and no more leaves are labelled than the tree has.
+    # Refinement never splits the fresh twins of a search state, so the
+    # walks of those states end at partitions of twin classes
     rng = random.Random(1981)
     graphs = [petersen_graph(), complete_graph(4), complete_bipartite_graph(3, 3),
               cycle_graph(8), _cube_graph()]
     graphs += _small_twin_rich_graphs(rng)
     graphs += [_random_graph(rng, rng.randrange(1, 10), rng.uniform(0.2, 0.8))
                for _ in range(200)]
+    graphs += _fresh_block_states()
     for g in graphs:
-        assert _walk(g.rows)[0] == naive_walk_leaves(to_adj(g))
+        leaves, visited, auts = _walk(g.rows)
+        assert leaves == naive_walk_leaves(to_adj(g))
+        tree = naive_walk_orders(to_adj(g))
+        certificates = {order: cert for cert, order in tree}
+        for gamma in auts:
+            assert any(certificates.get(tuple(gamma[v] for v in first)) == cert
+                       for cert, first in leaves.items())
+        assert len(leaves) + len(auts) <= visited <= len(tree)
+
+
+def test_twin_class_partition_is_a_leaf(monkeypatch):
+    # the leaves of the star K_{1,5} are one cell of mutual twins: the walk
+    # labels its one leaf off the root's refinement, where individualising
+    # them one by one took four more refinements
+    from girthlab import canon
+
+    refine = canon._refine
+    calls = []
+
+    def counting(nbrs, cells, fresh):
+        calls.append(fresh)
+        return refine(nbrs, cells, fresh)
+
+    monkeypatch.setattr(canon, "_refine", counting)
+    star = complete_bipartite_graph(1, 5)
+    leaves, visited, auts = _walk(star.rows)
+    assert leaves == naive_walk_leaves(to_adj(star))
+    assert (visited, auts, len(calls)) == (1, [], 1)
 
 
 def _hoffman_singleton():

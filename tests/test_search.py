@@ -20,7 +20,7 @@ from girthlab import (
     regularity,
 )
 from girthlab import search
-from girthlab.core import Graph
+from girthlab.core import Graph, bit_list
 
 from naive_oracles import naive_dist, naive_labeled_regular_graphs, to_adj
 
@@ -123,8 +123,10 @@ def test_published_counts_cubic_slow(n_max):
     out = generate(SearchConfig(k=3, g=5, n_max=n_max))
     assert out.per_n_classes == {n: c for n, c in CUBIC_GIRTH5.items() if n <= n_max}
     if n_max == 18:
-        # 18,782 nodes before closed children were pushed
+        # 18,782 nodes before closed children were pushed; the leaves pin
+        # the walk, which labels 20,167 of them for these nodes
         assert out.nodes_expanded == 10491
+        assert out.leaves_labelled == 20167
 
 
 def _digest(outcome):
@@ -288,6 +290,27 @@ def test_sibling_orbits_keep_every_class(monkeypatch, kwargs):
     if kwargs.get("worker_count", 1) == 1:
         assert pruned.nodes_expanded == plain.nodes_expanded
         assert pruned.leaves_labelled < plain.leaves_labelled
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(k=3, g=5, n_max=14),
+    dict(k=4, g=4, n_max=12),
+])
+def test_children_carry_their_parents_neighbour_lists(monkeypatch, kwargs):
+    # a child's layer pass starts from its parent's neighbour lists with
+    # only the changed and new rows listed afresh: at every pop the lists
+    # the walk reads are those of the state's own rows
+    walk = search._walk
+    popped = []
+
+    def checking(rows, known, layers):
+        assert layers.nbrs == [bit_list(r) for r in rows]
+        popped.append(len(rows))
+        return walk(rows, known, layers)
+
+    monkeypatch.setattr(search, "_walk", checking)
+    out = generate(SearchConfig(**kwargs))
+    assert len(popped) > out.nodes_expanded and max(popped) == kwargs["n_max"]
 
 
 _closing_viable = search._viable
