@@ -57,10 +57,7 @@ therefore expands the states, and finds the classes and hits, that it
 finds without the rule; it labels one leaf fewer for each dropped sibling
 that `_viable` keeps, and the frontier of a checkpoint lacks those
 siblings.  The representative is picked by its place in the list, so no
-hash order reaches the run.  The breadth-first split phase of a
-multi-worker run admits the kept member where it would have admitted the
-first listed one: the classes are the same, the states handed to the
-workers may differ.
+hash order reaches the run.
 
 All four rules are sound under the memo below: a dropped child has no
 completion, or has the completions of an emitted sibling up to
@@ -89,11 +86,17 @@ either processed or still open, so the memo stays valid across a
 suspension.  A checkpoint stores it, one `#memo` graph6 line per
 certificate, next to the open frontier, and a resumed run refuses each
 duplicate at its first leaf as an uninterrupted run does: a chain of
-one-worker calls labels exactly the uninterrupted run's leaves.  Workers
-start from the memo of the checkpoint or of the split phase, which holds
-the certificates of the states it expanded and not those of its open
-frontier.  Each grows its own copy, so a split run may repeat work but
-never loses a class; their memos are merged per order when the run is
+one-worker calls labels exactly the uninterrupted run's leaves.
+
+Workers start from what a suspended run leaves: an open frontier and the
+memo of the states expanded before it, read from a checkpoint or made by
+the split.  The split grows the frontier, from the checkpoint or from the
+root, until it holds 16 open states per worker; each step is a call of
+`_run_frontier` with a budget of one node that pops the shallowest open
+state, so the split admits and expands states by the same loop and rules
+as a one-worker run.  The workers share the frontier round-robin and
+each grows its own copy of the memo, so a multi-worker run may repeat work
+but never loses a class; their memos are merged per order when the run is
 checkpointed.  `leaves_labelled` counts the certificates computed by one
 call, summed over its workers.
 
@@ -129,7 +132,7 @@ import time
 from dataclasses import dataclass, field
 
 from .canon import _walk
-from .core import Graph, Layers, bit_list, is_connected
+from .core import Graph, Layers, bit_list, is_connected, max_vertices
 from .errors import GirthLabError, InternalInconsistency
 from .formats import graph6_line, graph6_payload, parse_graph6, write_graph6
 from .girth import girth, girth_profile
@@ -173,6 +176,12 @@ class SearchConfig:
         if self.n_max > limit:
             raise ValueError(f"n_max {self.n_max} above the order cap {limit}; "
                              "raise `cap` explicitly for longer runs")
+        # a checkpoint's frontier and classes are read back as graph6, which
+        # refuses orders above the vertex cap
+        vertex_cap = max_vertices()
+        if self.n_max > vertex_cap:
+            raise ValueError(f"n_max {self.n_max} above the vertex cap {vertex_cap}; "
+                             "raise GIRTHLAB_MAX_N for larger graphs")
         if self.lambda_filter is not None and self.lambda_filter < 0:
             raise ValueError("lambda_filter must be nonnegative")
         # with girth exactly g no vertex lies on more girth cycles than the
@@ -509,42 +518,6 @@ def _run_frontier(frontier: list[Rows], cfg_key: dict, budget: int | None,
             "memo": memo, "leftover": []}
 
 
-def _split_frontier(cfg_key: dict, target: int, budget: int | None
-                    ) -> tuple[list[Rows], list[tuple[Graph, dict]], dict[int, set[int]],
-                               int, int]:
-    """Breadth-expand from the root, one state per isomorphism class, until
-    at least `target` open states exist or `budget` nodes are expanded.
-    Returns the open states, the complete states met on the way with their
-    leaves, the memo of the expanded states, the nodes expanded and the
-    leaves labelled.  The certificates of the open states stay out of that
-    memo, as the workers would otherwise refuse their own frontier."""
-    root = Graph(1, (0,))
-    admitted: dict[int, set[int]] = {}
-    leaves, labelled, auts = _admit(root, admitted)
-    open_states: list[tuple[Graph, dict, list]] = [(root, leaves, auts)]
-    complete: list[tuple[Graph, dict]] = []
-    memo: dict[int, set[int]] = {}
-    nodes = 0
-    while open_states and len(open_states) < target:
-        if budget is not None and nodes >= budget:
-            break
-        open_states.sort(key=lambda entry: entry[0].n)
-        graph, leaves, auts = open_states.pop(0)
-        memo.setdefault(graph.n, set()).update(leaves)
-        nodes += 1
-        kids = _children(graph.rows, cfg_key["k"], cfg_key["g"], cfg_key["n_max"], auts)
-        if kids is None:
-            complete.append((graph, leaves))
-            continue
-        for kid in kids:
-            kid_graph = _child_graph(graph, kid)
-            leaves, visited, auts = _admit(kid_graph, admitted)
-            labelled += visited
-            if leaves is not None:
-                open_states.append((kid_graph, leaves, auts))
-    return [graph.rows for graph, _, _ in open_states], complete, memo, nodes, labelled
-
-
 def _write_checkpoint(path: str, cfg_key: dict, classes, hits, nodes, memo,
                       frontier) -> None:
     """Write the checkpoint to a temporary file beside `path` and move it
@@ -625,29 +598,27 @@ def generate(config: SearchConfig) -> SearchOutcome:
     cfg_key = config._key()
     started = time.perf_counter()
 
-    classes: set[tuple[int, str]] = set()
-    hits: set[tuple[int, str]] = set()
-    memo: dict[int, set[int]] = {}
-    nodes = labelled = 0
-    budget = config.node_budget
     resumed = bool(config.checkpoint_path) and os.path.exists(config.checkpoint_path)
     if resumed:
         classes, hits, nodes, memo, frontier = _read_checkpoint(config.checkpoint_path,
                                                                 cfg_key)
-    elif config.worker_count > 1:
-        frontier, complete, memo, spent, labelled = _split_frontier(
-            cfg_key, config.worker_count * 16, budget)
-        nodes += spent
-        if budget is not None:
-            budget -= spent
-        for graph, leaves in complete:
-            _record(graph, leaves, cfg_key, classes, hits)
     else:
-        frontier = [(0,)]
+        classes, hits, nodes, memo, frontier = set(), set(), 0, {}, [(0,)]
+    budget = config.node_budget
+    parts: list[dict] = []
+    # the split (see the module docstring): one node per step, the
+    # shallowest open state first, each step suspending as a one-worker call
+    while (config.worker_count > 1 and 0 < len(frontier) < 16 * config.worker_count
+           and budget != 0):
+        frontier.sort(key=len, reverse=True)
+        parts.append(_run_frontier(frontier, cfg_key, 1, memo))
+        frontier = parts[-1].pop("leftover")
+        if budget is not None:
+            budget -= parts[-1]["nodes"]
 
     leftover: list[Rows] = []
     if config.worker_count == 1 or len(frontier) <= 1:
-        parts = [_run_frontier(frontier, cfg_key, budget, memo)]
+        parts.append(_run_frontier(frontier, cfg_key, budget, memo))
     else:
         shares = [frontier[i::config.worker_count] for i in range(config.worker_count)]
         shares = [s for s in shares if s]
@@ -660,21 +631,23 @@ def generate(config: SearchConfig) -> SearchOutcome:
             budgets = [each + (i < extra) for i in range(len(shares))][:budget]
             leftover = [state for share in shares[budget:] for state in share]
             shares = shares[:budget]
-        parts = []
         if shares:
             from concurrent.futures import ProcessPoolExecutor
 
             with ProcessPoolExecutor(max_workers=len(shares)) as pool:
-                parts = list(pool.map(_run_frontier, shares, [cfg_key] * len(shares),
-                                      budgets, [memo] * len(shares)))
+                parts += pool.map(_run_frontier, shares, [cfg_key] * len(shares),
+                                  budgets, [memo] * len(shares))
+    labelled = 0
     for part in parts:
         classes |= part["classes"]
         hits |= part["hits"]
         nodes += part["nodes"]
         labelled += part["labelled"]
-        for n, certs in part["memo"].items():
-            memo.setdefault(n, set()).update(certs)
-        leftover.extend(part["leftover"])
+        # a worker's memo is a copy; a call in this process grew `memo` itself
+        if part["memo"] is not memo:
+            for n, certs in part["memo"].items():
+                memo.setdefault(n, set()).update(certs)
+        leftover.extend(part.get("leftover", ()))
 
     outcome = SearchOutcome(nodes_expanded=nodes, leaves_labelled=labelled)
     if leftover:

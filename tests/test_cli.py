@@ -186,6 +186,16 @@ def test_search_exact_lambda_above_the_vertex_bound_exit_2(capsys):
     assert code == 0 and json.loads(out)["per_n_hits"] == {}
 
 
+def test_search_above_the_vertex_cap_exit_2(capsys, monkeypatch):
+    # its checkpoint could not be read back, as graph6 refuses the order
+    monkeypatch.delenv("GIRTHLAB_MAX_N", raising=False)
+    code, out, err = run_cli(capsys, "search", "--k", "2", "--g", "66", "--max-n", "70",
+                             "--cap", "70")
+    assert code == 2 and out == ""
+    assert err == ("search: n_max 70 above the vertex cap 64; "
+                   "raise GIRTHLAB_MAX_N for larger graphs\n")
+
+
 def test_search_contradiction_exit_1(capsys, monkeypatch):
     from girthlab.search import SearchOutcome
 

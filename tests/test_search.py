@@ -129,6 +129,16 @@ def test_published_counts_cubic_slow(n_max):
         assert out.leaves_labelled == 20167
 
 
+@pytest.mark.slow
+def test_published_counts_quartic_girth5_slow():
+    # Meringer, J. Graph Theory 30 (1999): connected quartic graphs of
+    # girth >= 5 up to 22 vertices; about 40 s on one core
+    out = generate(SearchConfig(k=4, g=5, n_max=22, cap=22))
+    assert out.per_n_classes == {19: 1, 20: 2, 21: 8, 22: 131}
+    assert out.nodes_expanded == 195866
+    assert out.leaves_labelled == 255058
+
+
 def _digest(outcome):
     cls = outcome.classes_graph6
     lines = [f"{n} {c}" for n in sorted(cls) for c in cls[n]] + ["hits"] + outcome.hits_graph6
@@ -535,6 +545,26 @@ def test_order_cap_and_validation():
     assert out.per_n_classes == {}  # below the least possible order
 
 
+def test_search_above_the_vertex_cap_is_refused(monkeypatch, tmp_path):
+    # a checkpoint's graph6 lines are read back under the vertex cap, so a
+    # search that could pass it is refused before it writes one
+    monkeypatch.delenv("GIRTHLAB_MAX_N", raising=False)
+    path = str(tmp_path / "frontier.txt")
+    kwargs = dict(k=2, g=66, n_max=70, cap=70)
+    with pytest.raises(ValueError, match="GIRTHLAB_MAX_N"):
+        generate(SearchConfig(**kwargs, node_budget=66, checkpoint_path=path))
+    assert not os.path.exists(path)
+    # under a raised cap the same chain resumes to the uninterrupted run
+    monkeypatch.setenv("GIRTHLAB_MAX_N", "70")
+    full = generate(SearchConfig(**kwargs))
+    assert full.per_n_classes == {n: 1 for n in range(66, 71)}
+    first = generate(SearchConfig(**kwargs, node_budget=66, checkpoint_path=path))
+    resumed = generate(SearchConfig(**kwargs, checkpoint_path=path))
+    assert first.suspended and not resumed.suspended
+    assert resumed.classes_graph6 == full.classes_graph6
+    assert not os.path.exists(path)
+
+
 def test_checkpoint_suspend_and_resume(tmp_path):
     # the n <= 12 tree has 19 nodes (29 before closed children were
     # pushed), so the checkpoint tests suspend at a budget of 13, not 20
@@ -550,16 +580,19 @@ def test_checkpoint_suspend_and_resume(tmp_path):
     assert resumed.checkpoint_path is None and not os.path.exists(path)
 
 
-@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("workers", [(1,), (2,), (1, 2)], ids=["1", "2", "1,2"])
 @pytest.mark.parametrize("budget", [1, 7, 13])
 def test_budgeted_resume_chain_matches_uninterrupted_run(tmp_path, budget, workers):
     # a resume must neither lose nor duplicate a class, whatever the budget
-    # and however the memo was split between workers
+    # and however the memo was split between workers; the calls take their
+    # worker counts from `workers` in turn, so with (1, 2) every two-worker
+    # call splits the frontier that a one-worker call left
     path = str(tmp_path / "frontier.txt")
     kwargs = dict(k=3, g=5, n_max=12, lambda_filter=6)
     full = generate(SearchConfig(**kwargs))
     for runs in range(1, 2000):
-        out = generate(SearchConfig(**kwargs, node_budget=budget, worker_count=workers,
+        out = generate(SearchConfig(**kwargs, node_budget=budget,
+                                    worker_count=workers[(runs - 1) % len(workers)],
                                     checkpoint_path=path))
         if not out.suspended:
             break
@@ -570,9 +603,9 @@ def test_budgeted_resume_chain_matches_uninterrupted_run(tmp_path, budget, worke
 
 
 def test_node_budget_bounds_a_multi_worker_call(tmp_path):
-    # the split phase expands 28 nodes and leaves 33 open states, and the
-    # rest of the budget is split exactly between the two workers' shares:
-    # a share given no budget starts no process
+    # the split expands 25 nodes, one per step, and leaves 32 open states,
+    # and the rest of the budget is split exactly between the two workers'
+    # shares: a share given no budget starts no process
     path = str(tmp_path / "frontier.txt")
     for budget in range(1, 41):
         out = generate(SearchConfig(k=3, g=5, n_max=16, worker_count=2,
