@@ -50,7 +50,7 @@ import operator
 import random
 from dataclasses import dataclass, field
 
-from .core import Graph, bit_list, edges_inside, is_connected, regularity
+from .core import Graph, bit_list, edges_between, is_connected, regularity
 from .errors import (
     CaseMismatch,
     InternalInconsistency,
@@ -59,16 +59,6 @@ from .errors import (
 )
 from .formats import write_graph6
 from .girth import girth, girth_profile, shell_decompose
-
-
-def _between(rows, a: int, b: int) -> int:
-    """Edges from `a` to `b` over adjacency rows; the masks must be disjoint."""
-    total = 0
-    while a:
-        low = a & -a
-        total += (rows[low.bit_length() - 1] & b).bit_count()
-        a ^= low
-    return total
 
 
 def _require_girth5_regular(g: Graph) -> int:
@@ -148,14 +138,15 @@ def audit_outer_edges(g: Graph, u: int, lam: int) -> OuterEdgeAudit:
     asserted as well; it cannot fail on a regular girth-5 graph.
     """
     k = _require_girth5_regular(g)
-    return _outer_edges(g, k, shell_decompose(g, u, k * (k - 1)), lam)
+    return _outer_edges(g, k, shell_decompose(g, u), lam)
 
 
 def _outer_edges(g: Graph, k: int, shells, lam: int) -> OuterEdgeAudit:
     u = shells.root
-    outer = _between(g.rows, shells.n2, shells.n3plus)
-    inner = edges_inside(g.rows, shells.n2)
-    if (k - 1) * shells.n2.bit_count() != 2 * inner + outer:
+    outer = edges_between(g.rows, shells.n2, shells.n3plus)
+    # an edge inside N2(u) is counted once from each end
+    inner_ends = edges_between(g.rows, shells.n2, shells.n2)
+    if (k - 1) * shells.n2.bit_count() != inner_ends + outer:
         raise InternalInconsistency(
             f"second-shell degree identity failed at root {u}"
         )
@@ -179,7 +170,7 @@ class MainPropertyAudit:
 
 def audit_main_property(g: Graph, u: int) -> MainPropertyAudit:
     k = _require_girth5_regular(g)
-    return _main_property(g, shell_decompose(g, u, k * (k - 1)))
+    return _main_property(g, shell_decompose(g, u))
 
 
 def _main_property(g: Graph, shells) -> MainPropertyAudit:
@@ -248,9 +239,9 @@ def audit_case_a(g: Graph, u: int, v: int, lam: int) -> CaseAPartition:
     the two-endpoint maximum form.
     """
     k = _require_girth5_regular(g)
-    shells_u = shell_decompose(g, u, k * (k - 1))
+    shells_u = shell_decompose(g, u)
     _check_v_exterior(g, shells_u, v)
-    return _case_a(g, k, shells_u, shell_decompose(g, v, k * (k - 1)), lam)
+    return _case_a(g, k, shells_u, shell_decompose(g, v), lam)
 
 
 def _case_a_records(table: dict, k: int, two_eps: int, s_a: int, s_b: int,
@@ -407,9 +398,9 @@ def audit_case_b(g: Graph, u: int, v: int, lam: int) -> CaseBPartition:
     (k-2)-sized leaf sets equalling |V_B''|) are asserted outright.
     """
     k = _require_girth5_regular(g)
-    shells_u = shell_decompose(g, u, k * (k - 1))
+    shells_u = shell_decompose(g, u)
     _check_v_exterior(g, shells_u, v)
-    return _case_b(g, k, shells_u, shell_decompose(g, v, k * (k - 1)), lam,
+    return _case_b(g, k, shells_u, shell_decompose(g, v), lam,
                    _main_property(g, shells_u))
 
 
@@ -658,17 +649,17 @@ def audit_gprime_degree(g: Graph, u: int, u1_index: int, lam: int) -> GPrimeAudi
     multiplicity = k(k-1)^2/2 - e, every entry at most k-1, and the row sum
     of the selected branch at least (k-1)^2 - e.  `u1_index` is 1-based."""
     k = _require_girth5_regular(g)
-    shells = shell_decompose(g, u, k * (k - 1))
+    shells = shell_decompose(g, u)
     nbrs = bit_list(shells.n1)
     if not 1 <= u1_index <= k:
         raise ValueError(f"u1_index must be in 1..{k}, got {u1_index}")
     branches = [g.rows[ui] & ~(1 << u) for ui in nbrs]
     matrix = [[0] * k for _ in range(k)]
     for i in range(k):
-        if edges_inside(g.rows, branches[i]):
+        if edges_between(g.rows, branches[i], branches[i]):
             raise InternalInconsistency("edge inside a branch set")
         for j in range(i + 1, k):
-            m = _between(g.rows, branches[i], branches[j])
+            m = edges_between(g.rows, branches[i], branches[j])
             matrix[i][j] = matrix[j][i] = m
     # 2e = k(k-1)^2 - 2*lambda is even, since k(k-1) is
     eps = (k * (k - 1) ** 2 - 2 * lam) // 2
@@ -777,7 +768,7 @@ def audit_graph(
     if lam is None:
         lam = true_lam
 
-    shells_of = [shell_decompose(g, u, k * (k - 1)) for u in range(g.n)]
+    shells_of = [shell_decompose(g, u) for u in range(g.n)]
     pair_filter = None
     if scope != "all":
         kind, count, seed = scope

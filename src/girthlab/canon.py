@@ -16,9 +16,9 @@ distance profile, in ascending profile order: the profile of v is the
 sequence, over its BFS layers ``L_0 = {v}``, ``L_1``, ..., of the layer
 size and the number of edges inside the layer.  All n profiles are read
 off one all-sources layer pass, a `core.Layers` (`_distance_profiles`):
-`canonical_graph6` passes the graph's own ``g.layers``, so the layers and
+the walk takes a `Graph` and reads its own ``g.layers``, so the layers and
 edge counts that the girth and the girth-5 counter already grew are read
-again rather than recomputed, and the search passes each state's, whose
+again rather than recomputed, and a search state's pass starts from the
 neighbour lists it carried from the parent state.  An isomorphism maps
 BFS layers onto BFS layers, so the profile is an isomorphism invariant,
 as the degree is.  A random cubic graph of girth 5 on 40 to 64 vertices
@@ -115,7 +115,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Container, Sequence
 
-from .core import Graph, Layers, bit_list, bits, graph_from_rows
+from .core import Graph, Layers, bits, graph_from_rows
 from .formats import graph6_line, pack_payload
 
 
@@ -208,11 +208,10 @@ def _twin_keys(rows: Sequence[int]) -> Sequence[int]:
     return [c if counts[c] > 1 else r for r, c in zip(rows, closed)]
 
 
-def _walk(rows: Sequence[int], known: Container[int] = frozenset(),
-          layers: Layers | None = None
+def _walk(graph: Graph, known: Container[int] = frozenset()
           ) -> tuple[dict[int, tuple[int, ...]] | None, int, list[tuple[int, ...]]]:
-    """Walk the refinement tree of the graph with adjacency `rows`, whose
-    layer pass is `layers` when the caller has one.
+    """Walk the refinement tree of `graph`, over the neighbour lists and
+    layer pass of ``graph.layers``.
 
     Returns (leaves, visited, auts): `leaves` maps every leaf certificate
     met to the order of the first leaf that gave it, `visited` counts the
@@ -225,16 +224,16 @@ def _walk(rows: Sequence[int], known: Container[int] = frozenset(),
     invariants, sorted by value, so the starting cells and their order
     commute with relabelling.
     """
+    rows = graph.rows
     n = len(rows)
-    nbrs = [bit_list(r) for r in rows] if layers is None else layers.nbrs
+    layers = graph.layers
+    nbrs = layers.nbrs
     groups: dict = {}
     for v in range(n):
         groups.setdefault(len(nbrs[v]), []).append(v)
     if len(groups) == 1:
         # regular: refinement cannot split the one degree cell
         groups = {}
-        if layers is None:
-            layers = Layers(nbrs)
         for v, profile in enumerate(_distance_profiles(layers)):
             groups.setdefault(profile, []).append(v)
     cells = [groups[key] for key in sorted(groups)]
@@ -331,14 +330,13 @@ def _walk(rows: Sequence[int], known: Container[int] = frozenset(),
     return leaves, visited, auts
 
 
-def canonize(rows: Sequence[int], layers: Layers | None = None
-             ) -> tuple[tuple[int, ...], int]:
+def canonize(g: Graph) -> tuple[tuple[int, ...], int]:
     """Return (order, certificate) minimising the adjacency bitstring.
 
     ``order[p]`` is the original vertex placed at position p; the tree is
-    `_walk`'s, from the layer pass `layers` of these rows when given.
+    `_walk`'s, over ``g.layers``.
     """
-    leaves, _, _ = _walk(rows, layers=layers)
+    leaves, _, _ = _walk(g)
     best_cert = min(leaves)
     return leaves[best_cert], best_cert
 
@@ -361,7 +359,7 @@ def canonical_graph6(g: Graph) -> str:
     """graph6 line of the canonically relabelled graph: the dedup key for
     isomorphism classes.  The certificate is the graph6 payload already;
     the distance profiles come off ``g.layers``."""
-    return graph6_line(g.n, canonize(g.rows, g.layers)[1])
+    return graph6_line(g.n, canonize(g)[1])
 
 
 def are_isomorphic(g1: Graph, g2: Graph) -> bool:

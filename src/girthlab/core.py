@@ -4,6 +4,10 @@ graphs used throughout the test corpus.
 Vertices are the integers 0..n-1; there are no labels.  Adjacency is stored
 as one Python int per vertex (bit j of ``rows[i]`` set iff ij is an edge),
 so neighbourhood intersections and shell computations are single int ops.
+One kernel serves each job on rows: `ball` is the one bounded
+breadth-first search (the search's girth pruning and forced-edge closure,
+and `is_connected`), and `edges_between` the one count of edges between
+two vertex sets (the audit's shells and branch sets).
 
 The breadth-first layers of every vertex come from one all-sources pass,
 `bfs_layers`.  A `Graph` that an analysis receives keeps that pass in
@@ -165,17 +169,19 @@ def degree_sequence(g: Graph) -> tuple[int, ...]:
     return tuple(sorted(r.bit_count() for r in g.rows))
 
 
-def edges_inside(rows: Sequence[int], mask: VertexSet) -> int:
-    """Edges with both endpoints in `mask`, over adjacency rows: the
-    audit's count of edges inside one shell.  `layer_edge_counts` gives
-    the count inside every vertex's breadth-first layer at once."""
+def edges_between(rows: Sequence[int], a: VertexSet, b: VertexSet) -> int:
+    """Pairs (x, y) with x in `a`, y in `b` and xy an edge, over adjacency
+    rows: the edges from `a` to `b` when the masks are disjoint.  An edge
+    with both ends in ``a & b`` is counted twice, once from each end, so
+    ``edges_between(rows, a, a)`` is twice the number of edges inside `a`.
+    `layer_edge_counts` gives the edges inside every vertex's breadth-first
+    layer at once."""
     total = 0
-    rest = mask
-    while rest:
-        low = rest & -rest
-        total += (rows[low.bit_length() - 1] & mask).bit_count()
-        rest ^= low
-    return total // 2
+    while a:
+        low = a & -a
+        total += (rows[low.bit_length() - 1] & b).bit_count()
+        a ^= low
+    return total
 
 
 def regularity(g: Graph) -> tuple[bool, int | None]:
@@ -188,23 +194,27 @@ def regularity(g: Graph) -> tuple[bool, int | None]:
     return False, None
 
 
-def is_connected(g: Graph) -> bool:
-    """Breadth-first reachability from vertex 0; the empty graph counts as
-    connected."""
-    if g.n == 0:
-        return True
-    rows = g.rows
-    seen = 1
-    frontier = 1
-    while frontier:
-        nxt = 0
+def ball(rows: Sequence[int], v: int, radius: int) -> VertexSet:
+    """The vertices within distance `radius` of v over adjacency rows, by a
+    breadth-first search that stops at the first layer that adds nothing."""
+    seen = frontier = 1 << v
+    for _ in range(radius):
+        reach = 0
         while frontier:
             low = frontier & -frontier
-            nxt |= rows[low.bit_length() - 1]
+            reach |= rows[low.bit_length() - 1]
             frontier ^= low
-        frontier = nxt & ~seen
+        frontier = reach & ~seen
+        if not frontier:
+            break
         seen |= frontier
-    return seen == g.vertex_mask()
+    return seen
+
+
+def is_connected(g: Graph) -> bool:
+    """Whether the ball around vertex 0 holds every vertex; the empty graph
+    counts as connected."""
+    return g.n == 0 or ball(g.rows, 0, g.n) == g.vertex_mask()
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,9 @@ of a `Graph` off ``g.layers`` (`core.Layers`), the one all-sources
 `core.bfs_layers` pass that the graph keeps for every analysis of it: the
 girth grows that pass only as deep as the girth needs, the girth-5 counter
 and the shells read its second layers, and the girth itself is kept there
-once found.  Two counting engines are provided: a general depth-first path
+once found.  Every shell decomposition at girth 5 or more checks its second
+shell against the radius-2 tree, a per-root sum of degrees that needs no
+regularity.  Two counting engines are provided: a general depth-first path
 enumerator that works for any girth, and a fast layer-based counter valid
 for regular graphs of girth 5 (the count of shortest cycles through a
 vertex equals the number of edges inside its second layer).  They must
@@ -87,41 +89,35 @@ class ShellDecomposition:
         return (self.n1.bit_count(), self.n2.bit_count(), self.n3plus.bit_count())
 
 
-def shell_decompose(g: Graph, u: int, second_shell: int | None = None) -> ShellDecomposition:
+def shell_decompose(g: Graph, u: int) -> ShellDecomposition:
     """Shells by breadth-first distance from u; the second is ``L_2(u)`` of
     ``g.layers``.
 
-    For a k-regular graph of girth at least 5 the second shell must have
-    exactly k(k-1) vertices; that is asserted whenever the hypotheses hold.
-    A caller that has already established them passes `second_shell` =
-    k(k-1), so the per-root path does not recompute the regularity and
-    girth of g; otherwise they are worked out here.
+    Without a cycle shorter than 5 the ball of radius 2 around u is a tree,
+    so each neighbour w of u brings deg(w) - 1 vertices of its own into the
+    second shell: ``|L_2(u)|`` is the sum of deg(w) - 1 over N(u).  That is
+    asserted on every call on a graph of girth at least 5 or a forest,
+    regular or not.  It reads the degrees of u's neighbours and the girth,
+    which ``g.layers`` keeps once found, so a root costs O(deg u) beyond the
+    layer pass.
     """
     if not 0 <= u < g.n:
         raise ValueError(f"vertex {u} outside 0..{g.n - 1}")
+    layers = g.layers
     n1 = g.rows[u]
-    second = g.layers.layer(2)
+    second = layers.layer(2)
     n2 = second[u] if second is not None else 0
     n3plus = g.vertex_mask() & ~n1 & ~n2 & ~(1 << u)
-    if second_shell is None:
-        second_shell = second_shell_size(g)
-    if second_shell is not None and n2.bit_count() != second_shell:
-        raise InternalInconsistency(
-            f"second shell of {u} has {n2.bit_count()} vertices, "
-            f"expected k(k-1) = {second_shell}"
-        )
+    gr = girth(g)
+    if gr is None or gr >= 5:
+        nbrs = layers.nbrs
+        tree = sum(len(nbrs[w]) - 1 for w in nbrs[u])
+        if n2.bit_count() != tree:
+            raise InternalInconsistency(
+                f"second shell of {u} has {n2.bit_count()} vertices, expected "
+                f"{tree}, the sum of deg(w) - 1 over its neighbours w"
+            )
     return ShellDecomposition(u, n1, n2, n3plus)
-
-
-def second_shell_size(g: Graph) -> int | None:
-    """k(k-1) when g is k-regular (k >= 2) with girth at least 5, the size
-    of every second shell; None when those hypotheses fail."""
-    is_reg, k = regularity(g)
-    if is_reg and k is not None and k >= 2:
-        gr = girth(g)
-        if gr is not None and gr >= 5:
-            return k * (k - 1)
-    return None
 
 
 @dataclass

@@ -5,7 +5,9 @@ filtering on the common per-vertex girth-cycle count.
 Growth strategy: complete the lowest-index unsaturated vertex in one step,
 choosing a set of existing girth-compatible partners plus a block of fresh
 vertices that take the next unused indices.  Girth pruning rejects an edge
-(a, b) whenever the current distance between a and b is below g - 1.
+(a, b) whenever the current distance between a and b is below g - 1, that
+is whenever b lies in `core.ball(rows, a, g - 2)`, the one bounded
+breadth-first search, which the closure below reads too.
 
 Two cuts and one closure run before a child is emitted, so none costs a
 canonical labelling.  The lookahead (`_viable`) drops a child with no
@@ -132,7 +134,7 @@ import time
 from dataclasses import dataclass, field
 
 from .canon import _walk
-from .core import Graph, Layers, bit_list, is_connected, max_vertices
+from .core import Graph, Layers, ball, bit_list, is_connected, max_vertices
 from .errors import GirthLabError, InternalInconsistency
 from .formats import graph6_line, graph6_payload, parse_graph6, write_graph6
 from .girth import girth, girth_profile
@@ -154,7 +156,8 @@ class SearchConfig:
 
     `node_budget` caps the nodes expanded by one call of `generate`; a run
     that exhausts it writes its open frontier to `checkpoint_path` (resumed
-    from there when the file exists)."""
+    from there when the file exists), so a budget needs a checkpoint
+    path."""
 
     k: int
     g: int
@@ -193,8 +196,12 @@ class SearchConfig:
                                  f"maximum {bound} for k={self.k}, g={self.g}")
         if self.worker_count < 1:
             raise ValueError("worker_count must be at least 1")
-        if self.node_budget is not None and self.node_budget < 1:
-            raise ValueError(f"node_budget must be at least 1, got {self.node_budget}")
+        if self.node_budget is not None:
+            if self.node_budget < 1:
+                raise ValueError(f"node_budget must be at least 1, got {self.node_budget}")
+            # a suspended run is resumed only from its checkpoint
+            if not self.checkpoint_path:
+                raise ValueError("node_budget needs a checkpoint_path to resume from")
         if self.checkpoint_path is not None:
             # refused before the search runs rather than when it suspends
             if os.path.isdir(self.checkpoint_path):
@@ -235,22 +242,6 @@ class SearchOutcome:
 Rows = tuple[int, ...]
 
 
-def _near_mask(rows: list[int], src: int, limit: int) -> int:
-    """Vertices within distance `limit` of src in the partial graph."""
-    seen = frontier = 1 << src
-    for _ in range(limit):
-        reach = 0
-        while frontier:
-            low = frontier & -frontier
-            reach |= rows[low.bit_length() - 1]
-            frontier ^= low
-        frontier = reach & ~seen
-        if not frontier:
-            break
-        seen |= frontier
-    return seen
-
-
 def _viable(rows: Rows, k: int, g: int, n_max: int) -> Rows | None:
     """Lookahead: the state to push in place of the child `rows`, or None
     when the child has no completion.  With k fresh slots left every vertex
@@ -279,7 +270,7 @@ def _forced_closure(rows: list[int], k: int, g: int) -> bool:
     """Add forced edges to `rows` (changed in place) until none is left;
     False on a contradiction.  Every new neighbour of an unsaturated vertex
     v in a completion is an open partner: an unsaturated vertex outside
-    `_near_mask(rows, v, g-2)`, since distances only shrink as edges are
+    `core.ball(rows, v, g-2)`, since distances only shrink as edges are
     added.  So v has no completion with fewer open partners than missing
     edges, and with exactly as many, every completion joins v to all of
     them.  Each forced edge is re-checked against the distances that the
@@ -300,7 +291,7 @@ def _forced_closure(rows: list[int], k: int, g: int) -> bool:
             m = missing[v]
             if not m:
                 continue
-            near = _near_mask(rows, v, g - 2)
+            near = ball(rows, v, g - 2)
             partners = unsaturated & ~near
             count = partners.bit_count()
             if count < m:
@@ -319,7 +310,7 @@ def _forced_closure(rows: list[int], k: int, g: int) -> bool:
                 if not missing[w]:
                     unsaturated ^= low
                 if partners:
-                    near = _near_mask(rows, v, g - 2)
+                    near = ball(rows, v, g - 2)
             missing[v] = 0
             unsaturated ^= bit
             changed = True
@@ -364,7 +355,7 @@ def _children(state: Rows, k: int, g: int, n_max: int,
             child = rows + [1 << p] * remaining
             child[p] |= ((1 << remaining) - 1) << t
             completions.append(tuple(child))
-        blocked = _near_mask(rows, p, g - 2)
+        blocked = ball(rows, p, g - 2)
         for w in _one_per_row(rows, [w for w in range(min_w, t)
                                      if deg[w] < k and not blocked >> w & 1]):
             rows[p] |= 1 << w
@@ -476,7 +467,7 @@ def _admit(graph: Graph, memo: dict[int, set[int]]
     (`_child_graph`), so a complete state is evaluated on the walk's
     pass."""
     known = memo.setdefault(graph.n, set())
-    leaves, visited, auts = _walk(graph.rows, known, graph.layers)
+    leaves, visited, auts = _walk(graph, known)
     if leaves is not None:
         known.update(leaves)
     return leaves, visited, auts
@@ -652,9 +643,9 @@ def generate(config: SearchConfig) -> SearchOutcome:
     outcome = SearchOutcome(nodes_expanded=nodes, leaves_labelled=labelled)
     if leftover:
         outcome.suspended = True
-        path = config.checkpoint_path or f"girthlab-checkpoint-k{config.k}g{config.g}.txt"
-        _write_checkpoint(path, cfg_key, classes, hits, nodes, memo, leftover)
-        outcome.checkpoint_path = path
+        _write_checkpoint(config.checkpoint_path, cfg_key, classes, hits, nodes, memo,
+                          leftover)
+        outcome.checkpoint_path = config.checkpoint_path
     elif resumed:
         os.remove(config.checkpoint_path)
 

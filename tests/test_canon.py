@@ -60,7 +60,7 @@ def test_canonical_form_is_a_relabelling():
 
     for _ in range(100):
         g = _random_graph(rng, rng.randrange(1, 10), rng.random())
-        order, _ = canonize(g.rows)
+        order, _ = canonize(g)
         assert sorted(order) == list(range(g.n))
         h = relabel(g, order)
         assert h.n == g.n and h.m == g.m
@@ -149,7 +149,7 @@ def test_graph6_is_read_off_the_certificate():
     for _ in range(400):
         n = rng.randrange(0, 17)
         g = _random_graph(rng, n, rng.random())
-        order, _ = canonize(g.rows)
+        order, _ = canonize(g)
         assert canonical_graph6(g) == write_graph6(relabel(g, order))
 
 
@@ -311,15 +311,15 @@ def test_closed_twin_rule_keeps_certificates(monkeypatch):
               for _ in range(150)]
     graphs += [_dense_graph(rng, n, rng.randrange(1, n)) for n in range(4, 10)
                for _ in range(5)]
-    both = [canonize(g.rows)[1] for g in graphs]
+    both = [canonize(g)[1] for g in graphs]
     monkeypatch.setattr(canon, "_twin_keys", lambda rows: rows)
-    assert [canonize(g.rows)[1] for g in graphs] == both
+    assert [canonize(g)[1] for g in graphs] == both
 
 
 def _first_leaf_hit(g, h):
     # whether h's walk stops at its first leaf against g's leaf certificates
-    known = set(_walk(g.rows)[0])
-    leaves, visited, _ = _walk(h.rows, known)
+    known = set(_walk(g)[0])
+    leaves, visited, _ = _walk(h, known)
     if leaves is None:
         assert visited == 1
         return True
@@ -366,7 +366,7 @@ def test_leaf_certificate_set_is_invariant():
     for g in graphs:
         perm = list(range(g.n))
         rng.shuffle(perm)
-        assert set(_walk(g.rows)[0]) == set(_walk(_permuted(g, perm).rows)[0])
+        assert set(_walk(g)[0]) == set(_walk(_permuted(g, perm))[0])
 
 
 def _cube_graph():
@@ -401,9 +401,9 @@ def _fresh_block_states():
     walked = []
     walk = search._walk
 
-    def recording(rows, known, layers):
-        walked.append(tuple(rows))
-        return walk(rows, known, layers)
+    def recording(graph, known):
+        walked.append(graph.rows)
+        return walk(graph, known)
 
     patch = pytest.MonkeyPatch()
     patch.setattr(search, "_walk", recording)
@@ -435,7 +435,7 @@ def test_walk_leaves_match_the_unpruned_tree():
                for _ in range(200)]
     graphs += _fresh_block_states()
     for g in graphs:
-        leaves, visited, auts = _walk(g.rows)
+        leaves, visited, auts = _walk(g)
         assert leaves == naive_walk_leaves(to_adj(g))
         tree = naive_walk_orders(to_adj(g))
         certificates = {order: cert for cert, order in tree}
@@ -460,7 +460,7 @@ def test_twin_class_partition_is_a_leaf(monkeypatch):
 
     monkeypatch.setattr(canon, "_refine", counting)
     star = complete_bipartite_graph(1, 5)
-    leaves, visited, auts = _walk(star.rows)
+    leaves, visited, auts = _walk(star)
     assert leaves == naive_walk_leaves(to_adj(star))
     assert (visited, auts, len(calls)) == (1, [], 1)
 
@@ -488,7 +488,7 @@ def test_hoffman_singleton_labels_few_leaves_in_every_labelling():
                      for seed in range(8)]
     forms, certificates, counts = set(), set(), []
     for g in graphs:
-        leaves, visited, _ = _walk(g.rows)
+        leaves, visited, _ = _walk(g)
         forms.add(canonical_graph6(g))
         certificates.add(frozenset(leaves))
         counts.append(visited)
@@ -507,9 +507,9 @@ def test_canonical_form_of_non_regular_graphs_is_pinned(monkeypatch):
     walked = set()
     walk = search._walk
 
-    def recording(rows, known, layers):
-        walked.add(tuple(rows))
-        return walk(rows, known, layers)
+    def recording(graph, known):
+        walked.add(graph.rows)
+        return walk(graph, known)
 
     monkeypatch.setattr(search, "_walk", recording)
     monkeypatch.setattr(search, "_viable", lambda rows, k, g, n_max: tuple(rows))

@@ -280,6 +280,20 @@ def test_non_positive_node_budget_rejected(capsys, tmp_path, budget):
     assert not path.exists()
 
 
+def test_node_budget_without_checkpoint_exit_2(capsys, tmp_path, monkeypatch):
+    # a suspended run resumes only from its checkpoint, so a budget without
+    # one is refused before the search runs, and no file is left behind
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, "search", "--k", "3", "--g", "5", "--max-n", "14",
+                             "--node-budget", "50")
+    assert code == 2 and out == ""
+    assert "node_budget needs a checkpoint_path" in err
+    code, out, _ = run_cli(capsys, "search", "--k", "3", "--max-n", "14",
+                           "--epsilon2", "2", "--node-budget", "50")
+    assert code == 2 and out == ""
+    assert os.listdir(tmp_path) == []
+
+
 def test_search_epsilon2_reports_the_search_it_ran(capsys):
     code, out, _ = run_cli(capsys, "search", "--k", "3", "--g", "7",
                            "--girth-mode", "at-least", "--max-n", "10", "--epsilon2", "2")

@@ -17,11 +17,11 @@ from girthlab import (
     petersen_graph,
     regularity,
 )
-from girthlab.audit import _between
-from girthlab.core import (HARD_MAX_VERTICES, bfs_layers, bit_list, edges_inside,
-                           max_vertices)
+from girthlab.core import (HARD_MAX_VERTICES, Graph, ball, bfs_layers, bit_list,
+                           edges_between, max_vertices)
+from girthlab.formats import parse_graph6
 
-from naive_oracles import naive_shells, to_adj
+from naive_oracles import naive_dist, naive_shells, to_adj
 
 
 def test_builder_rejects_loops_and_bad_vertices():
@@ -77,10 +77,47 @@ def test_named_graph_parser():
 
 
 def test_empty_graph_is_connected():
-    from girthlab import Graph
-
     assert is_connected(Graph(0, ()))
     assert regularity(Graph(0, ())) == (True, None)
+
+
+def test_disconnected_graphs_are_not_connected():
+    # the ball around vertex 0 misses a vertex, wherever the other part lies
+    two_cycles = GraphBuilder(10).add_edges(
+        [(i, (i + 1) % 5) for i in range(5)] + [(5 + i, 5 + (i + 1) % 5) for i in range(5)]
+    ).freeze()
+    assert not is_connected(two_cycles)
+    assert not is_connected(Graph(2, (0, 0)))
+    assert not is_connected(Graph(3, (0, 0b100, 0b010)))
+    assert not is_connected(Graph(3, (0b010, 0b001, 0)))
+    assert is_connected(Graph(1, (0,)))
+    # a long path needs every layer up to radius n - 1
+    assert is_connected(path_graph(40))
+    rng = random.Random(47)
+    for _ in range(200):
+        n = rng.randrange(1, 16)
+        b = GraphBuilder(n)
+        for i in range(n):
+            for j in range(i + 1, n):
+                if rng.random() < 1.5 / n:
+                    b.add_edge(i, j)
+        g = b.freeze()
+        adj = to_adj(g)
+        assert is_connected(g) == all(naive_dist(adj, 0, w) is not None for w in range(n))
+
+
+def test_ball_matches_bfs_distances():
+    # partial search states as well as complete graphs: unreachable
+    # vertices stay out, and a radius past the eccentricity adds nothing
+    graphs = [petersen_graph(), heawood_graph(), dodecahedron_graph(),
+              parse_graph6("OsP@@?WD?Q?o?_?X?A??O"), Graph(5, (0b0010, 0b0101, 0b0010, 0, 0))]
+    for g in graphs:
+        adj = to_adj(g)
+        for src in range(g.n):
+            dist = [naive_dist(adj, src, w) for w in range(g.n)]
+            for radius in range(7):
+                near = sum(1 << w for w, d in enumerate(dist) if d is not None and d <= radius)
+                assert ball(g.rows, src, radius) == near
 
 
 def _distance_profile(g, v):
@@ -131,7 +168,9 @@ def test_max_vertices_env_override(monkeypatch):
 
 
 def test_bit_kernels_match_set_versions():
-    # bit_list, edges_inside and the audit's _between against plain sets
+    # bit_list and edges_between against plain sets, with disjoint masks,
+    # equal ones and ones that overlap without being equal: an edge with
+    # both ends in a & b is counted once from each end
     rng = random.Random(41)
     for n in (1, 2, 63, 64, 65, 130, HARD_MAX_VERTICES):
         rows = [0] * n
@@ -147,11 +186,18 @@ def test_bit_kernels_match_set_versions():
         for a in masks:
             members = {i for i in range(n) if a >> i & 1}
             assert bit_list(a) == sorted(members)
-            assert edges_inside(rows, a) == sum(
-                1 for i in members for j in members if i < j and rows[i] >> j & 1)
-            b = rng.getrandbits(n) & ~a
-            assert _between(rows, a, b) == sum(
-                1 for i in members for j in range(n) if b >> j & 1 and rows[i] >> j & 1)
+            inside = sum(1 for i in members for j in members if i < j and rows[i] >> j & 1)
+            assert edges_between(rows, a, a) == 2 * inside
+            overlap = rng.getrandbits(n)
+            for b in (rng.getrandbits(n) & ~a, overlap, a | overlap, a & overlap):
+                assert edges_between(rows, a, b) == sum(
+                    1 for i in members for j in range(n) if b >> j & 1 and rows[i] >> j & 1)
+    # a triangle: each edge counted once between disjoint sets, twice inside
+    tri = [0b110, 0b101, 0b011]
+    assert edges_between(tri, 0b001, 0b110) == 2
+    assert edges_between(tri, 0b011, 0b011) == 2
+    assert edges_between(tri, 0b011, 0b110) == 3
+    assert edges_between(tri, 0b111, 0b111) == 6
 
 
 def test_bfs_layers_match_per_vertex_search():

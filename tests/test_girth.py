@@ -1,3 +1,4 @@
+import importlib
 import random
 from itertools import islice
 
@@ -107,17 +108,63 @@ def test_shell_sizes():
     assert shell_decompose(cycle_graph(5), 2).sizes() == (2, 2, 0)
 
 
-def test_second_shell_size_is_asserted_on_every_call():
-    from girthlab.girth import second_shell_size
+def _forge_second_layer(g, u):
+    # drop one vertex from L_2(u) in the pass that g keeps, once the girth
+    # has been read off the true pass
+    girth(g)
+    layers = g.layers
+    second = list(layers.layer(2))
+    second[u] &= second[u] - 1
+    layers._depths[2] = second
 
-    assert second_shell_size(petersen_graph()) == 6
-    assert second_shell_size(heawood_graph()) == 6
-    assert second_shell_size(complete_graph(4)) is None  # girth 3
-    assert second_shell_size(path_graph(5)) is None  # not regular
-    # a size the caller worked out is still checked against the shell
-    assert shell_decompose(petersen_graph(), 0, 6).sizes() == (3, 6, 0)
+
+def test_second_shell_size_is_asserted_on_every_call(monkeypatch):
+    # at girth >= 5 the radius-2 ball is a tree, so |L_2(u)| is the sum of
+    # deg(w) - 1 over the neighbours w of u: checked on every call, with no
+    # regularity scan, regular or not
+    girth_module = importlib.import_module("girthlab.girth")
+
+    def no_scan(g):
+        raise AssertionError("shell_decompose scanned the degrees of every vertex")
+
+    monkeypatch.setattr(girth_module, "regularity", no_scan)
+    petersen = petersen_graph()
+    assert shell_decompose(petersen, 0).sizes() == (3, 6, 0)
+    _forge_second_layer(petersen, 0)
+    with pytest.raises(InternalInconsistency, match="second shell of 0"):
+        shell_decompose(petersen, 0)
+    assert shell_decompose(petersen, 1).sizes() == (3, 6, 0)
+    # a forest has no short cycle either: the check runs there too
+    star = complete_bipartite_graph(1, 4)
+    assert shell_decompose(star, 1).sizes() == (1, 3, 0)
+    _forge_second_layer(star, 1)
     with pytest.raises(InternalInconsistency):
-        shell_decompose(petersen_graph(), 0, 5)
+        shell_decompose(star, 1)
+    # below girth 5 the identity fails on real layers (K_{3,3}: 2 against
+    # 6), so nothing is checked, and a forged layer goes through
+    k33 = complete_bipartite_graph(3, 3)
+    assert shell_decompose(k33, 0).sizes() == (3, 2, 0)
+    _forge_second_layer(k33, 0)
+    assert shell_decompose(k33, 0).sizes() == (3, 1, 1)
+
+
+def test_second_shell_of_a_non_regular_graph_of_girth_5():
+    # the Petersen graph with a pendant vertex 10 at vertex 0: girth 5,
+    # degrees 1, 3 and 4, and every real second shell passes the check
+    g = graph_from_edges(11, list(petersen_graph().edges()) + [(0, 10)])
+    assert girth(g) == 5 and sorted({g.degree(v) for v in range(g.n)}) == [1, 3, 4]
+    adj = to_adj(g)
+    for u in range(g.n):
+        shells = shell_decompose(g, u)
+        assert shells.n2.bit_count() == sum(len(adj[w]) - 1 for w in adj[u])
+    assert shell_decompose(g, 0).sizes() == (4, 6, 0)
+    assert shell_decompose(g, 10).sizes() == (1, 3, 6)
+    assert shell_decompose(g, bit_list(g.rows[0])[0]).sizes() == (3, 7, 0)
+    for u in (0, 10, 1):
+        forged = graph_from_edges(11, list(g.edges()))
+        _forge_second_layer(forged, u)
+        with pytest.raises(InternalInconsistency, match=f"second shell of {u} "):
+            shell_decompose(forged, u)
 
 
 def test_shells_partition_and_match_bfs_oracle():

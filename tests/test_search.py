@@ -14,15 +14,12 @@ from girthlab import (
     find_vgr,
     generate,
     girth,
-    heawood_graph,
     parse_graph6,
     petersen_graph,
     regularity,
 )
 from girthlab import search
-from girthlab.core import Graph, bit_list
-
-from naive_oracles import naive_dist, naive_labeled_regular_graphs, to_adj
+from girthlab.core import Graph, ball, bit_list
 
 
 # OEIS A014372: connected cubic graphs of girth >= 5 on n vertices
@@ -31,15 +28,6 @@ CUBIC_GIRTH5 = {10: 1, 12: 2, 14: 9, 16: 49, 18: 455, 20: 5783}
 
 def _normalized_classes(outcome, n):
     return {canonical_graph6(parse_graph6(s)) for s in outcome.classes_graph6.get(n, [])}
-
-
-def _oracle_classes(n, k, min_girth):
-    labeled = naive_labeled_regular_graphs(n, k, min_girth)
-    forms = set()
-    for adj in labeled:
-        rows = tuple(sum(1 << w for w in adj[v]) for v in range(n))
-        forms.add(canonical_graph6(Graph(n, rows)))
-    return forms
 
 
 def test_two_regular_graphs_are_cycles():
@@ -54,18 +42,18 @@ def test_unique_cubic_graph_on_four_vertices():
     assert rep.n == 4 and rep.k == 3 and rep.girth == 3
 
 
-def test_matches_naive_oracle_girth5():
+def test_matches_naive_oracle_girth5(oracle_forms):
     # every order up to 10: engine classes == labelled-enumeration classes
     out = generate(SearchConfig(k=3, g=5, n_max=10))
     for n in range(4, 11):
-        assert _normalized_classes(out, n) == _oracle_classes(n, 3, 5), n
+        assert _normalized_classes(out, n) == oracle_forms(n, 3, 5), n
     assert out.per_n_classes == {10: 1}
 
 
-def test_matches_naive_oracle_girth3():
+def test_matches_naive_oracle_girth3(oracle_forms):
     out = generate(SearchConfig(k=3, g=3, n_max=8))
     for n in (4, 6, 8):
-        assert _normalized_classes(out, n) == _oracle_classes(n, 3, 3), n
+        assert _normalized_classes(out, n) == oracle_forms(n, 3, 3), n
     assert out.per_n_classes == {4: 1, 6: 2, 8: 5}
 
 
@@ -115,6 +103,21 @@ def test_published_counts_quartic_girth5():
     out = generate(SearchConfig(k=4, g=5, n_max=21, cap=21))
     assert out.per_n_classes == {19: 1, 20: 2, 21: 8}
     assert out.nodes_expanded == 10362
+
+
+@pytest.mark.parametrize("g, n_max, classes, nodes, leaves", [
+    (7, 28, {24: 1, 26: 3, 28: 21}, 14000, 19085),
+    (8, 34, {30: 1, 34: 1}, 1503, 3160),
+])
+def test_published_counts_past_girth_6(g, n_max, classes, nodes, leaves):
+    # OEIS A014374 and A014375 (Meringer, J. Graph Theory 30, 1999):
+    # connected cubic graphs of girth >= 7 (the McGee graph alone at 24) and
+    # >= 8 (the Tutte-Coxeter graph at 30, none at 32).  Girth pruning and
+    # the closure read balls of radius 5 and 6 here; about 3 s and 1 s on
+    # one core
+    out = generate(SearchConfig(k=3, g=g, n_max=n_max, cap=n_max))
+    assert out.per_n_classes == classes
+    assert (out.nodes_expanded, out.leaves_labelled) == (nodes, leaves)
 
 
 @pytest.mark.slow
@@ -217,7 +220,7 @@ def _admit_by_least_certificate(graph, memo):
     # its least certificate, its canonical graph6, was expanded before
     from girthlab.canon import _walk
 
-    leaves, visited, auts = _walk(graph.rows)
+    leaves, visited, auts = _walk(graph)
     known = memo.setdefault(graph.n, set())
     if min(leaves) in known:
         return None, visited, auts
@@ -267,10 +270,10 @@ def test_pruning_keeps_every_class(monkeypatch, kwargs):
 _orbit_walk = search._walk
 
 
-def _walk_without_automorphisms(rows, known, layers):
+def _walk_without_automorphisms(graph, known):
     # the walk as it is, but handing the search no automorphism to group
     # siblings by
-    leaves, visited, _ = _orbit_walk(rows, known, layers)
+    leaves, visited, _ = _orbit_walk(graph, known)
     return leaves, visited, []
 
 
@@ -313,10 +316,10 @@ def test_children_carry_their_parents_neighbour_lists(monkeypatch, kwargs):
     walk = search._walk
     popped = []
 
-    def checking(rows, known, layers):
-        assert layers.nbrs == [bit_list(r) for r in rows]
-        popped.append(len(rows))
-        return walk(rows, known, layers)
+    def checking(graph, known):
+        assert graph.layers.nbrs == [bit_list(r) for r in graph.rows]
+        popped.append(graph.n)
+        return walk(graph, known)
 
     monkeypatch.setattr(search, "_walk", checking)
     out = generate(SearchConfig(**kwargs))
@@ -380,26 +383,13 @@ def test_viability_check_on_small_states():
     assert claw == [0b1110, 0b0001, 0b0001, 0b0001]
 
 
-def test_near_mask_matches_bfs_distances():
-    # partial states as well as complete graphs: unreachable vertices stay out
-    graphs = [petersen_graph(), heawood_graph(), dodecahedron_graph(),
-              parse_graph6("OsP@@?WD?Q?o?_?X?A??O"), Graph(5, (0b0010, 0b0101, 0b0010, 0, 0))]
-    for g in graphs:
-        adj = to_adj(g)
-        for src in range(g.n):
-            dist = [naive_dist(adj, src, w) for w in range(g.n)]
-            for limit in range(6):
-                near = sum(1 << w for w, d in enumerate(dist) if d is not None and d <= limit)
-                assert search._near_mask(list(g.rows), src, limit) == near
-
-
 def test_forced_edges_that_close_a_triangle_are_refused():
     # cubic on 16 vertices: 12, 14 and 15 each miss two edges and lie
     # pairwise at distance >= 4, so each has exactly two open partners
     rows = list(parse_graph6("OsP@@?WD?Q?o?_?X?A??O").rows)
     assert [3 - r.bit_count() for r in rows] == [0] * 12 + [2, 0, 2, 2]
     for v in (12, 14, 15):
-        assert search._near_mask(rows, v, 3) & (1 << 12 | 1 << 14 | 1 << 15) == 1 << v
+        assert ball(rows, v, 3) & (1 << 12 | 1 << 14 | 1 << 15) == 1 << v
     # with no fresh slot each must join both others: a triangle
     assert search._viable(rows, 3, 5, 16) is None
     # one fresh vertex makes the stub count odd (6 + 3), so it cannot help
@@ -413,7 +403,7 @@ def test_each_forced_edge_is_rechecked():
     # and 14 close a 4-cycle that only a check after each edge sees
     rows = list(parse_graph6("NsP@@?OC?R@A@g@O?Q?").rows)
     assert [v for v, r in enumerate(rows) if r.bit_count() < 3] == [11, 13, 14]
-    assert search._near_mask(rows, 11, 2) >> 14 & 1
+    assert ball(rows, 11, 2) >> 14 & 1
     assert search._viable(rows, 3, 5, 16) is None
 
 
@@ -543,6 +533,18 @@ def test_order_cap_and_validation():
             generate(SearchConfig(k=3, g=5, n_max=12, node_budget=budget))
     out = generate(SearchConfig(k=3, g=5, n_max=3))
     assert out.per_n_classes == {}  # below the least possible order
+
+
+def test_node_budget_needs_a_checkpoint(monkeypatch, tmp_path):
+    # a run suspended without a checkpoint could never be resumed, so the
+    # budget is refused before the search runs and no file is written
+    monkeypatch.chdir(tmp_path)
+    for kwargs in (dict(), dict(checkpoint_path="")):
+        with pytest.raises(ValueError, match="node_budget needs a checkpoint_path"):
+            generate(SearchConfig(k=3, g=5, n_max=14, node_budget=50, **kwargs))
+    with pytest.raises(ValueError, match="checkpoint_path"):
+        confirm_nonexistence(3, 2, 14, node_budget=50)
+    assert os.listdir(tmp_path) == []
 
 
 def test_search_above_the_vertex_cap_is_refused(monkeypatch, tmp_path):
