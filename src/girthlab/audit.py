@@ -50,6 +50,7 @@ import operator
 import random
 from dataclasses import dataclass, field
 
+from .classify import in_excluded_range, two_epsilon
 from .core import Graph, bit_list, edges_between, is_connected, regularity
 from .errors import (
     CaseMismatch,
@@ -150,7 +151,7 @@ def _outer_edges(g: Graph, k: int, shells, lam: int) -> OuterEdgeAudit:
         raise InternalInconsistency(
             f"second-shell degree identity failed at root {u}"
         )
-    expected = k * (k - 1) ** 2 - 2 * lam
+    expected = two_epsilon(k, 5, lam)
     return OuterEdgeAudit(u, expected, outer, outer == expected)
 
 
@@ -259,7 +260,7 @@ def _case_a_records(table: dict, k: int, two_eps: int, s_a: int, s_b: int,
         _shared_record(table, "TwoEpsVA", d_dot_a, "<=", two_eps - s_a),
         _shared_record(table, "EAB", e_ab, "<=", d_dot_a + s_a * (s_a - 1)),
     ]
-    if 0 < two_eps <= k - 1:
+    if in_excluded_range(k, two_eps):
         recs.append(_shared_record(
             table, "Y_bound_caseA", 2 * y, "<", k * (k - 1) ** 2 - two_eps,
             context="deficit in the excluded range",
@@ -280,7 +281,7 @@ def _case_a(g: Graph, k: int, shells_u, shells_v, lam: int,
         raise CaseMismatch(
             f"v={v} has fewer than two neighbours in N2({u}): second stage applies"
         )
-    two_eps = k * (k - 1) ** 2 - 2 * lam
+    two_eps = two_epsilon(k, 5, lam)
 
     n2v = shells_v.n2
     if n2v >> u & 1:
@@ -341,7 +342,7 @@ def _case_a(g: Graph, k: int, shells_u, shells_v, lam: int,
         k, two_eps, sa, vb.bit_count(), vc.bit_count(), e_ab, e_bb, e_bc, e_cc,
         sum(d), sum([di * ai for di, ai in zip(d, a)]), y,
     ))
-    eps_in_range = 0 < two_eps <= k - 1
+    eps_in_range = in_excluded_range(k, two_eps)
 
     x = None
     rest = rows[v] & ~shells_u.n2
@@ -444,7 +445,7 @@ def _case_b_records(table: dict, k: int, two_eps: int, s_b: int, s_c: int,
     recs.append(_shared_record(
         table, "Vout_bound", e_c2_far + e_c2_b, ">=", sum_leaf_slack,
     ))
-    if 0 < two_eps <= k - 1:
+    if in_excluded_range(k, two_eps):
         recs.append(_shared_record(
             table, "Y_bound_caseB", 2 * y, "<", k * (k - 1) ** 2 - two_eps,
             context="deficit in the excluded range",
@@ -474,7 +475,7 @@ def _case_b(g: Graph, k: int, shells_u, shells_v, lam: int,
         raise PropertyViolated(
             f"containment property fails at root {u}; first witness {violations[0]}"
         )
-    two_eps = k * (k - 1) ** 2 - 2 * lam
+    two_eps = two_epsilon(k, 5, lam)
 
     v_prime = contacts.bit_length() - 1
     row_vp = rows[v_prime]
@@ -611,7 +612,7 @@ def _case_b(g: Graph, k: int, shells_u, shells_v, lam: int,
         vb2.bit_count(), vc1.bit_count(), e_c2_b, e_c2_far, vb2_at_u1.bit_count(),
         y, tuple(sizes), tuple(leaf_counts),
     ))
-    eps_in_range = 0 < two_eps <= k - 1
+    eps_in_range = in_excluded_range(k, two_eps)
 
     # the leaf sets partition V_C'' (checked above), and the pass met V_B''
     # in increasing order, so the matching is already sorted
@@ -661,8 +662,7 @@ def audit_gprime_degree(g: Graph, u: int, u1_index: int, lam: int) -> GPrimeAudi
         for j in range(i + 1, k):
             m = edges_between(g.rows, branches[i], branches[j])
             matrix[i][j] = matrix[j][i] = m
-    # 2e = k(k-1)^2 - 2*lambda is even, since k(k-1) is
-    eps = (k * (k - 1) ** 2 - 2 * lam) // 2
+    eps = two_epsilon(k, 5, lam) // 2
     row = u1_index - 1
     degree = sum(matrix[row])
     total = sum(matrix[i][j] for i in range(k) for j in range(i + 1, k))

@@ -17,7 +17,7 @@ sequence, over its BFS layers ``L_0 = {v}``, ``L_1``, ..., of the layer
 size and the number of edges inside the layer.  All n profiles are read
 off one all-sources layer pass, a `core.Layers` (`_distance_profiles`):
 the walk takes a `Graph` and reads its own ``g.layers``, so the layers and
-edge counts that the girth and the girth-5 counter already grew are read
+edge counts that the girth and the girth-cycle counter already grew are read
 again rather than recomputed, and a search state's pass starts from the
 neighbour lists it carried from the parent state.  An isomorphism maps
 BFS layers onto BFS layers, so the profile is an isomorphism invariant,

@@ -18,6 +18,16 @@ def vertex_cycle_bound(k: int, g: int) -> int:
     return k * (k - 1) ** (g // 2) // 2
 
 
+def two_epsilon(k: int, g: int, lam: int) -> int:
+    """The deficit 2ε = k(k-1)^floor(g/2) - 2λ; always even, as k(k-1) is."""
+    return k * (k - 1) ** (g // 2) - 2 * lam
+
+
+def in_excluded_range(k: int, two_eps: int) -> bool:
+    """Whether 0 < 2ε <= k - 1: the deficits the theorem excludes at odd girth."""
+    return 0 < two_eps <= k - 1
+
+
 def edge_cycle_bound(k: int, g: int) -> int:
     """Maximum number of girth cycles through an edge: (k-1)^floor(g/2)."""
     return (k - 1) ** (g // 2)
@@ -71,8 +81,8 @@ class NonexistenceVerdict:
 class ClassificationReport:
     """Summary of a graph's position in the vgr >= gr >= egr hierarchy.
 
-    two_epsilon = k(k-1)^floor(g/2) - 2*lambda_vertex is the stored deficit
-    quantity (it is always even, so epsilon itself is an integer)."""
+    two_epsilon is the deficit `two_epsilon` of lambda_vertex; it is always
+    even, so epsilon itself is an integer."""
 
     n: int
     k: int | None
@@ -136,8 +146,8 @@ def classify(g: Graph, profile: GirthProfile | None = None) -> ClassificationRep
         e_bound = edge_cycle_bound(k, gr_len)
         deficit = g.n - moore_bound(k, gr_len)
         if is_vgr:
-            two_eps = k * (k - 1) ** (gr_len // 2) - 2 * lambda_vertex
-            if k >= 3 and gr_len % 2 and 0 < two_eps <= k - 1:
+            two_eps = two_epsilon(k, gr_len, lambda_vertex)
+            if k >= 3 and gr_len % 2 and in_excluded_range(k, two_eps):
                 raise TheoremContradiction(
                     f"vertex-regular girth-{gr_len} profile with deficit "
                     f"2e = {two_eps} in the excluded range (0, k-1]"
@@ -230,12 +240,12 @@ def known_nonexistence(k: int, g: int, lam: int) -> NonexistenceVerdict:
         )
 
     if g % 2:
-        eps = bound - lam
-        if 0 < 2 * eps <= k - 1:
+        two_eps = two_epsilon(k, g, lam)
+        if in_excluded_range(k, two_eps):
             rule = Rule.GIRTH3 if g == 3 else Rule.GIRTH5 if g == 5 else Rule.ODD_GIRTH_GE7
             return NonexistenceVerdict(
                 Status.EXCLUDED, rule,
-                f"odd girth {g} with deficit epsilon = {eps} in (0, (k-1)/2]",
+                f"odd girth {g} with deficit epsilon = {two_eps // 2} in (0, (k-1)/2]",
             )
     return NonexistenceVerdict(Status.UNKNOWN, Rule.NONE, "no applicable exclusion")
 

@@ -12,7 +12,7 @@ two vertex sets (the audit's shells and branch sets).
 The breadth-first layers of every vertex come from one all-sources pass,
 `bfs_layers`.  A `Graph` that an analysis receives keeps that pass in
 ``g.layers``, a `Layers` object built on first use and grown one depth at
-a time, so the girth, the girth-5 counts, the canonical distance profiles
+a time, so the girth, the girth-cycle counts, the canonical distance profiles
 and the audit's shells of one graph share a single pass.  The object lives
 and dies with its `Graph` instance: equal but distinct instances share no
 pass, and copies and pickles carry only ``n`` and ``rows``.  The search

@@ -1,26 +1,23 @@
 """Girth, shell decompositions, and girth-cycle counts per vertex and per
 edge.
 
-The girth, the shells and the fast counter read the breadth-first layers
-of a `Graph` off ``g.layers`` (`core.Layers`), the one all-sources
-`core.bfs_layers` pass that the graph keeps for every analysis of it: the
-girth grows that pass only as deep as the girth needs, the girth-5 counter
-and the shells read its second layers, and the girth itself is kept there
-once found.  Every shell decomposition at girth 5 or more checks its second
-shell against the radius-2 tree, a per-root sum of degrees that needs no
-regularity.  Two counting engines are provided: a general depth-first path
-enumerator that works for any girth, and a fast layer-based counter valid
-for regular graphs of girth 5 (the count of shortest cycles through a
-vertex equals the number of edges inside its second layer).  They must
-agree wherever both apply, and the test suite enforces that.  The path
-enumerator reads nothing off the layers, so that it stays an independent
-check on them.
+The girth, the shells and the counter read the breadth-first layers of a
+`Graph` off ``g.layers`` (`core.Layers`), the one all-sources
+`core.bfs_layers` pass that the graph keeps for every analysis of it, grown
+only as deep as its readers need; the girth is kept there once found.
+Below the girth the balls are trees, and the shells and the counter check
+their deepest tree layers against a tree's (`_check_tree_layer`), a
+per-root sum of degrees that needs no regularity.  One counter reads the
+girth cycles through every vertex and edge at any girth off the layers
+(`_profile_by_layers`); a path enumerator that reads no layer is kept as
+the reference it is checked against.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
-from .core import Graph, Layers, VertexSet, bits, regularity
+from .core import Graph, Layers, VertexSet, bits, edges_between, regularity
 from .errors import InternalInconsistency
 
 Edge = tuple[int, int]
@@ -94,11 +91,10 @@ def shell_decompose(g: Graph, u: int) -> ShellDecomposition:
     ``g.layers``.
 
     Without a cycle shorter than 5 the ball of radius 2 around u is a tree,
-    so each neighbour w of u brings deg(w) - 1 vertices of its own into the
-    second shell: ``|L_2(u)|`` is the sum of deg(w) - 1 over N(u).  That is
-    asserted on every call on a graph of girth at least 5 or a forest,
-    regular or not.  It reads the degrees of u's neighbours and the girth,
-    which ``g.layers`` keeps once found, so a root costs O(deg u) beyond the
+    so the second shell is checked against the tree's (`_check_tree_layer`)
+    on every call on a graph of girth at least 5 or a forest, regular or
+    not.  It reads the degrees of u's neighbours and the girth, which
+    ``g.layers`` keeps once found, so a root costs O(deg u) beyond the
     layer pass.
     """
     if not 0 <= u < g.n:
@@ -110,14 +106,26 @@ def shell_decompose(g: Graph, u: int) -> ShellDecomposition:
     n3plus = g.vertex_mask() & ~n1 & ~n2 & ~(1 << u)
     gr = girth(g)
     if gr is None or gr >= 5:
-        nbrs = layers.nbrs
-        tree = sum(len(nbrs[w]) - 1 for w in nbrs[u])
-        if n2.bit_count() != tree:
-            raise InternalInconsistency(
-                f"second shell of {u} has {n2.bit_count()} vertices, expected "
-                f"{tree}, the sum of deg(w) - 1 over its neighbours w"
-            )
+        _check_tree_layer(g, 2, (u,))
     return ShellDecomposition(u, n1, n2, n3plus)
+
+
+def _check_tree_layer(g: Graph, r: int, roots: Sequence[int]) -> None:
+    """Check ``L_r(v)``, r >= 2, of each root v against a tree's: while the
+    ball of radius r around v is a tree (girth 2r + 1 or more), each w of
+    ``L_{r-1}(v)`` has one edge back and deg(w) - 1 out to ``L_r(v)``, each
+    to a vertex of its own.  Another size raises InternalInconsistency."""
+    layers = g.layers
+    inner, outer = layers.layer(r - 1), layers.layer(r)
+    for v in roots:
+        ends = inner[v] if inner else 0
+        tree = edges_between(g.rows, ends, g.vertex_mask()) - ends.bit_count()
+        size = outer[v].bit_count() if outer else 0
+        if size != tree:
+            raise InternalInconsistency(
+                f"layer {r} of {v} has {size} vertices, expected {tree}, the sum "
+                f"of deg(w) - 1 over its layer {r - 1}"
+            )
 
 
 @dataclass
@@ -201,54 +209,52 @@ def _profile_by_paths(g: Graph, length: int) -> GirthProfile:
     return GirthProfile(length, total, tuple(per_vertex), per_edge)
 
 
-def _profile_girth5_regular(g: Graph) -> GirthProfile:
-    """Fast counter for regular graphs of girth 5, from the second layers
-    ``L_2(v)`` of ``g.layers``.
+def _profile_by_layers(g: Graph, gr: int) -> GirthProfile:
+    """Girth-cycle counts at girth `gr` off ``g.layers``, regular or not.
 
-    At girth 5 the ball of radius 2 around v is a tree, so an edge inside
-    ``L_2(v)`` closes exactly one 5-cycle through v, and every 5-cycle
-    through v has its edge opposite v there: the count through v is
-    ``e(L_2(v))`` (`layer_edge_counts`).  Dually, the count through an edge
-    xy is the number of vertices opposite it on a 5-cycle, the vertices of
-    ``L_2(x) & L_2(y)``.  Every second layer must have k(k-1) vertices;
-    another size raises InternalInconsistency.
+    Odd girth 2d + 1: the balls of radius d are trees, so each edge inside
+    ``L_d(v)`` closes one girth cycle through v, and each one through v has
+    its edge opposite v there: v lies on ``e(L_d(v))``, and an edge xy on
+    one per vertex opposite it, in ``L_d(x) & L_d(y)``.  Even girth 2d: the
+    balls of radius d - 1 are trees, so the girth cycles through xy match
+    the edges ab opposite it, a in ``L_{d-1}(x) & L_d(y)`` and b in
+    ``L_{d-1}(y) & L_d(x)``, and a vertex lies on half the sum over its
+    edges.  The deepest tree layer is checked where it is two or more deep
+    (`_check_tree_layer`); `validate` checks the sums.
     """
     layers = g.layers
-    second = layers.layer(2)
-    k = len(layers.nbrs[0])
-    for v, layer in enumerate(second or [0] * g.n):
-        if layer.bit_count() != k * (k - 1):
-            raise InternalInconsistency(
-                f"second shell of {v} has {layer.bit_count()} vertices, "
-                f"expected k(k-1) = {k * (k - 1)}"
-            )
+    d, odd = divmod(gr, 2)
+    r = d if odd else d - 1
+    if r >= 2:
+        _check_tree_layer(g, r, range(g.n))
     edges = layers.edges
-    per_vertex = layers.inside(2)
-    per_edge = {(x, y): (second[x] & second[y]).bit_count() for x, y in edges}
-    total, rem = divmod(sum(per_vertex), 5)
-    if rem:
-        raise InternalInconsistency("vertex counts not divisible by 5")
-    return GirthProfile(5, total, tuple(per_vertex), per_edge)
+    deep = layers.layer(d)
+    if odd:
+        per_vertex = layers.inside(d)
+        per_edge = {(x, y): (deep[x] & deep[y]).bit_count() for x, y in edges}
+    else:
+        near, rows = layers.layer(d - 1), g.rows
+        per_edge = {(x, y): edges_between(rows, near[x] & deep[y], near[y] & deep[x])
+                    for x, y in edges}
+        per_vertex = [sum(per_edge[min(v, w), max(v, w)] for w in ws) // 2
+                      for v, ws in enumerate(layers.nbrs)]
+    return GirthProfile(gr, sum(per_vertex) // gr, tuple(per_vertex), per_edge)
 
 
 def girth_profile(g: Graph, engine: str = "auto") -> GirthProfile:
     """Full girth-cycle profile of `g`.
 
-    engine: "paths" forces the general enumerator, "girth5" the fast
-    regular-girth-5 counter, "auto" picks the fast one when it applies.
-    Raises ValueError on acyclic input.
+    engine: "auto" runs the layer counter, "girth5" the same counter on a
+    regular graph of girth 5 only, and "paths" the reference path
+    enumerator.  Raises ValueError on acyclic input.
     """
     gr = girth(g)
     if gr is None:
         raise ValueError("girth profile undefined for an acyclic graph")
-    if engine == "auto":
-        is_reg, _ = regularity(g)
-        engine = "girth5" if (gr == 5 and is_reg) else "paths"
-    if engine == "girth5":
-        is_reg, _ = regularity(g)
-        if gr != 5 or not is_reg:
-            raise ValueError("the girth-5 fast engine needs a regular graph of girth 5")
-        profile = _profile_girth5_regular(g)
+    if engine == "girth5" and (gr != 5 or not regularity(g)[0]):
+        raise ValueError("the girth-5 fast engine needs a regular graph of girth 5")
+    if engine in ("auto", "girth5"):
+        profile = _profile_by_layers(g, gr)
     elif engine == "paths":
         profile = _profile_by_paths(g, gr)
     else:

@@ -138,7 +138,7 @@ from .core import Graph, Layers, ball, bit_list, is_connected, max_vertices
 from .errors import GirthLabError, InternalInconsistency
 from .formats import graph6_line, graph6_payload, parse_graph6, write_graph6
 from .girth import girth, girth_profile
-from .classify import vertex_cycle_bound
+from .classify import in_excluded_range, vertex_cycle_bound
 
 GIRTH_EXACT = "exact"
 GIRTH_AT_LEAST = "at_least"
@@ -664,13 +664,12 @@ def generate(config: SearchConfig) -> SearchOutcome:
 
 def nonexistence_lambda(k: int, epsilon2: int) -> int:
     """Per-vertex girth-cycle count (k(k-1)^2 - epsilon2)/2 that
-    `confirm_nonexistence` filters on, for 0 < epsilon2 <= k-1."""
-    if not 0 < epsilon2 <= k - 1:
+    `confirm_nonexistence` filters on, for epsilon2 `in_excluded_range`."""
+    if not in_excluded_range(k, epsilon2):
         raise ValueError(f"epsilon2 must lie in (0, k-1], got {epsilon2}")
-    lam2 = k * (k - 1) ** 2 - epsilon2
-    if lam2 % 2:
+    if epsilon2 % 2:
         raise ValueError(f"epsilon2 = {epsilon2} makes the target count non-integral")
-    return lam2 // 2
+    return vertex_cycle_bound(k, 5) - epsilon2 // 2
 
 
 def confirm_nonexistence(k: int, epsilon2: int, n_max: int, **kwargs) -> SearchOutcome:

@@ -24,7 +24,9 @@ from girthlab import (
     signatures,
     vertex_cycle_bound,
 )
+from girthlab.classify import in_excluded_range, two_epsilon
 from girthlab.girth import GirthProfile
+from girthlab.search import nonexistence_lambda
 
 
 def test_classify_petersen():
@@ -173,6 +175,20 @@ def test_known_nonexistence_monotone_in_theorem_range():
             if just_outside >= 0:
                 v = known_nonexistence(k, g, just_outside)
                 assert v.status is Status.UNKNOWN, (k, g)
+
+
+def test_two_epsilon_and_its_excluded_range():
+    # 2e = k(k-1)^floor(g/2) - 2*lambda, which classify, the oracle, the
+    # audit and the search's nonexistence target (its inverse at girth 5)
+    # all read from one definition
+    assert two_epsilon(3, 5, 6) == 0 and two_epsilon(3, 5, 3) == 6
+    assert two_epsilon(3, 6, 12) == 0 and two_epsilon(4, 7, 53) == 2
+    assert classify(dodecahedron_graph()).two_epsilon == two_epsilon(3, 5, 3)
+    for k in range(3, 8):
+        excluded = [e for e in range(-2, k + 2) if in_excluded_range(k, e)]
+        assert excluded == list(range(1, k))
+        for two_eps in excluded[1::2]:
+            assert two_epsilon(k, 5, nonexistence_lambda(k, two_eps)) == two_eps
 
 
 def test_refute_signature_even_girth_gap():

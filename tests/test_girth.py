@@ -25,6 +25,7 @@ from girthlab import (
     petersen_graph,
     shell_decompose,
     signatures,
+    vertex_cycle_bound,
 )
 from girthlab.core import bfs_layers, edge_pairs, layer_edge_counts
 from girthlab.girth import GirthProfile
@@ -51,6 +52,12 @@ def _sparse_graph(rng, n):
     for _ in range(rng.randrange(3) if n > 1 else 0):
         b.add_edge(*rng.sample(range(n), 2))
     return b.freeze()
+
+
+def _lcf(n, shifts, repeats):
+    # a cubic Hamiltonian graph in LCF notation: McGee is (24, [12, 7, -7],
+    # 8), Tutte-Coxeter (30, [-13, -9, 7, -7, 9, 13], 5)
+    return graph_from_edges(n, nx.LCF_graph(n, shifts, repeats).edges())
 
 
 def _nx_regular(rng, k, n):
@@ -108,14 +115,14 @@ def test_shell_sizes():
     assert shell_decompose(cycle_graph(5), 2).sizes() == (2, 2, 0)
 
 
-def _forge_second_layer(g, u):
-    # drop one vertex from L_2(u) in the pass that g keeps, once the girth
+def _forge_layer(g, u, r=2):
+    # drop one vertex from L_r(u) in the pass that g keeps, once the girth
     # has been read off the true pass
     girth(g)
     layers = g.layers
-    second = list(layers.layer(2))
-    second[u] &= second[u] - 1
-    layers._depths[2] = second
+    forged = list(layers.layer(r))
+    forged[u] &= forged[u] - 1
+    layers._depths[r] = forged
 
 
 def test_second_shell_size_is_asserted_on_every_call(monkeypatch):
@@ -130,21 +137,21 @@ def test_second_shell_size_is_asserted_on_every_call(monkeypatch):
     monkeypatch.setattr(girth_module, "regularity", no_scan)
     petersen = petersen_graph()
     assert shell_decompose(petersen, 0).sizes() == (3, 6, 0)
-    _forge_second_layer(petersen, 0)
-    with pytest.raises(InternalInconsistency, match="second shell of 0"):
+    _forge_layer(petersen, 0)
+    with pytest.raises(InternalInconsistency, match="layer 2 of 0 "):
         shell_decompose(petersen, 0)
     assert shell_decompose(petersen, 1).sizes() == (3, 6, 0)
     # a forest has no short cycle either: the check runs there too
     star = complete_bipartite_graph(1, 4)
     assert shell_decompose(star, 1).sizes() == (1, 3, 0)
-    _forge_second_layer(star, 1)
+    _forge_layer(star, 1)
     with pytest.raises(InternalInconsistency):
         shell_decompose(star, 1)
     # below girth 5 the identity fails on real layers (K_{3,3}: 2 against
     # 6), so nothing is checked, and a forged layer goes through
     k33 = complete_bipartite_graph(3, 3)
     assert shell_decompose(k33, 0).sizes() == (3, 2, 0)
-    _forge_second_layer(k33, 0)
+    _forge_layer(k33, 0)
     assert shell_decompose(k33, 0).sizes() == (3, 1, 1)
 
 
@@ -162,8 +169,8 @@ def test_second_shell_of_a_non_regular_graph_of_girth_5():
     assert shell_decompose(g, bit_list(g.rows[0])[0]).sizes() == (3, 7, 0)
     for u in (0, 10, 1):
         forged = graph_from_edges(11, list(g.edges()))
-        _forge_second_layer(forged, u)
-        with pytest.raises(InternalInconsistency, match=f"second shell of {u} "):
+        _forge_layer(forged, u)
+        with pytest.raises(InternalInconsistency, match=f"layer 2 of {u} "):
             shell_decompose(forged, u)
 
 
@@ -227,6 +234,10 @@ def test_path_enumerator_matches_subset_oracle_girths_3_to_9():
         assert profile.total_girth_cycles == total
         assert list(profile.per_vertex) == [per_vertex[v] for v in range(g.n)]
         assert profile.per_edge == per_edge
+        # the layer counter on the same graphs, regular or not
+        layered = girth_profile(g)
+        assert (layered.total_girth_cycles, list(layered.per_vertex), layered.per_edge) == (
+            total, [per_vertex[v] for v in range(g.n)], per_edge)
         regular.add((gr, len({r.bit_count() for r in g.rows}) == 1))
     assert {(gr, reg) for gr in range(3, 10) for reg in (True, False)} <= regular
 
@@ -243,6 +254,17 @@ def test_known_profiles():
     k4 = girth_profile(complete_graph(4))
     assert (k4.girth, k4.total_girth_cycles) == (3, 4)
     assert set(k4.per_vertex) == {3} and set(k4.per_edge.values()) == {2}
+
+    # even girth: the Heawood graph (girth 6) and the Tutte-Coxeter graph
+    # (girth 8), which lies on the most girth cycles a cubic girth-8 vertex can
+    h = girth_profile(heawood_graph())
+    assert (h.girth, h.total_girth_cycles) == (6, 28)
+    assert set(h.per_vertex) == {12} and set(h.per_edge.values()) == {8}
+
+    tc = girth_profile(_lcf(30, [-13, -9, 7, -7, 9, 13], 5))
+    assert (tc.girth, tc.total_girth_cycles) == (8, 90)
+    assert set(tc.per_vertex) == {24} == {vertex_cycle_bound(3, 8)}
+    assert set(tc.per_edge.values()) == {16}
 
 
 def test_engine_equivalence_on_girth5_regular():
@@ -263,8 +285,34 @@ def test_girth5_engine_checks_every_second_layer():
     # vertex 7 loses one vertex of the second layer that girth grew
     second = g.layers.layer(2)
     second[7] &= second[7] - 1
-    with pytest.raises(InternalInconsistency, match="second shell of 7"):
+    with pytest.raises(InternalInconsistency, match="layer 2 of 7 "):
         girth_profile(g, engine="girth5")
+
+
+def test_layer_counter_checks_the_deepest_tree_layer(monkeypatch):
+    # L_r(v) is checked against a tree's on every call, at r = 2 at girth 6
+    # (Heawood), r = 3 at girth 7 (McGee) and on a non-regular girth-5
+    # graph (Petersen with a pendant vertex), with no regularity scan; the
+    # reference enumerator reads no layer, so a forged one leaves it alone
+    girth_module = importlib.import_module("girthlab.girth")
+
+    def no_scan(g):
+        raise AssertionError("the layer counter scanned the degrees of every vertex")
+
+    monkeypatch.setattr(girth_module, "regularity", no_scan)
+    cases = [
+        (heawood_graph, 6, 2),
+        (lambda: _lcf(24, [12, 7, -7], 8), 7, 3),
+        (lambda: graph_from_edges(11, list(petersen_graph().edges()) + [(0, 10)]), 5, 2),
+    ]
+    for make, gr, r in cases:
+        true = girth_profile(make())
+        assert true.girth == gr
+        forged = make()
+        _forge_layer(forged, 3, r)
+        with pytest.raises(InternalInconsistency, match=f"layer {r} of 3 "):
+            girth_profile(forged)
+        assert girth_profile(forged, engine="paths") == true
 
 
 def test_engine_preconditions():

@@ -1,12 +1,14 @@
 import hashlib
 import os
 
+import networkx as nx
 import pytest
 
 from girthlab import (
     GIRTH_AT_LEAST,
     GIRTH_EXACT,
     SearchConfig,
+    Status,
     canonical_graph6,
     classify,
     confirm_nonexistence,
@@ -14,6 +16,8 @@ from girthlab import (
     find_vgr,
     generate,
     girth,
+    graph_from_edges,
+    known_nonexistence,
     parse_graph6,
     petersen_graph,
     regularity,
@@ -115,6 +119,20 @@ def test_published_counts_past_girth_6(g, n_max, classes, nodes, leaves):
     # >= 8 (the Tutte-Coxeter graph at 30, none at 32).  Girth pruning and
     # the closure read balls of radius 5 and 6 here; about 3 s and 1 s on
     # one core
+    out = generate(SearchConfig(k=3, g=g, n_max=n_max, cap=n_max))
+    assert out.per_n_classes == classes
+    assert (out.nodes_expanded, out.leaves_labelled) == (nodes, leaves)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("g, n_max, classes, nodes, leaves", [
+    (6, 22, {14: 1, 16: 1, 18: 5, 20: 32, 22: 385}, 21762, 34790),
+    (8, 36, {30: 1, 34: 1, 36: 3}, 47025, 131242),
+])
+def test_published_counts_past_girth_6_slow(g, n_max, classes, nodes, leaves):
+    # OEIS A014371 and A014375 (Meringer, J. Graph Theory 30, 1999):
+    # connected cubic graphs of girth >= 6 up to 22 vertices and of girth
+    # >= 8 up to 36; about 5 s and 35 s on one core
     out = generate(SearchConfig(k=3, g=g, n_max=n_max, cap=n_max))
     assert out.per_n_classes == classes
     assert (out.nodes_expanded, out.leaves_labelled) == (nodes, leaves)
@@ -477,6 +495,18 @@ def test_find_vgr_petersen_and_k4():
     from girthlab import complete_graph
 
     assert canonical_graph6(complete_graph(4)) in hits
+
+
+def test_find_vgr_agrees_with_the_oracle_at_girth_8():
+    # the oracle knows (3, 8, 24) to exist, the generalized-quadrangle
+    # incidence graph, and the search finds it as the only hit up to 34
+    # vertices: the Tutte-Coxeter graph, on vertex_cycle_bound(3, 8) = 24
+    # girth cycles per vertex, counted at even girth by the layer counter
+    assert known_nonexistence(3, 8, 24).status is Status.EXISTS
+    out = find_vgr(3, 8, 24, 34, cap=34)
+    assert out.per_n_hits == {30: 1} and out.nodes_expanded == 1503
+    tutte_coxeter = nx.LCF_graph(30, [-13, -9, 7, -7, 9, 13], 5)
+    assert out.hits_graph6 == [canonical_graph6(graph_from_edges(30, tutte_coxeter.edges()))]
 
 
 @pytest.mark.slow
