@@ -12,12 +12,17 @@ bug, not an interesting finding.
 The public outer-edge, containment and case audits validate their graph,
 decompose the shells they need and hand them to private kernels.
 `audit_graph` runs the same kernels on shared inputs: the graph is
-validated once per graph, shells are decomposed once per root and
-containment is scanned once per root, however many exterior pairs use them.
-At each root u one pass over the rows of N2(u) classifies the whole
-exterior: the vertices with at least one contact there and those with at
-least two (case A); the rest are far pairs, counted by a popcount unless a
-sampled scope filters them.
+validated once per graph, shells are decomposed once per root and the
+exterior is classified once per root, however many exterior pairs use
+them.  The common count lambda is read off the graph's shared
+breadth-first layers: at girth 5 the ball of radius 2 around v is a tree,
+so v lies on e(N2(v)) 5-cycles, and `shell_decompose` checks each root's
+N2 against a tree's before any report is returned.  At each root u one
+pass over the rows of N2(u) classifies the whole exterior: the vertices
+with at least one contact there and those with at least two (case A); the
+rest are far pairs, counted by a popcount unless a sampled scope filters
+them.  Containment fails exactly when some exterior vertex has two
+contacts, so the same pass lists its witnesses.
 
 The case kernels read each adjacency row of a pair once: one pass over
 N2(v) yields every edge count of the partition, the V_C'' leaf-set counts
@@ -35,10 +40,9 @@ Cayley graph of A5 have 6), so `audit_graph` keeps one record table per
 call.  Each case kernel hands its counts to a builder that reads nothing
 else, and the table keeps the builder's record tuple under its whole
 argument tuple, so a pair makes one lookup and each distinct record tuple
-is built once; within a build, each distinct record is built once too,
-keyed by its inputs.  Equal records and record tuples within one report
-are shared objects, which is safe because they are frozen.  The table dies
-with the call, and the per-pair public audits use a fresh one.
+is built once and shared by every pair with those counts, which is safe
+because it is frozen.  The table dies with the call, and the per-pair
+public audits use a fresh one.
 
 The audit runs in one process.  Its output is as large as its work (every
 pair's partition and records), so a process pool would spend about as long
@@ -49,6 +53,7 @@ from __future__ import annotations
 import operator
 import random
 from dataclasses import dataclass, field
+from itertools import combinations
 
 from .classify import in_excluded_range, two_epsilon
 from .core import Graph, bit_list, edges_between, is_connected, regularity
@@ -59,7 +64,7 @@ from .errors import (
     PropertyViolated,
 )
 from .formats import write_graph6
-from .girth import girth, girth_profile, shell_decompose
+from .girth import girth, shell_decompose
 
 
 def _require_girth5_regular(g: Graph) -> int:
@@ -96,28 +101,15 @@ class InequalityRecord:
                                 RELATION_TESTS[relation](lhs, rhs), context)
 
 
-def _shared_record(table: dict, name: str, lhs: int, relation: str, rhs: int,
-                   context: str = "") -> InequalityRecord:
-    """The record for these inputs from `table`, built on first use.  One
-    table serves one `audit_graph` call: its pairs repeat a few dozen
-    distinct records thousands of times, and a frozen record can be shared
-    by every partition that displays it."""
-    key = (name, lhs, relation, rhs, context)
-    rec = table.get(key)
-    if rec is None:
-        rec = table[key] = InequalityRecord.make(name, lhs, relation, rhs, context)
-    return rec
-
-
 def _shared_records(table: dict, build, args: tuple) -> tuple:
-    """The record tuple `build(table, *args)` from `table`, built on first
-    use.  A builder reads nothing but its arguments, so the key is the
-    whole argument tuple: a key that left one out would hand a pair the
-    records of another pair that differs only there."""
+    """The record tuple `build(*args)` from `table`, built on first use.
+    A builder reads nothing but its arguments, so the key is the whole
+    argument tuple: a key that left one out would hand a pair the records
+    of another pair that differs only there."""
     key = (build, args)
     recs = table.get(key)
     if recs is None:
-        recs = table[key] = build(table, *args)
+        recs = table[key] = build(*args)
     return recs
 
 
@@ -170,27 +162,32 @@ class MainPropertyAudit:
 
 
 def audit_main_property(g: Graph, u: int) -> MainPropertyAudit:
-    k = _require_girth5_regular(g)
-    return _main_property(g, shell_decompose(g, u))
+    _require_girth5_regular(g)
+    return _main_property(g, shell_decompose(g, u))[2]
 
 
-def _main_property(g: Graph, shells) -> MainPropertyAudit:
+def _main_property(g: Graph, shells) -> tuple[int, int, MainPropertyAudit]:
+    """One pass over the rows of N2(u) classifies the exterior of the root
+    u: `one` holds the exterior vertices with at least one contact in
+    N2(u), `two` those with at least two; the rest of the exterior is far.
+    Containment fails exactly at the vertices of `two`, so its witnesses
+    are each w there with each pair of w's contacts, listed as (v1, v2, w)
+    in increasing order."""
     rows = g.rows
-    n2 = bit_list(shells.n2)
+    n2, exterior = shells.n2, shells.n3plus
+    one = two = 0
+    rest = n2
+    while rest:
+        low = rest & -rest
+        r = rows[low.bit_length() - 1] & exterior
+        rest ^= low
+        two |= one & r
+        one |= r
     found = []
-    for i, v1 in enumerate(n2):
-        # a vertex without neighbours beyond N2(u) is in no violation: on a
-        # graph of diameter 2 (Hoffman-Singleton) that is every vertex
-        outside = rows[v1] & shells.n3plus
-        if not outside:
-            continue
-        for v2 in n2[i + 1:]:
-            common = outside & rows[v2]
-            while common:
-                low = common & -common
-                found.append((v1, v2, low.bit_length() - 1))
-                common ^= low
-    return MainPropertyAudit(shells.root, tuple(found))
+    for w in bit_list(two):
+        found += [(v1, v2, w) for v1, v2 in combinations(bit_list(rows[w] & n2), 2)]
+    found.sort()
+    return one, two, MainPropertyAudit(shells.root, tuple(found))
 
 
 def _check_v_exterior(g: Graph, shells, v: int) -> None:
@@ -245,30 +242,30 @@ def audit_case_a(g: Graph, u: int, v: int, lam: int) -> CaseAPartition:
     return _case_a(g, k, shells_u, shell_decompose(g, v), lam)
 
 
-def _case_a_records(table: dict, k: int, two_eps: int, s_a: int, s_b: int,
-                    s_c: int, e_ab: int, e_bb: int, e_bc: int, e_cc: int,
-                    d_sum: int, d_dot_a: int, y: int) -> tuple:
+def _case_a_records(k: int, two_eps: int, s_a: int, s_b: int, s_c: int,
+                    e_ab: int, e_bb: int, e_bc: int, e_cc: int, d_sum: int,
+                    d_dot_a: int, y: int) -> tuple:
     """The case-A records of a pair from its counts alone: |V_A|, |V_B|,
     |V_C|, the edge counts of the partition, the sum of the branch counts
     d_i, their sum over the branches adjacent to v, and y."""
     recs = [
-        _shared_record(table, "VC_induced", (k - 1) * s_c, ">=", 2 * e_cc + e_bc),
-        _shared_record(table, "VB_induced", (k - 1) * s_b, ">=",
-                       e_ab + 2 * e_bb + e_bc),
+        InequalityRecord.make("VC_induced", (k - 1) * s_c, ">=", 2 * e_cc + e_bc),
+        InequalityRecord.make("VB_induced", (k - 1) * s_b, ">=",
+                              e_ab + 2 * e_bb + e_bc),
         # the branch indicators sum to |V_A|
-        _shared_record(table, "VAg", d_sum + s_a, "<=", two_eps),
-        _shared_record(table, "TwoEpsVA", d_dot_a, "<=", two_eps - s_a),
-        _shared_record(table, "EAB", e_ab, "<=", d_dot_a + s_a * (s_a - 1)),
+        InequalityRecord.make("VAg", d_sum + s_a, "<=", two_eps),
+        InequalityRecord.make("TwoEpsVA", d_dot_a, "<=", two_eps - s_a),
+        InequalityRecord.make("EAB", e_ab, "<=", d_dot_a + s_a * (s_a - 1)),
     ]
     if in_excluded_range(k, two_eps):
-        recs.append(_shared_record(
-            table, "Y_bound_caseA", 2 * y, "<", k * (k - 1) ** 2 - two_eps,
+        recs.append(InequalityRecord.make(
+            "Y_bound_caseA", 2 * y, "<", k * (k - 1) ** 2 - two_eps,
             context="deficit in the excluded range",
         ))
     else:
         spread = max(2 - 2 * k, two_eps ** 2 - two_eps * (k + 1))
-        recs.append(_shared_record(
-            table, "Y_bound_caseA", 2 * y, "<=", k * (k - 1) ** 2 + two_eps + spread,
+        recs.append(InequalityRecord.make(
+            "Y_bound_caseA", 2 * y, "<=", k * (k - 1) ** 2 + two_eps + spread,
         ))
     return tuple(recs)
 
@@ -402,12 +399,12 @@ def audit_case_b(g: Graph, u: int, v: int, lam: int) -> CaseBPartition:
     shells_u = shell_decompose(g, u)
     _check_v_exterior(g, shells_u, v)
     return _case_b(g, k, shells_u, shell_decompose(g, v), lam,
-                   _main_property(g, shells_u))
+                   _main_property(g, shells_u)[2])
 
 
-def _case_b_records(table: dict, k: int, two_eps: int, s_b: int, s_c: int,
-                    e_ab: int, e_bb: int, e_bc: int, e_cc: int, s_b2: int,
-                    s_c1: int, e_c2_b: int, e_c2_far: int, s_b2_u1: int, y: int,
+def _case_b_records(k: int, two_eps: int, s_b: int, s_c: int, e_ab: int,
+                    e_bb: int, e_bc: int, e_cc: int, s_b2: int, s_c1: int,
+                    e_c2_b: int, e_c2_far: int, s_b2_u1: int, y: int,
                     sizes: tuple[int, ...],
                     leaf_counts: tuple[tuple[int, int, int, int], ...]) -> tuple:
     """The case-B records of a pair from its counts alone: |V_B|, |V_C|, the
@@ -416,45 +413,44 @@ def _case_b_records(table: dict, k: int, two_eps: int, s_b: int, s_c: int,
     and per leaf set its size and its edges to V_C', to the rest of V_C'',
     to V_B and out of N2(v) other than to its own vertex of N(v)."""
     recs = [
-        _shared_record(table, "VB_induced", (k - 1) * s_b, ">=",
-                       e_ab + 2 * e_bb + e_bc),
+        InequalityRecord.make("VB_induced", (k - 1) * s_b, ">=",
+                              e_ab + 2 * e_bb + e_bc),
         # the leaf sets partition V_C'', so e(V_C'', V_B) is the sum of
         # their counts; it is also e(V_B, V_C'')
-        _shared_record(
-            table, "VC_induced_new", (k - 1) * s_c, ">=",
+        InequalityRecord.make(
+            "VC_induced_new", (k - 1) * s_c, ">=",
             2 * e_cc + e_bc + (k - 1) * (k - 1 - s_c1) - s_b2 - e_c2_b,
         ),
-        _shared_record(table, "outer_bound1",
-                       s_b2 + s_c1 + 1 + e_c2_b, "<=", two_eps),
-        _shared_record(table, "outer_bound2", 2 * (s_b2_u1 + s_c1 + 1), "<=",
-                       two_eps, context="doubled form of the half-deficit bound"),
-        _shared_record(table, "EAB_new", e_ab, "=", s_b2_u1),
+        InequalityRecord.make("outer_bound1", s_b2 + s_c1 + 1 + e_c2_b, "<=", two_eps),
+        InequalityRecord.make("outer_bound2", 2 * (s_b2_u1 + s_c1 + 1), "<=", two_eps,
+                              context="doubled form of the half-deficit bound"),
+        InequalityRecord.make("EAB_new", e_ab, "=", s_b2_u1),
     ]
     sum_leaf_slack = 0
     for i, (size, (e_li_c1, e_li_c2, e_li_b, e_li_out)) in enumerate(
             zip(sizes, leaf_counts, strict=True), start=1):
         ctx = f"i={i}"
-        recs.append(_shared_record(table, "LCprime", e_li_c1, "<=", s_c1, ctx))
-        recs.append(_shared_record(table, "LCdoubleprime", e_li_c2, "<=",
-                                   size * (k - 2), ctx))
-        recs.append(_shared_record(
-            table, "Li_expansion", (k - 1) * size, "=",
+        recs.append(InequalityRecord.make("LCprime", e_li_c1, "<=", s_c1, ctx))
+        recs.append(InequalityRecord.make("LCdoubleprime", e_li_c2, "<=",
+                                          size * (k - 2), ctx))
+        recs.append(InequalityRecord.make(
+            "Li_expansion", (k - 1) * size, "=",
             e_li_c2 + e_li_c1 + e_li_b + e_li_out, ctx,
         ))
         sum_leaf_slack += size - s_c1
-    recs.append(_shared_record(
-        table, "Vout_bound", e_c2_far + e_c2_b, ">=", sum_leaf_slack,
+    recs.append(InequalityRecord.make(
+        "Vout_bound", e_c2_far + e_c2_b, ">=", sum_leaf_slack,
     ))
     if in_excluded_range(k, two_eps):
-        recs.append(_shared_record(
-            table, "Y_bound_caseB", 2 * y, "<", k * (k - 1) ** 2 - two_eps,
+        recs.append(InequalityRecord.make(
+            "Y_bound_caseB", 2 * y, "<", k * (k - 1) ** 2 - two_eps,
             context="deficit in the excluded range",
         ))
     else:
         # 2e = k(k-1)^2 - 2*lambda is even, since k(k-1) is
         eps = two_eps // 2
-        recs.append(_shared_record(
-            table, "Y_bound_caseB", 2 * y, "<=",
+        recs.append(InequalityRecord.make(
+            "Y_bound_caseB", 2 * y, "<=",
             k * (k - 1) ** 2 - (k - 1) * (k - s_c1) + 3 * eps - 2 * s_c1 - 2,
         ))
     return tuple(recs)
@@ -703,36 +699,23 @@ class AuditReport:
 
 def _audit_at_root(g: Graph, k: int, shells_of: list, u: int, lam: int,
                    pair_filter: set | None, table: dict) -> tuple:
-    rows = g.rows
     shells = shells_of[u]
     outer = _outer_edges(g, k, shells, lam)
-    mp = _main_property(g, shells)
-    # One pass over the rows of N2(u) classifies the exterior: `one` holds
-    # the exterior vertices with at least one contact in N2(u), `two` those
-    # with at least two; the rest of the exterior is far.
-    exterior = shells.n3plus
-    one = two = 0
-    rest = shells.n2
-    while rest:
-        low = rest & -rest
-        r = rows[low.bit_length() - 1] & exterior
-        rest ^= low
-        two |= one & r
-        one |= r
+    one, two, mp = _main_property(g, shells)
     near = bit_list(one)
+    far_mask = shells.n3plus & ~one
     if pair_filter is None:
-        far = (exterior & ~one).bit_count()
+        far = far_mask.bit_count()
     else:
         near = [v for v in near if (u, v) in pair_filter]
-        far = sum(1 for v in bit_list(exterior & ~one) if (u, v) in pair_filter)
+        far = sum(1 for v in bit_list(far_mask) if (u, v) in pair_filter)
     case_a: list[CaseAPartition] = []
     case_b: list[CaseBPartition] = []
     skipped: list[tuple[int, int, str]] = []
-    holds = mp.holds
     for v in near:
         if two >> v & 1:
             case_a.append(_case_a(g, k, shells, shells_of[v], lam, table))
-        elif holds:
+        elif not two:
             case_b.append(_case_b(g, k, shells, shells_of[v], lam, mp, table))
         else:
             skipped.append((u, v, "containment property fails at this root"))
@@ -754,19 +737,19 @@ def audit_graph(
     if not is_connected(g):
         raise NotEligible("audit needs a connected graph")
     k = _require_girth5_regular(g)
-    profile = girth_profile(g)
-    counts = set(profile.per_vertex)
+    # at girth 5, v lies on e(N2(v)) 5-cycles; the check of each N2(v)
+    # against a tree's, which that needs, runs in `shell_decompose` below
+    per_vertex = g.layers.inside(2)
+    counts = set(per_vertex)
     if len(counts) != 1:
-        lo, hi = min(profile.per_vertex), max(profile.per_vertex)
-        wit_lo = profile.per_vertex.index(lo)
-        wit_hi = profile.per_vertex.index(hi)
+        lo, hi = min(per_vertex), max(per_vertex)
+        wit_lo, wit_hi = per_vertex.index(lo), per_vertex.index(hi)
         raise NotEligible(
             "audit needs a vertex-girth-regular graph: vertices "
             f"{wit_lo} and {wit_hi} lie on {lo} and {hi} cycles"
         )
-    true_lam = counts.pop()
     if lam is None:
-        lam = true_lam
+        lam = counts.pop()
 
     shells_of = [shell_decompose(g, u) for u in range(g.n)]
     pair_filter = None
@@ -779,8 +762,8 @@ def audit_graph(
         pair_filter = set(pairs if count >= len(pairs) else rng.sample(pairs, count))
 
     report = AuditReport(graph6=write_graph6(g), n=g.n, k=k, lam=lam)
-    # one record table for the whole call, so every distinct record is
-    # built once; it dies with the call
+    # one record table for the whole call, so pairs with equal counts share
+    # one record tuple; it dies with the call
     table: dict = {}
     for u in range(g.n):
         outer, mp, case_a, case_b, skipped, far = _audit_at_root(

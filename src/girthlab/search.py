@@ -562,10 +562,10 @@ def _read_checkpoint(path: str, cfg_key: dict):
                 nodes = int(line.split()[1])
             elif line.startswith("#seen "):
                 cert = line.split(" ", 1)[1]
-                classes.add((parse_graph6(cert).n, cert))
+                classes.add((graph6_payload(cert)[0], cert))
             elif line.startswith("#hit "):
                 cert = line.split(" ", 1)[1]
-                hits.add((parse_graph6(cert).n, cert))
+                hits.add((graph6_payload(cert)[0], cert))
             elif line.startswith("#memo "):
                 n, cert = graph6_payload(line.split(" ", 1)[1])
                 memo.setdefault(n, set()).add(cert)

@@ -349,7 +349,7 @@ def test_audit_report_is_pinned():
 def test_audit_graph_records_match_public_functions():
     # every record of audit_graph is what the per-pair public function
     # returns for that pair (partitions compare their records field by
-    # field), though the report shares equal records and the public
+    # field), though the report shares equal record tuples and the public
     # function builds its own; pairs at roots where containment fails are
     # skipped, and the public case-B audit refuses them
     graphs = [dodecahedron_graph(), _cayley_a5((1, 0, 3, 2, 4), (1, 3, 4, 2, 0)),
@@ -373,8 +373,9 @@ def test_audit_graph_records_match_public_functions():
 
 
 def test_audit_graph_builds_each_distinct_record_once():
-    # one audit_graph call builds each distinct record once and shares it
-    # between the partitions that display it; no record outlives its call
+    # one audit_graph call builds each distinct record tuple once and
+    # shares it between the partitions that display it; no record outlives
+    # its call
     graphs = [dodecahedron_graph(), _cayley_a5((1, 0, 3, 2, 4), (1, 3, 4, 2, 0)),
               _cayley_a5((0, 2, 1, 4, 3), (1, 3, 4, 2, 0))]
     for g in graphs:
@@ -383,26 +384,25 @@ def test_audit_graph_builds_each_distinct_record_once():
             report = audit_graph(g, lam=claimed)
             records = [rec for part in report.case_a + report.case_b
                        for rec in part.records]
-            first = {}
-            assert all(first.setdefault(rec, rec) is rec for rec in records)
             if len(report.case_b) == 600:
                 # the case-B Cayley graph: 13 records at each of 600 pairs
-                assert len(records) == 7800 and len(first) == 35
+                assert len(records) == 7800 and len(set(records)) == 35
             again = audit_graph(g, lam=claimed)
             assert again == report
             assert not {id(r) for r in records} & {
                 id(r) for part in again.case_a + again.case_b for r in part.records}
             # copies keep the values and the sharing
+            shared = len({id(part.records) for part in report.case_a + report.case_b})
             for copied in (pickle.loads(pickle.dumps(report)), copy.deepcopy(report)):
                 assert copied == report
-                assert len({id(r) for part in copied.case_a + copied.case_b
-                            for r in part.records}) == len(first)
+                assert len({id(part.records)
+                            for part in copied.case_a + copied.case_b}) == shared
 
 
 def test_audit_graph_shares_each_record_tuple():
     # pairs with equal counts share one record tuple: (pairs, distinct
-    # record tuples, distinct records) per report, at the true count and
-    # at both forged neighbours
+    # record tuples, records of distinct value) per report, at the true
+    # count and at both forged neighbours
     graphs = [(_cayley_a5((0, 2, 1, 4, 3), (1, 3, 4, 2, 0)), (600, 6, 35)),
               (dodecahedron_graph(), (120, 2, 17)),
               (_cayley_a5((1, 0, 3, 2, 4), (1, 3, 4, 2, 0)), (120, 1, 6))]
@@ -412,7 +412,7 @@ def test_audit_graph_shares_each_record_tuple():
             report = audit_graph(g, lam=claimed)
             parts = report.case_a + report.case_b
             assert (len(parts), len({id(p.records) for p in parts}),
-                    len({id(r) for p in parts for r in p.records})) == expected
+                    len({r for p in parts for r in p.records})) == expected
 
 
 def _builder_calls(monkeypatch, run):
@@ -456,13 +456,13 @@ def test_record_builders_read_every_argument(monkeypatch):
         for claimed in (1, 2, 5):
             calls = _builder_calls(monkeypatch, lambda: audit_graph(g, lam=claimed))
             for build, args in dict.fromkeys(calls):
-                base = build({}, *args)
-                assert base == build({}, *args)
+                base = build(*args)
+                assert base == build(*args)
                 variants = list(_plus_one_each(args))
                 assert len(variants) == {_case_a_records: 12,
                                          _case_b_records: 14 + 2 + 2 * 4}[build]
                 for changed in variants:
-                    assert build({}, *changed) != base, (build.__name__, args, changed)
+                    assert build(*changed) != base, (build.__name__, args, changed)
                 seen[build.__name__, 0 < 12 - 2 * claimed <= 2] += 1
     assert set(seen) == {(name, in_range) for name in ("_case_a_records", "_case_b_records")
                          for in_range in (False, True)}
@@ -516,7 +516,7 @@ def _corrupted_pair_outcomes(g, case_b, inward):
     lines = []
     for u in range(g.n):
         shells_u = shell_decompose(g, u)
-        containment = _main_property(g, shells_u)
+        containment = _main_property(g, shells_u)[2]
         v = next(v for v in bit_list(shells_u.n3plus)
                  if ((g.rows[v] & shells_u.n2).bit_count() == 1) == case_b
                  and g.rows[v] & shells_u.n2)
@@ -581,7 +581,7 @@ def test_five_cycle_count_is_an_independent_check():
     # u = 0, v = 3: vertex 5 lies in V_C'' and V_B is {11, 12}
     with pytest.raises(InternalInconsistency, match="5-cycle count"):
         _case_b(one_way(d, 5, 1 << 11 | 1 << 12), 3, shells_u, shells_v, 3,
-                _main_property(d, shells_u))
+                _main_property(d, shells_u)[2])
 
     g = _cayley_a5((1, 0, 3, 2, 4), (1, 3, 4, 2, 0))
     shells_u = shell_decompose(g, 0)
@@ -629,7 +629,7 @@ def test_case_b_structure_checks_refuse_hand_built_rows():
     # graph of A5 while the shells stay those of the true graph
     g = _cayley_a5((0, 2, 1, 4, 3), (1, 3, 4, 2, 0))
     shells_u = shell_decompose(g, 0)
-    containment = _main_property(g, shells_u)
+    containment = _main_property(g, shells_u)[2]
     for v in bit_list(shells_u.n3plus):
         contacts = g.rows[v] & shells_u.n2
         shells_v = shell_decompose(g, v)
@@ -713,7 +713,9 @@ def test_frozen_audit_results_refuse_assignment():
 
 
 def _naive_dispatch(g, scope):
-    # every exterior pair classified by its own count of contacts in N2(u)
+    # every exterior pair classified by its own count of contacts in N2(u),
+    # and each root's containment taken from the oracle's pairwise scan
+    adj = to_adj(g)
     shells = [shell_decompose(g, u) for u in range(g.n)]
     pairs = [(s.root, v) for s in shells for v in bit_list(s.n3plus)]
     if scope != "all":
@@ -721,7 +723,7 @@ def _naive_dispatch(g, scope):
         pairs = set(pairs if count >= len(pairs) else random.Random(seed).sample(pairs, count))
     case_a, case_b, skipped, far = [], [], [], 0
     for s in shells:
-        holds = not _main_property(g, s).violations
+        holds = not oracle_main_property(adj, s.root)
         for v in bit_list(s.n3plus):
             if (s.root, v) not in pairs:
                 continue
