@@ -286,8 +286,6 @@ def _case_a(g: Graph, k: int, shells_u, shells_v, lam: int,
     va = n2v & shells_u.n1
     vb = n2v & shells_u.n2
     vc = n2v & ~(shells_u.n1 | shells_u.n2)
-    if va | vb | vc != n2v:
-        raise InternalInconsistency("V_A, V_B, V_C do not partition N2(v)")
     sa = va.bit_count()
     if sa < 2:
         raise InternalInconsistency("fewer than two first-shell contacts in case A")

@@ -30,7 +30,6 @@ from .search import (
     GIRTH_AT_LEAST,
     GIRTH_EXACT,
     SearchConfig,
-    confirm_nonexistence,
     generate,
     nonexistence_lambda,
 )
@@ -256,7 +255,6 @@ def cmd_audit(args) -> int:
 def cmd_search(args) -> int:
     if _bad_workers(args.workers):
         return EXIT_INPUT
-    mode = GIRTH_EXACT if args.girth_mode == "exact" else GIRTH_AT_LEAST
     parameters = {
         "k": args.k, "g": args.g, "max_n": args.max_n,
         "girth_mode": args.girth_mode, "lambda": args.lambda_filter,
@@ -266,22 +264,16 @@ def cmd_search(args) -> int:
         if args.epsilon2 is not None:
             if args.lambda_filter is not None:
                 raise ValueError("--lambda and --epsilon2 are mutually exclusive")
-            # report the girth-5 exact search that actually runs
+            # the girth-5 exact search at the count the theorem excludes
             parameters.update({"g": 5, "girth_mode": "exact",
                                "lambda": nonexistence_lambda(args.k, args.epsilon2)})
-            outcome = confirm_nonexistence(
-                args.k, args.epsilon2, args.max_n,
-                worker_count=args.workers, node_budget=args.node_budget,
-                checkpoint_path=args.checkpoint, cap=args.cap,
-            )
-        else:
-            config = SearchConfig(
-                k=args.k, g=args.g, n_max=args.max_n, girth_mode=mode,
-                lambda_filter=args.lambda_filter, worker_count=args.workers,
-                node_budget=args.node_budget, checkpoint_path=args.checkpoint,
-                cap=args.cap,
-            )
-            outcome = generate(config)
+        config = SearchConfig(
+            k=args.k, g=parameters["g"], n_max=args.max_n,
+            girth_mode=GIRTH_EXACT if parameters["girth_mode"] == "exact" else GIRTH_AT_LEAST,
+            lambda_filter=parameters["lambda"], worker_count=args.workers,
+            node_budget=args.node_budget, checkpoint_path=args.checkpoint, cap=args.cap,
+        )
+        outcome = generate(config)
     except ValueError as exc:
         print(f"search: {exc}", file=sys.stderr)
         return EXIT_INPUT

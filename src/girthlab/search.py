@@ -96,11 +96,14 @@ the split.  The split grows the frontier, from the checkpoint or from the
 root, until it holds 16 open states per worker; each step is a call of
 `_run_frontier` with a budget of one node that pops the shallowest open
 state, so the split admits and expands states by the same loop and rules
-as a one-worker run.  The workers share the frontier round-robin and
-each grows its own copy of the memo, so a multi-worker run may repeat work
-but never loses a class; their memos are merged per order when the run is
-checkpointed.  `leaves_labelled` counts the certificates computed by one
-call, summed over its workers.
+as a one-worker run.  Every run then deals its frontier round-robin into
+one share per worker and splits its node budget across the shares the same
+way, so one worker is one share, the whole frontier and budget, run in this
+process.  Two or more shares run in a process pool, and each grows its own
+copy of the memo, so a multi-worker run may repeat work but never loses a
+class; their memos are merged per order when the run is checkpointed.
+`leaves_labelled` counts the certificates computed by one call, summed
+over its workers.
 
 A child carries its parent's neighbour lists (`_child_graph`): its
 `Graph` comes with a `core.Layers` that shares the parent's list of every
@@ -138,7 +141,7 @@ from .core import Graph, Layers, ball, bit_list, is_connected, max_vertices
 from .errors import GirthLabError, InternalInconsistency
 from .formats import graph6_line, graph6_payload, parse_graph6, write_graph6
 from .girth import girth, girth_profile
-from .classify import in_excluded_range, vertex_cycle_bound
+from .classify import Status, in_excluded_range, known_nonexistence, vertex_cycle_bound
 
 GIRTH_EXACT = "exact"
 GIRTH_AT_LEAST = "at_least"
@@ -219,6 +222,10 @@ class SearchConfig:
 
 @dataclass
 class SearchOutcome:
+    """`contradiction` is set when there is a hit, the girth mode is exact,
+    a count lambda is filtered on and `known_nonexistence` excludes
+    (k, g, lambda), k >= 3: the hit contradicts a theorem."""
+
     per_n_classes: dict[int, int] = field(default_factory=dict)
     per_n_hits: dict[int, int] = field(default_factory=dict)
     classes_graph6: dict[int, list[str]] = field(default_factory=dict)
@@ -413,30 +420,24 @@ def _last_of_each_orbit(completions: list[Rows], state: Rows, p: int,
     return [child for i, child in enumerate(completions) if find(i) == i]
 
 
-def _evaluate(g: Graph, cfg_key: dict) -> bool | None:
-    """Check a saturated graph and apply the filter: whether it is a hit,
-    or None for an exact-girth rejection.  The girth-cycle profile is
-    computed, and validated, only when a count is filtered on."""
-    if not is_connected(g):
+def _record(graph: Graph, leaves: dict, cfg_key: dict, classes: set, hits: set) -> None:
+    """Check a complete state and file it under its class string, the
+    graph6 line of its least leaf certificate, unless exact mode rejects its
+    girth; it is a hit too when every vertex lies on `lambda_filter` girth
+    cycles.  The girth-cycle profile is computed, and validated, only when
+    a count is filtered on."""
+    if not is_connected(graph):
         raise InternalInconsistency("grown graph is disconnected")
-    gr = girth(g)
+    gr = girth(graph)
     if gr is None or gr < cfg_key["g"]:
         raise InternalInconsistency("girth pruning admitted a short cycle")
     if cfg_key["girth_mode"] == GIRTH_EXACT and gr != cfg_key["g"]:
-        return None
+        return
+    entry = (graph.n, graph6_line(graph.n, min(leaves)))
+    classes.add(entry)
     lam = cfg_key["lambda_filter"]
-    return lam is not None and set(girth_profile(g).per_vertex) == {lam}
-
-
-def _record(graph: Graph, leaves: dict, cfg_key: dict, classes: set, hits: set) -> None:
-    """File a complete state under its class string, the graph6 line of its
-    least leaf certificate."""
-    hit = _evaluate(graph, cfg_key)
-    if hit is not None:
-        entry = (graph.n, graph6_line(graph.n, min(leaves)))
-        classes.add(entry)
-        if hit:
-            hits.add(entry)
+    if lam is not None and set(girth_profile(graph).per_vertex) == {lam}:
+        hits.add(entry)
 
 
 def _child_graph(parent: Graph, rows: Rows) -> Graph:
@@ -490,10 +491,7 @@ def _run_frontier(frontier: list[Rows], cfg_key: dict, budget: int | None,
     hits: set[tuple[int, str]] = set()
     stack = [Graph(len(state), state) for state in frontier]
     nodes = labelled = 0
-    while stack:
-        if budget is not None and nodes >= budget:
-            return {"classes": classes, "hits": hits, "nodes": nodes, "labelled": labelled,
-                    "memo": memo, "leftover": [graph.rows for graph in stack]}
+    while stack and (budget is None or nodes < budget):
         graph = stack.pop()
         leaves, visited, auts = _admit(graph, memo)
         labelled += visited
@@ -506,7 +504,7 @@ def _run_frontier(frontier: list[Rows], cfg_key: dict, budget: int | None,
             continue
         stack.extend(_child_graph(graph, kid) for kid in kids)
     return {"classes": classes, "hits": hits, "nodes": nodes, "labelled": labelled,
-            "memo": memo, "leftover": []}
+            "memo": memo, "leftover": [graph.rows for graph in stack]}
 
 
 def _write_checkpoint(path: str, cfg_key: dict, classes, hits, nodes, memo,
@@ -538,6 +536,11 @@ def _write_checkpoint(path: str, cfg_key: dict, classes, hits, nodes, memo,
 
 
 def _read_checkpoint(path: str, cfg_key: dict):
+    """The classes, hits, node count, memo and frontier of a checkpoint.
+    Lines that its search cannot have written are refused: a frontier state
+    above n_max, with a degree above k or a cycle shorter than g, a class or
+    hit above n_max, and a hit that is not among the classes."""
+    k, g, n_max = cfg_key["k"], cfg_key["g"], cfg_key["n_max"]
     classes: set[tuple[int, str]] = set()
     hits: set[tuple[int, str]] = set()
     memo: dict[int, set[int]] = {}
@@ -560,21 +563,28 @@ def _read_checkpoint(path: str, cfg_key: dict):
                     )
             elif line.startswith("#nodes "):
                 nodes = int(line.split()[1])
-            elif line.startswith("#seen "):
-                cert = line.split(" ", 1)[1]
-                classes.add((graph6_payload(cert)[0], cert))
-            elif line.startswith("#hit "):
-                cert = line.split(" ", 1)[1]
-                hits.add((graph6_payload(cert)[0], cert))
+            elif line.startswith(("#seen ", "#hit ")):
+                tag, cert = line.split(" ", 1)
+                n = graph6_payload(cert)[0]
+                if n > n_max:
+                    raise GirthLabError(f"checkpoint {tag} line above n_max {n_max}: {path}")
+                (classes if tag == "#seen" else hits).add((n, cert))
             elif line.startswith("#memo "):
                 n, cert = graph6_payload(line.split(" ", 1)[1])
                 memo.setdefault(n, set()).add(cert)
             else:
-                frontier.append(parse_graph6(line).rows)
+                state = parse_graph6(line)
+                if (state.n > n_max or any(row.bit_count() > k for row in state.rows)
+                        or (girth(state) or g) < g):
+                    raise GirthLabError(f"checkpoint frontier state {line} is not a state "
+                                        f"of this search: {path}")
+                frontier.append(state.rows)
     # a file without its search or its node count cannot be resumed: a
     # missing #config would let any search adopt its classes and frontier
     if stored is None or nodes is None:
         raise GirthLabError(f"checkpoint lacks its #config or #nodes line: {path}")
+    if not hits <= classes:
+        raise GirthLabError(f"checkpoint #hit line without its #seen line: {path}")
     return classes, hits, nodes, memo, frontier
 
 
@@ -583,7 +593,10 @@ def generate(config: SearchConfig) -> SearchOutcome:
 
     A run resumed from `checkpoint_path` reports the nodes of every run
     since the first in `nodes_expanded`, but `node_budget` applies to this
-    call alone.  A resumed run that completes removes its checkpoint.
+    call alone.  A resumed run that completes removes its checkpoint.  The
+    oracle decides whether the hits contradict a theorem (see
+    `SearchOutcome`); an `at_least` run never does, as its hits may have a
+    girth above g.
     """
     config.validate()
     cfg_key = config._key()
@@ -607,27 +620,26 @@ def generate(config: SearchConfig) -> SearchOutcome:
         if budget is not None:
             budget -= parts[-1]["nodes"]
 
+    # one share per worker, dealt round-robin; the remaining budget is dealt
+    # the same way, so that the call expands at most node_budget nodes, and
+    # the shares past the first `budget` get none: they are not run, and
+    # their states are left over
+    shares = [share for i in range(config.worker_count)
+              if (share := frontier[i::config.worker_count])]
+    budgets = [budget] * len(shares)
     leftover: list[Rows] = []
-    if config.worker_count == 1 or len(frontier) <= 1:
-        parts.append(_run_frontier(frontier, cfg_key, budget, memo))
+    if budget is not None:
+        budgets = [len(range(i, budget, len(shares))) for i in range(len(shares))][:budget]
+        leftover = [state for share in shares[budget:] for state in share]
+        shares = shares[:budget]
+    runs = (shares, [cfg_key] * len(shares), budgets, [memo] * len(shares))
+    if len(shares) < 2:
+        parts += map(_run_frontier, *runs)
     else:
-        shares = [frontier[i::config.worker_count] for i in range(config.worker_count)]
-        shares = [s for s in shares if s]
-        budgets = [budget] * len(shares)
-        if budget is not None:
-            # split the remaining budget exactly, so that the call expands at
-            # most node_budget nodes; the shares past the first `budget` get
-            # none, so they start no process and their states are left over
-            each, extra = divmod(budget, len(shares))
-            budgets = [each + (i < extra) for i in range(len(shares))][:budget]
-            leftover = [state for share in shares[budget:] for state in share]
-            shares = shares[:budget]
-        if shares:
-            from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures import ProcessPoolExecutor
 
-            with ProcessPoolExecutor(max_workers=len(shares)) as pool:
-                parts += pool.map(_run_frontier, shares, [cfg_key] * len(shares),
-                                  budgets, [memo] * len(shares))
+        with ProcessPoolExecutor(max_workers=len(shares)) as pool:
+            parts += pool.map(_run_frontier, *runs)
     labelled = 0
     for part in parts:
         classes |= part["classes"]
@@ -649,14 +661,17 @@ def generate(config: SearchConfig) -> SearchOutcome:
     elif resumed:
         os.remove(config.checkpoint_path)
 
-    for n in sorted({n for n, _ in classes}):
-        certs = sorted(cert for m, cert in classes if m == n)
-        outcome.classes_graph6[n] = certs
-        outcome.per_n_classes[n] = len(certs)
-        hit_certs = sorted(cert for m, cert in hits if m == n)
-        if hit_certs:
-            outcome.per_n_hits[n] = len(hit_certs)
-            outcome.hits_graph6.extend(hit_certs)
+    for n, cert in sorted(classes):
+        outcome.classes_graph6.setdefault(n, []).append(cert)
+        if (n, cert) in hits:
+            outcome.per_n_hits[n] = outcome.per_n_hits.get(n, 0) + 1
+            outcome.hits_graph6.append(cert)
+    outcome.per_n_classes = {n: len(certs) for n, certs in outcome.classes_graph6.items()}
+    lam = config.lambda_filter
+    outcome.contradiction = (bool(hits) and config.girth_mode == GIRTH_EXACT
+                             and lam is not None and config.k >= 3
+                             and known_nonexistence(config.k, config.g, lam).status
+                             is Status.EXCLUDED)
 
     outcome.wall_time = time.perf_counter() - started
     return outcome
@@ -675,11 +690,10 @@ def nonexistence_lambda(k: int, epsilon2: int) -> int:
 def confirm_nonexistence(k: int, epsilon2: int, n_max: int, **kwargs) -> SearchOutcome:
     """Exhaustively verify that no connected k-regular girth-5 graph with
     n <= n_max has every vertex on exactly (k(k-1)^2 - epsilon2)/2 shortest
-    cycles, for 0 < epsilon2 <= k-1.  A hit sets `contradiction` and would
-    mean an engine bug."""
-    outcome = find_vgr(k, 5, nonexistence_lambda(k, epsilon2), n_max, **kwargs)
-    outcome.contradiction = outcome.total_hits > 0
-    return outcome
+    cycles, for 0 < epsilon2 <= k-1: the `find_vgr` search at
+    `nonexistence_lambda(k, epsilon2)`.  The oracle excludes that count, so
+    a hit sets `contradiction` and would mean an engine bug."""
+    return find_vgr(k, 5, nonexistence_lambda(k, epsilon2), n_max, **kwargs)
 
 
 def find_vgr(k: int, g: int, lam: int, n_max: int, **kwargs) -> SearchOutcome:

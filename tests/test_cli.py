@@ -199,16 +199,33 @@ def test_search_above_the_vertex_cap_exit_2(capsys, monkeypatch):
 def test_search_contradiction_exit_1(capsys, monkeypatch):
     from girthlab.search import SearchOutcome
 
-    def fake_confirm(k, epsilon2, n_max, **kwargs):
+    def fake_generate(config):
         out = SearchOutcome(per_n_hits={10: 1}, hits_graph6=["I?LRCecq?"])
         out.contradiction = True
         return out
 
-    monkeypatch.setattr(cli, "confirm_nonexistence", fake_confirm)
+    monkeypatch.setattr(cli, "generate", fake_generate)
     code, out, err = run_cli(capsys, "search", "--k", "3", "--g", "5",
                              "--max-n", "10", "--epsilon2", "2")
     assert code == 1
     assert "CONTRADICTION" in err
+
+
+def test_exact_lambda_search_reports_a_contradicting_hit(capsys, monkeypatch):
+    # with every vertex forged onto 5 five-cycles, the exact lambda = 5
+    # search finds hits that the oracle excludes: a contradiction, exit 1,
+    # as for the --epsilon2 2 search it equals
+    from types import SimpleNamespace
+
+    from girthlab import search
+
+    monkeypatch.setattr(search, "girth_profile",
+                        lambda graph: SimpleNamespace(per_vertex=(5,) * graph.n))
+    code, out, err = run_cli(capsys, "search", "--k", "3", "--g", "5", "--max-n", "12",
+                             "--girth-mode", "exact", "--lambda", "5")
+    report = json.loads(out)
+    assert code == 1 and "CONTRADICTION" in err
+    assert report["per_n_hits"] == {"10": 1, "12": 2} and report["theorem_contradiction"]
 
 
 def test_search_suspension_exit_4(capsys, tmp_path):

@@ -11,6 +11,7 @@ from girthlab import (
     Status,
     canonical_graph6,
     classify,
+    complete_graph,
     confirm_nonexistence,
     dodecahedron_graph,
     find_vgr,
@@ -21,6 +22,7 @@ from girthlab import (
     parse_graph6,
     petersen_graph,
     regularity,
+    write_graph6,
 )
 from girthlab import search
 from girthlab.core import Graph, ball, bit_list
@@ -527,6 +529,31 @@ def test_confirm_nonexistence_small():
         confirm_nonexistence(4, 1, 10)  # odd deficit: non-integral target
 
 
+def test_the_oracle_decides_whether_a_hit_contradicts_a_theorem(monkeypatch):
+    # forge every vertex onto lambda = 5 five-cycles, the count the girth-5
+    # theorem excludes for cubic graphs: each of the three exact requests
+    # for it reports its hits as a contradiction
+    from types import SimpleNamespace
+
+    assert known_nonexistence(3, 5, 5).status is Status.EXCLUDED
+    monkeypatch.setattr(search, "girth_profile",
+                        lambda graph: SimpleNamespace(per_vertex=(5,) * graph.n))
+    exact = SearchConfig(k=3, g=5, n_max=12, girth_mode=GIRTH_EXACT, lambda_filter=5)
+    for out in (confirm_nonexistence(3, 2, 12), find_vgr(3, 5, 5, 12), generate(exact)):
+        assert out.per_n_hits == {10: 1, 12: 2} and out.contradiction
+    # an at_least run's hits may have a larger girth, so they contradict
+    # nothing
+    out = generate(SearchConfig(k=3, g=5, n_max=12, girth_mode=GIRTH_AT_LEAST,
+                                lambda_filter=5))
+    assert out.per_n_hits == {10: 1, 12: 2} and not out.contradiction
+    # unforged, the Petersen graph is the hit at lambda = 6, which the
+    # oracle knows to exist
+    monkeypatch.undo()
+    assert known_nonexistence(3, 5, 6).status is Status.EXISTS
+    out = find_vgr(3, 5, 6, 12)
+    assert out.per_n_hits == {10: 1} and not out.contradiction
+
+
 def test_lambda_filter_counts():
     out = generate(SearchConfig(k=3, g=5, n_max=10, girth_mode=GIRTH_EXACT,
                                 lambda_filter=6))
@@ -811,4 +838,37 @@ def test_checkpoint_without_config_or_nodes_is_refused(tmp_path, tag):
             generate(SearchConfig(k=3, g=g, n_max=14, checkpoint_path=str(path)))
     with pytest.raises(GirthLabError, match="lacks its #config or #nodes"):
         generate(SearchConfig(k=3, g=5, n_max=14, checkpoint_path=str(path)))
+    assert path.exists()
+
+
+@pytest.mark.parametrize("n_max, budget, line", [
+    # frontier states: above n_max, with a degree above k, with a cycle
+    # shorter than g
+    (14, 50, lambda: write_graph6(dodecahedron_graph())),
+    (8, 1, lambda: write_graph6(petersen_graph())),
+    (14, 50, lambda: write_graph6(graph_from_edges(5, [(0, v) for v in range(1, 5)]))),
+    (14, 50, lambda: write_graph6(complete_graph(4))),
+    # a class or a hit above n_max, and a hit that is not a class
+    (14, 50, lambda: "#seen " + canonical_graph6(dodecahedron_graph())),
+    (14, 50, lambda: "#hit " + canonical_graph6(dodecahedron_graph())),
+    (14, 50, lambda: "#hit " + canonical_graph6(complete_graph(4))),
+], ids=["order", "order-petersen", "degree", "short-cycle", "seen-order", "hit-order",
+        "hit-not-seen"])
+def test_checkpoint_refuses_lines_its_search_cannot_reach(capsys, tmp_path, n_max, budget,
+                                                           line):
+    # the search never writes such a line, so a file holding one is refused,
+    # by the API and by the CLI with exit 2, and kept; no class is reported
+    from girthlab import GirthLabError, cli
+
+    path = tmp_path / "frontier.txt"
+    args = dict(k=3, g=5, n_max=n_max, checkpoint_path=str(path))
+    assert generate(SearchConfig(**args, node_budget=budget)).suspended
+    with open(path, "a") as fh:
+        fh.write(line() + "\n")
+    with pytest.raises(GirthLabError):
+        generate(SearchConfig(**args))
+    capsys.readouterr()
+    assert cli.main(["search", "--k", "3", "--g", "5", "--max-n", str(n_max),
+                     "--checkpoint", str(path)]) == 2
+    assert capsys.readouterr().out == ""
     assert path.exists()
