@@ -695,31 +695,6 @@ class AuditReport:
             self.first_failure = message
 
 
-def _audit_at_root(g: Graph, k: int, shells_of: list, u: int, lam: int,
-                   pair_filter: set | None, table: dict) -> tuple:
-    shells = shells_of[u]
-    outer = _outer_edges(g, k, shells, lam)
-    one, two, mp = _main_property(g, shells)
-    near = bit_list(one)
-    far_mask = shells.n3plus & ~one
-    if pair_filter is None:
-        far = far_mask.bit_count()
-    else:
-        near = [v for v in near if (u, v) in pair_filter]
-        far = sum(1 for v in bit_list(far_mask) if (u, v) in pair_filter)
-    case_a: list[CaseAPartition] = []
-    case_b: list[CaseBPartition] = []
-    skipped: list[tuple[int, int, str]] = []
-    for v in near:
-        if two >> v & 1:
-            case_a.append(_case_a(g, k, shells, shells_of[v], lam, table))
-        elif not two:
-            case_b.append(_case_b(g, k, shells, shells_of[v], lam, mp, table))
-        else:
-            skipped.append((u, v, "containment property fails at this root"))
-    return outer, mp, case_a, case_b, skipped, far
-
-
 def audit_graph(
     g: Graph,
     lam: int | None = None,
@@ -763,28 +738,37 @@ def audit_graph(
     # one record table for the whole call, so pairs with equal counts share
     # one record tuple; it dies with the call
     table: dict = {}
-    for u in range(g.n):
-        outer, mp, case_a, case_b, skipped, far = _audit_at_root(
-            g, k, shells_of, u, lam, pair_filter, table)
+    for u, shells in enumerate(shells_of):
+        outer = _outer_edges(g, k, shells, lam)
+        one, two, mp = _main_property(g, shells)
         report.outer.append(outer)
         report.main_property.append(mp)
-        report.case_a.extend(case_a)
-        report.case_b.extend(case_b)
-        report.skipped_pairs.extend(skipped)
-        report.far_pairs += far
         if not outer.passed:
             report._fail(
                 f"outer edges at root {outer.root}: found {outer.outer_edges_found}, "
                 f"expected {outer.two_eps_expected}"
             )
-        # only the first failure is reported, so the scan ends at it
-        if report.all_passed:
-            failed = next(((part, rec) for part in case_a + case_b
-                           for rec in part.records if not rec.holds), None)
-            if failed is not None:
-                part, rec = failed
-                report._fail(
-                    f"{rec.name} at (u={part.root}, v={part.v}): "
-                    f"{rec.lhs} {rec.relation} {rec.rhs} fails"
-                )
+        near = bit_list(one)
+        far_mask = shells.n3plus & ~one
+        if pair_filter is None:
+            report.far_pairs += far_mask.bit_count()
+        else:
+            near = [v for v in near if (u, v) in pair_filter]
+            report.far_pairs += sum(1 for v in bit_list(far_mask) if (u, v) in pair_filter)
+        for v in near:
+            if two >> v & 1:
+                part = _case_a(g, k, shells, shells_of[v], lam, table)
+                report.case_a.append(part)
+            elif not two:
+                part = _case_b(g, k, shells, shells_of[v], lam, mp, table)
+                report.case_b.append(part)
+            else:
+                report.skipped_pairs.append((u, v, "containment property fails at this root"))
+                continue
+            # only the first failure is reported, so the scan ends at it
+            if report.all_passed:
+                rec = next((rec for rec in part.records if not rec.holds), None)
+                if rec is not None:
+                    report._fail(f"{rec.name} at (u={part.root}, v={part.v}): "
+                                 f"{rec.lhs} {rec.relation} {rec.rhs} fails")
     return report

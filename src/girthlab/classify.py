@@ -112,9 +112,11 @@ def classify(g: Graph, profile: GirthProfile | None = None) -> ClassificationRep
 
     `profile` normally comes from the girth engine; passing one explicitly
     exists so that forged counts can be fed through the consistency checks.
-    Raises TheoremContradiction if the result lands in the excluded
-    odd-girth deficit range 0 < epsilon <= (k-1)/2, which no real graph can
-    reach: seeing it means the profile was forged or an engine is broken.
+    Raises TheoremContradiction if the graph is vertex-girth-regular, k >= 3,
+    and `known_nonexistence` excludes (k, girth, lambda) for a lambda within
+    the vertex bound, which no real graph can reach: seeing it means the
+    profile was forged or an engine is broken.  A lambda above the bound is
+    `check_bounds`' finding.
     """
     if not is_connected(g):
         raise NotEligible("classification needs a connected graph")
@@ -147,11 +149,13 @@ def classify(g: Graph, profile: GirthProfile | None = None) -> ClassificationRep
         deficit = g.n - moore_bound(k, gr_len)
         if is_vgr:
             two_eps = two_epsilon(k, gr_len, lambda_vertex)
-            if k >= 3 and gr_len % 2 and in_excluded_range(k, two_eps):
-                raise TheoremContradiction(
-                    f"vertex-regular girth-{gr_len} profile with deficit "
-                    f"2e = {two_eps} in the excluded range (0, k-1]"
-                )
+            if k >= 3 and 0 <= lambda_vertex <= v_bound:
+                verdict = known_nonexistence(k, gr_len, lambda_vertex)
+                if verdict.status is Status.EXCLUDED:
+                    raise TheoremContradiction(
+                        f"vertex-regular girth-{gr_len} profile with lambda = "
+                        f"{lambda_vertex}: {verdict.rule.value}, {verdict.detail}"
+                    )
 
     return ClassificationReport(
         n=g.n,

@@ -271,7 +271,7 @@ def cmd_search(args) -> int:
             k=args.k, g=parameters["g"], n_max=args.max_n,
             girth_mode=GIRTH_EXACT if parameters["girth_mode"] == "exact" else GIRTH_AT_LEAST,
             lambda_filter=parameters["lambda"], worker_count=args.workers,
-            node_budget=args.node_budget, checkpoint_path=args.checkpoint, cap=args.cap,
+            node_budget=args.node_budget, checkpoint_path=args.checkpoint,
         )
         outcome = generate(config)
     except ValueError as exc:
@@ -371,8 +371,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="nodes to expand in this invocation before suspending")
     p.add_argument("--checkpoint", default=None,
                    help="frontier file: resumed when present, written on suspension")
-    p.add_argument("--cap", type=int, default=None,
-                   help="raise the default order cap (20 for cubic, 16 otherwise)")
     add_common(p)
     p.set_defaults(fn=cmd_search)
 

@@ -137,7 +137,7 @@ import time
 from dataclasses import dataclass, field
 
 from .canon import _walk
-from .core import Graph, Layers, ball, bit_list, is_connected, max_vertices
+from .core import Graph, Layers, ball, bit_list, is_connected, max_vertices, regularity
 from .errors import GirthLabError, InternalInconsistency
 from .formats import graph6_line, graph6_payload, parse_graph6, write_graph6
 from .girth import girth, girth_profile
@@ -149,18 +149,14 @@ GIRTH_AT_LEAST = "at_least"
 CHECKPOINT_MAGIC = "#girthlab-checkpoint 6"
 
 
-def default_order_cap(k: int) -> int:
-    return 20 if k == 3 else 16
-
-
 @dataclass(frozen=True)
 class SearchConfig:
     """Enumeration parameters.
 
+    `n_max` is bounded only by the vertex cap (`core.max_vertices`).
     `node_budget` caps the nodes expanded by one call of `generate`; a run
     that exhausts it writes its open frontier to `checkpoint_path` (resumed
-    from there when the file exists), so a budget needs a checkpoint
-    path."""
+    from there when the file exists), so a budget needs a checkpoint path."""
 
     k: int
     g: int
@@ -169,7 +165,6 @@ class SearchConfig:
     lambda_filter: int | None = None
     worker_count: int = 1
     node_budget: int | None = None
-    cap: int | None = None
     checkpoint_path: str | None = None
 
     def validate(self) -> None:
@@ -178,10 +173,6 @@ class SearchConfig:
                              f"({self.k},{self.g},{self.n_max})")
         if self.girth_mode not in (GIRTH_EXACT, GIRTH_AT_LEAST):
             raise ValueError(f"girth_mode must be {GIRTH_EXACT!r} or {GIRTH_AT_LEAST!r}")
-        limit = self.cap if self.cap is not None else default_order_cap(self.k)
-        if self.n_max > limit:
-            raise ValueError(f"n_max {self.n_max} above the order cap {limit}; "
-                             "raise `cap` explicitly for longer runs")
         # a checkpoint's frontier and classes are read back as graph6, which
         # refuses orders above the vertex cap
         vertex_cap = max_vertices()
@@ -420,7 +411,8 @@ def _last_of_each_orbit(completions: list[Rows], state: Rows, p: int,
     return [child for i, child in enumerate(completions) if find(i) == i]
 
 
-def _record(graph: Graph, leaves: dict, cfg_key: dict, classes: set, hits: set) -> None:
+def _record(graph: Graph, leaves: dict, config: SearchConfig, classes: set,
+            hits: set) -> None:
     """Check a complete state and file it under its class string, the
     graph6 line of its least leaf certificate, unless exact mode rejects its
     girth; it is a hit too when every vertex lies on `lambda_filter` girth
@@ -429,13 +421,13 @@ def _record(graph: Graph, leaves: dict, cfg_key: dict, classes: set, hits: set) 
     if not is_connected(graph):
         raise InternalInconsistency("grown graph is disconnected")
     gr = girth(graph)
-    if gr is None or gr < cfg_key["g"]:
+    if gr is None or gr < config.g:
         raise InternalInconsistency("girth pruning admitted a short cycle")
-    if cfg_key["girth_mode"] == GIRTH_EXACT and gr != cfg_key["g"]:
+    if config.girth_mode == GIRTH_EXACT and gr != config.g:
         return
     entry = (graph.n, graph6_line(graph.n, min(leaves)))
     classes.add(entry)
-    lam = cfg_key["lambda_filter"]
+    lam = config.lambda_filter
     if lam is not None and set(girth_profile(graph).per_vertex) == {lam}:
         hits.add(entry)
 
@@ -474,7 +466,7 @@ def _admit(graph: Graph, memo: dict[int, set[int]]
     return leaves, visited, auts
 
 
-def _run_frontier(frontier: list[Rows], cfg_key: dict, budget: int | None,
+def _run_frontier(frontier: list[Rows], config: SearchConfig, budget: int | None,
                   memo: dict[int, set[int]]) -> dict:
     """Depth-first processing of a frontier of partial graphs that expands
     only the first state of each isomorphism class.
@@ -486,7 +478,7 @@ def _run_frontier(frontier: list[Rows], cfg_key: dict, budget: int | None,
     unexpanded leftover when the node budget runs out.  Changes nothing but
     `memo`: safe as a worker.
     """
-    k, g, n_max = cfg_key["k"], cfg_key["g"], cfg_key["n_max"]
+    k, g, n_max = config.k, config.g, config.n_max
     classes: set[tuple[int, str]] = set()
     hits: set[tuple[int, str]] = set()
     stack = [Graph(len(state), state) for state in frontier]
@@ -500,23 +492,23 @@ def _run_frontier(frontier: list[Rows], cfg_key: dict, budget: int | None,
         nodes += 1
         kids = _children(graph.rows, k, g, n_max, auts)
         if kids is None:
-            _record(graph, leaves, cfg_key, classes, hits)
+            _record(graph, leaves, config, classes, hits)
             continue
         stack.extend(_child_graph(graph, kid) for kid in kids)
     return {"classes": classes, "hits": hits, "nodes": nodes, "labelled": labelled,
             "memo": memo, "leftover": [graph.rows for graph in stack]}
 
 
-def _write_checkpoint(path: str, cfg_key: dict, classes, hits, nodes, memo,
-                      frontier) -> None:
-    """Write the checkpoint to a temporary file beside `path` and move it
+def _write_checkpoint(config: SearchConfig, classes, hits, nodes, memo, frontier) -> None:
+    """Write the checkpoint to a temporary file beside its path and move it
     into place, so a crash part-way leaves any previous checkpoint intact."""
+    path = config.checkpoint_path
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
                                prefix=os.path.basename(path) + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(CHECKPOINT_MAGIC + "\n")
-            fh.write("#config " + json.dumps(cfg_key, sort_keys=True) + "\n")
+            fh.write("#config " + json.dumps(config._key(), sort_keys=True) + "\n")
             fh.write(f"#nodes {nodes}\n")
             for n, cert in sorted(classes):
                 fh.write(f"#seen {cert}\n")
@@ -535,12 +527,24 @@ def _write_checkpoint(path: str, cfg_key: dict, classes, hits, nodes, memo,
         raise
 
 
-def _read_checkpoint(path: str, cfg_key: dict):
-    """The classes, hits, node count, memo and frontier of a checkpoint.
-    Lines that its search cannot have written are refused: a frontier state
-    above n_max, with a degree above k or a cycle shorter than g, a class or
-    hit above n_max, and a hit that is not among the classes."""
-    k, g, n_max = cfg_key["k"], cfg_key["g"], cfg_key["n_max"]
+def _is_class(graph: Graph, config: SearchConfig) -> bool:
+    """Whether `graph` is a class that the search of `config` reports: a
+    connected k-regular graph of girth at least g, exactly g in exact
+    mode."""
+    gr = girth(graph) or 0
+    return (is_connected(graph) and regularity(graph) == (True, config.k)
+            and (gr == config.g if config.girth_mode == GIRTH_EXACT else gr >= config.g))
+
+
+def _read_checkpoint(config: SearchConfig):
+    """The classes, hits, node count, memo and frontier of the checkpoint
+    of `config`.  Lines that its search cannot have written are refused: a
+    frontier state above n_max, disconnected, with a degree above k or a
+    cycle shorter than g, a class or hit above n_max, a class that is not
+    one of this search (`_is_class`), and a hit that is not among the
+    classes."""
+    path = config.checkpoint_path
+    k, g, n_max = config.k, config.g, config.n_max
     classes: set[tuple[int, str]] = set()
     hits: set[tuple[int, str]] = set()
     memo: dict[int, set[int]] = {}
@@ -556,10 +560,11 @@ def _read_checkpoint(path: str, cfg_key: dict):
                 continue
             if line.startswith("#config "):
                 stored = json.loads(line[len("#config "):])
-                if stored != cfg_key:
+                wanted = config._key()
+                if stored != wanted:
                     raise GirthLabError(
                         "checkpoint was written for a different search: "
-                        f"{stored} vs {cfg_key}"
+                        f"{stored} vs {wanted}"
                     )
             elif line.startswith("#nodes "):
                 nodes = int(line.split()[1])
@@ -568,14 +573,20 @@ def _read_checkpoint(path: str, cfg_key: dict):
                 n = graph6_payload(cert)[0]
                 if n > n_max:
                     raise GirthLabError(f"checkpoint {tag} line above n_max {n_max}: {path}")
-                (classes if tag == "#seen" else hits).add((n, cert))
+                if tag == "#hit":
+                    hits.add((n, cert))
+                elif _is_class(parse_graph6(cert), config):
+                    classes.add((n, cert))
+                else:
+                    raise GirthLabError(f"checkpoint #seen line {cert} is not a class "
+                                        f"of this search: {path}")
             elif line.startswith("#memo "):
                 n, cert = graph6_payload(line.split(" ", 1)[1])
                 memo.setdefault(n, set()).add(cert)
             else:
                 state = parse_graph6(line)
                 if (state.n > n_max or any(row.bit_count() > k for row in state.rows)
-                        or (girth(state) or g) < g):
+                        or (girth(state) or g) < g or not is_connected(state)):
                     raise GirthLabError(f"checkpoint frontier state {line} is not a state "
                                         f"of this search: {path}")
                 frontier.append(state.rows)
@@ -599,13 +610,11 @@ def generate(config: SearchConfig) -> SearchOutcome:
     girth above g.
     """
     config.validate()
-    cfg_key = config._key()
     started = time.perf_counter()
 
     resumed = bool(config.checkpoint_path) and os.path.exists(config.checkpoint_path)
     if resumed:
-        classes, hits, nodes, memo, frontier = _read_checkpoint(config.checkpoint_path,
-                                                                cfg_key)
+        classes, hits, nodes, memo, frontier = _read_checkpoint(config)
     else:
         classes, hits, nodes, memo, frontier = set(), set(), 0, {}, [(0,)]
     budget = config.node_budget
@@ -615,7 +624,7 @@ def generate(config: SearchConfig) -> SearchOutcome:
     while (config.worker_count > 1 and 0 < len(frontier) < 16 * config.worker_count
            and budget != 0):
         frontier.sort(key=len, reverse=True)
-        parts.append(_run_frontier(frontier, cfg_key, 1, memo))
+        parts.append(_run_frontier(frontier, config, 1, memo))
         frontier = parts[-1].pop("leftover")
         if budget is not None:
             budget -= parts[-1]["nodes"]
@@ -632,7 +641,7 @@ def generate(config: SearchConfig) -> SearchOutcome:
         budgets = [len(range(i, budget, len(shares))) for i in range(len(shares))][:budget]
         leftover = [state for share in shares[budget:] for state in share]
         shares = shares[:budget]
-    runs = (shares, [cfg_key] * len(shares), budgets, [memo] * len(shares))
+    runs = (shares, [config] * len(shares), budgets, [memo] * len(shares))
     if len(shares) < 2:
         parts += map(_run_frontier, *runs)
     else:
@@ -655,8 +664,7 @@ def generate(config: SearchConfig) -> SearchOutcome:
     outcome = SearchOutcome(nodes_expanded=nodes, leaves_labelled=labelled)
     if leftover:
         outcome.suspended = True
-        _write_checkpoint(config.checkpoint_path, cfg_key, classes, hits, nodes, memo,
-                          leftover)
+        _write_checkpoint(config, classes, hits, nodes, memo, leftover)
         outcome.checkpoint_path = config.checkpoint_path
     elif resumed:
         os.remove(config.checkpoint_path)

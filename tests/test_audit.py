@@ -289,6 +289,13 @@ def test_audit_graph_sampled_scope_deterministic():
     assert len(a.case_b) < 120
 
 
+def test_audit_graph_rejects_a_disconnected_graph():
+    edges = list(petersen_graph().edges())
+    two = graph_from_edges(20, edges + [(a + 10, b + 10) for a, b in edges])
+    with pytest.raises(NotEligible, match="connected"):
+        audit_graph(two)
+
+
 def test_audit_graph_rejects_non_vgr_with_witnesses():
     graphs = _cubic_girth5_corpus()
     non_vgr = [g for g in graphs if len(set(girth_profile(g).per_vertex)) > 1]

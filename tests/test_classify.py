@@ -2,6 +2,7 @@ import pytest
 
 from girthlab import (
     NotEligible,
+    SearchConfig,
     Rule,
     Status,
     TheoremContradiction,
@@ -13,11 +14,13 @@ from girthlab import (
     complete_graph,
     cycle_graph,
     dodecahedron_graph,
+    generate,
     girth_profile,
     graph_from_edges,
     heawood_graph,
     known_nonexistence,
     moore_bound,
+    parse_graph6,
     path_graph,
     petersen_graph,
     refute_signature,
@@ -111,6 +114,23 @@ def test_forged_profile_raises_theorem_contradiction():
     forged.validate()
     with pytest.raises(TheoremContradiction):
         classify(d, profile=forged)
+
+
+def test_classify_asks_the_oracle():
+    # a forged lambda = 18 = vertex_cycle_bound(4, 5) on the Robertson graph,
+    # the quartic girth-5 class on 19 vertices: the oracle excludes
+    # (4, 5, 18) as the Moore case, outside the odd-girth deficit range
+    robertson = parse_graph6(generate(SearchConfig(k=4, g=5, n_max=19)).classes_graph6[19][0])
+    forged = GirthProfile(5, 19, tuple([18] * 19), {e: 9 for e in robertson.edges()})
+    assert known_nonexistence(4, 5, 18).rule is Rule.MOORE_CASE
+    with pytest.raises(TheoremContradiction, match="MooreCase"):
+        classify(robertson, profile=forged)
+    # a lambda above the bound is left to check_bounds
+    above = GirthProfile(5, 19, tuple([20] * 19), {e: 10 for e in robertson.edges()})
+    rep = classify(robertson, profile=above)
+    assert rep.lambda_vertex == 20
+    assert not next(b for b in check_bounds(robertson, rep, above)
+                    if b.name == "per_vertex_cycles").holds
 
 
 def test_signatures_match_the_edge_counts_at_every_vertex():

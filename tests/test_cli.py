@@ -44,6 +44,12 @@ def test_analyze_corrupt_file_exit_2(capsys, tmp_path):
     assert ":3" in err  # diagnostic cites the offending line
 
 
+def test_analyze_acyclic_graph_exit_2(capsys):
+    code, out, err = run_cli(capsys, "analyze", "named:path(6)")
+    assert code == 2 and out == ""
+    assert "undefined for an acyclic graph" in err
+
+
 def test_analyze_file_and_csv(capsys, tmp_path):
     corpus = tmp_path / "corpus.g6"
     corpus.write_text(write_graph6(petersen_graph()) + "\nC~\n")
@@ -87,6 +93,18 @@ def test_audit_exit_codes(capsys):
     assert not report["summary"]["all_passed"]
     entry = report["graphs"][0]
     assert all(not o["passed"] for o in entry["outer_edges"])
+
+
+def test_audit_sampled_scope(capsys):
+    # 5 of the dodecahedron's 200 exterior pairs: 3 dispatch to case B and 2
+    # lie past distance 3; a forged count is still a finding (exit 1)
+    code, out, _ = run_cli(capsys, "audit", "named:dodecahedron", "--scope", "sample:5,1")
+    entry = json.loads(out)["graphs"][0]
+    assert code == 0
+    assert (entry["case_a_pairs"], entry["case_b_pairs"], entry["far_pairs"]) == (0, 3, 2)
+    code, _, _ = run_cli(capsys, "audit", "named:dodecahedron", "--scope", "sample:5,1",
+                         "--lambda", "4")
+    assert code == 1
 
 
 @pytest.mark.parametrize("extra, code, digest", [
@@ -189,11 +207,22 @@ def test_search_exact_lambda_above_the_vertex_bound_exit_2(capsys):
 def test_search_above_the_vertex_cap_exit_2(capsys, monkeypatch):
     # its checkpoint could not be read back, as graph6 refuses the order
     monkeypatch.delenv("GIRTHLAB_MAX_N", raising=False)
-    code, out, err = run_cli(capsys, "search", "--k", "2", "--g", "66", "--max-n", "70",
-                             "--cap", "70")
+    code, out, err = run_cli(capsys, "search", "--k", "2", "--g", "66", "--max-n", "70")
     assert code == 2 and out == ""
     assert err == ("search: n_max 70 above the vertex cap 64; "
                    "raise GIRTHLAB_MAX_N for larger graphs\n")
+
+
+def test_search_order_is_bounded_by_the_vertex_cap_alone(capsys):
+    # a quartic search past 16 vertices runs as asked, and there is no
+    # --cap option left to raise: the parser refuses it (exit 2)
+    code, out, _ = run_cli(capsys, "search", "--k", "4", "--g", "5", "--max-n", "19")
+    assert code == 0 and json.loads(out)["per_n_classes"] == {"19": 1}
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["search", "--k", "4", "--g", "5", "--max-n", "19", "--cap", "19"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert "unrecognized arguments: --cap 19" in captured.err
 
 
 def test_search_contradiction_exit_1(capsys, monkeypatch):

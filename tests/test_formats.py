@@ -173,3 +173,10 @@ def test_sparse6_rejects_non_simple():
         parse_sparse6(write_graph6(complete_graph(4)))
     with pytest.raises(Graph6Error, match="graph6"):
         parse_graph6(write_sparse6(complete_graph(4)))
+
+
+def test_sparse6_rejects_a_repeated_edge():
+    # edge (0, 1) twice on 2 vertices: (b=1, x=0) then (b=0, x=0), padded
+    # with ones
+    with pytest.raises(Graph6Error, match="repeated edge"):
+        parse_sparse6(":A" + chr(63 + 0b100011))

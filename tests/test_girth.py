@@ -96,7 +96,7 @@ def test_layer_edges_count_odd_girth_cycles():
     # at girth 2d + 1 the ball of radius d around v is a tree, so each edge
     # inside L_d(v) closes one girth cycle through v, and each girth cycle
     # through v has its edge opposite v there
-    outcome = generate(SearchConfig(k=3, g=7, n_max=24, cap=24))
+    outcome = generate(SearchConfig(k=3, g=7, n_max=24))
     mcgee = [parse_graph6(line) for line in outcome.classes_graph6[24]]
     cases = [(complete_graph(4), 1), (petersen_graph(), 2),
              (dodecahedron_graph(), 2)] + [(g, 3) for g in mcgee]

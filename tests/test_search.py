@@ -13,11 +13,13 @@ from girthlab import (
     classify,
     complete_graph,
     confirm_nonexistence,
+    cycle_graph,
     dodecahedron_graph,
     find_vgr,
     generate,
     girth,
     graph_from_edges,
+    heawood_graph,
     known_nonexistence,
     parse_graph6,
     petersen_graph,
@@ -99,14 +101,14 @@ def test_published_counts_where_the_lookahead_cuts_most():
     assert out.per_n_classes == {14: 1, 16: 1, 18: 5, 20: 32}
     # the Robertson graph is the only quartic graph of girth >= 5 on at
     # most 19 vertices
-    out = generate(SearchConfig(k=4, g=5, n_max=19, cap=19))
+    out = generate(SearchConfig(k=4, g=5, n_max=19))
     assert out.per_n_classes == {19: 1}
 
 
 def test_published_counts_quartic_girth5():
     # Meringer, J. Graph Theory 30 (1999): connected quartic graphs of
     # girth >= 5 on 19, 20 and 21 vertices; about 2 s on one core
-    out = generate(SearchConfig(k=4, g=5, n_max=21, cap=21))
+    out = generate(SearchConfig(k=4, g=5, n_max=21))
     assert out.per_n_classes == {19: 1, 20: 2, 21: 8}
     assert out.nodes_expanded == 10362
 
@@ -121,7 +123,7 @@ def test_published_counts_past_girth_6(g, n_max, classes, nodes, leaves):
     # >= 8 (the Tutte-Coxeter graph at 30, none at 32).  Girth pruning and
     # the closure read balls of radius 5 and 6 here; about 3 s and 1 s on
     # one core
-    out = generate(SearchConfig(k=3, g=g, n_max=n_max, cap=n_max))
+    out = generate(SearchConfig(k=3, g=g, n_max=n_max))
     assert out.per_n_classes == classes
     assert (out.nodes_expanded, out.leaves_labelled) == (nodes, leaves)
 
@@ -135,7 +137,7 @@ def test_published_counts_past_girth_6_slow(g, n_max, classes, nodes, leaves):
     # OEIS A014371 and A014375 (Meringer, J. Graph Theory 30, 1999):
     # connected cubic graphs of girth >= 6 up to 22 vertices and of girth
     # >= 8 up to 36; about 5 s and 35 s on one core
-    out = generate(SearchConfig(k=3, g=g, n_max=n_max, cap=n_max))
+    out = generate(SearchConfig(k=3, g=g, n_max=n_max))
     assert out.per_n_classes == classes
     assert (out.nodes_expanded, out.leaves_labelled) == (nodes, leaves)
 
@@ -156,7 +158,7 @@ def test_published_counts_cubic_slow(n_max):
 def test_published_counts_quartic_girth5_slow():
     # Meringer, J. Graph Theory 30 (1999): connected quartic graphs of
     # girth >= 5 up to 22 vertices; about 40 s on one core
-    out = generate(SearchConfig(k=4, g=5, n_max=22, cap=22))
+    out = generate(SearchConfig(k=4, g=5, n_max=22))
     assert out.per_n_classes == {19: 1, 20: 2, 21: 8, 22: 131}
     assert out.nodes_expanded == 195866
     assert out.leaves_labelled == 255058
@@ -359,9 +361,9 @@ def _bare_child(rows, k, g, n_max):
     dict(k=3, g=4, n_max=12),
     dict(k=3, g=5, n_max=14),
     dict(k=3, g=6, n_max=18),
-    dict(k=3, g=7, n_max=24, cap=24),
+    dict(k=3, g=7, n_max=24),
     dict(k=4, g=4, n_max=11),
-    dict(k=4, g=5, n_max=19, cap=19),
+    dict(k=4, g=5, n_max=19),
     dict(k=3, g=5, n_max=12, girth_mode=GIRTH_EXACT, lambda_filter=6),
     dict(k=3, g=5, n_max=14, lambda_filter=6, worker_count=2),
 ])
@@ -505,7 +507,7 @@ def test_find_vgr_agrees_with_the_oracle_at_girth_8():
     # vertices: the Tutte-Coxeter graph, on vertex_cycle_bound(3, 8) = 24
     # girth cycles per vertex, counted at even girth by the layer counter
     assert known_nonexistence(3, 8, 24).status is Status.EXISTS
-    out = find_vgr(3, 8, 24, 34, cap=34)
+    out = find_vgr(3, 8, 24, 34)
     assert out.per_n_hits == {30: 1} and out.nodes_expanded == 1503
     tutte_coxeter = nx.LCF_graph(30, [-13, -9, 7, -7, 9, 13], 5)
     assert out.hits_graph6 == [canonical_graph6(graph_from_edges(30, tutte_coxeter.edges()))]
@@ -580,8 +582,6 @@ def test_exact_mode_refuses_lambda_above_the_vertex_bound():
 
 def test_order_cap_and_validation():
     with pytest.raises(ValueError):
-        generate(SearchConfig(k=3, g=5, n_max=22))  # above default cap 20
-    with pytest.raises(ValueError):
         generate(SearchConfig(k=1, g=5, n_max=8))
     with pytest.raises(ValueError):
         generate(SearchConfig(k=3, g=5, n_max=8, girth_mode="sometimes"))
@@ -590,6 +590,20 @@ def test_order_cap_and_validation():
             generate(SearchConfig(k=3, g=5, n_max=12, node_budget=budget))
     out = generate(SearchConfig(k=3, g=5, n_max=3))
     assert out.per_n_classes == {}  # below the least possible order
+
+
+def test_search_config_refuses_a_negative_lambda_and_no_workers():
+    with pytest.raises(ValueError, match="lambda_filter must be nonnegative"):
+        SearchConfig(k=3, g=5, n_max=10, lambda_filter=-1).validate()
+    with pytest.raises(ValueError, match="worker_count must be at least 1"):
+        SearchConfig(k=3, g=5, n_max=10, worker_count=0).validate()
+
+
+def test_n_max_is_bounded_by_the_vertex_cap_alone():
+    # no order cap per degree: a quartic search past 16 vertices runs as it
+    # is asked, and finds the Robertson graph alone in 33 nodes
+    out = generate(SearchConfig(k=4, g=5, n_max=19))
+    assert out.per_n_classes == {19: 1} and out.nodes_expanded == 33
 
 
 def test_node_budget_needs_a_checkpoint(monkeypatch, tmp_path):
@@ -609,7 +623,7 @@ def test_search_above_the_vertex_cap_is_refused(monkeypatch, tmp_path):
     # search that could pass it is refused before it writes one
     monkeypatch.delenv("GIRTHLAB_MAX_N", raising=False)
     path = str(tmp_path / "frontier.txt")
-    kwargs = dict(k=2, g=66, n_max=70, cap=70)
+    kwargs = dict(k=2, g=66, n_max=70)
     with pytest.raises(ValueError, match="GIRTHLAB_MAX_N"):
         generate(SearchConfig(**kwargs, node_budget=66, checkpoint_path=path))
     assert not os.path.exists(path)
@@ -870,5 +884,42 @@ def test_checkpoint_refuses_lines_its_search_cannot_reach(capsys, tmp_path, n_ma
     capsys.readouterr()
     assert cli.main(["search", "--k", "3", "--g", "5", "--max-n", str(n_max),
                      "--checkpoint", str(path)]) == 2
+    assert capsys.readouterr().out == ""
+    assert path.exists()
+
+
+def _two_petersens():
+    edges = list(petersen_graph().edges())
+    return graph_from_edges(20, edges + [(a + 10, b + 10) for a, b in edges])
+
+
+@pytest.mark.parametrize("mode, n_max, line", [
+    # classes: a cycle shorter than g, a degree other than k, two
+    # components, and in exact mode a girth above g
+    ("at-least", 14, lambda: "#seen " + canonical_graph6(complete_graph(4))),
+    ("at-least", 14, lambda: "#seen " + canonical_graph6(cycle_graph(12))),
+    ("at-least", 20, lambda: "#seen " + canonical_graph6(_two_petersens())),
+    ("exact", 14, lambda: "#seen " + canonical_graph6(heawood_graph())),
+    # a frontier state of two components, 2K2
+    ("at-least", 14, lambda: write_graph6(graph_from_edges(4, [(0, 1), (2, 3)]))),
+], ids=["seen-short-cycle", "seen-degree", "seen-disconnected", "seen-girth-above-g",
+        "disconnected"])
+def test_checkpoint_refuses_classes_and_states_its_search_cannot_produce(
+        capsys, tmp_path, mode, n_max, line):
+    # a resume would report such a class, or expand such a state, so the
+    # file is refused, by the API and by the CLI with exit 2, and kept
+    from girthlab import GirthLabError, cli
+
+    path = tmp_path / "frontier.txt"
+    args = dict(k=3, g=5, n_max=n_max, checkpoint_path=str(path),
+                girth_mode=GIRTH_EXACT if mode == "exact" else GIRTH_AT_LEAST)
+    assert generate(SearchConfig(**args, node_budget=50)).suspended
+    with open(path, "a") as fh:
+        fh.write(line() + "\n")
+    with pytest.raises(GirthLabError):
+        generate(SearchConfig(**args))
+    capsys.readouterr()
+    assert cli.main(["search", "--k", "3", "--g", "5", "--max-n", str(n_max),
+                     "--girth-mode", mode, "--checkpoint", str(path)]) == 2
     assert capsys.readouterr().out == ""
     assert path.exists()
